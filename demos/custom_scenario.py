@@ -8,7 +8,6 @@ Run with: python demos/custom_scenario.py
 import numpy as np
 
 from brpmarket import (
-    CustomerProfile,
     RunConfig,
     recover_multipliers,
     run_market,
@@ -41,12 +40,8 @@ def main() -> None:
               f"daily total {x.sum():.4f} "
               f"(band [{customer.d_min}, {customer.d_max}])")
 
-    capped = scenario.customers[1]
-    profile = CustomerProfile(x=report.allocation.x[1],
-                              y=report.allocation.y[1],
-                              z=report.allocation.z[1])
-    mult = recover_multipliers(profile, report.prices, capped, scenario.blocks)
-    print(f"shadow price of customer 1's daily cap: {mult.lambda1:.4f}")
+    mult = recover_multipliers(scenario, report.allocation, report.prices)
+    print(f"shadow price of customer 1's daily cap: {mult.lambda1[1]:.4f}")
 
 
 if __name__ == "__main__":

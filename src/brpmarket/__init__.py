@@ -15,16 +15,13 @@ from .model import (
     utility_value,
     validate_scenario,
 )
-from .pricing import AggregateDemand, block_prices, revenue
+from .pricing import block_prices, revenue
 from .agent import (
-    CustomerProfile,
     KktMultipliers,
     KktResidual,
-    gradient_step,
     kkt_residual,
     net_utility,
-    project_box_sum,
-    project_profile,
+    project_band,
     recover_multipliers,
     step_profile,
     worst_kkt_residual,
@@ -51,15 +48,14 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation", "AggregateDemand", "BlockSchedule", "ComparisonReport",
-    "CostParams", "Customer", "CustomerProfile", "DivergenceError",
-    "EquilibriumReport", "IterationRecord", "IterationTrace",
-    "KktMultipliers", "KktResidual", "OracleSolution", "PriceSchedule",
-    "RunConfig", "Scenario", "ScenarioError", "block_prices",
-    "brute_force_welfare", "canonical_split", "compare_equilibrium",
-    "cost_value", "default_step_size", "detect_convergence", "gradient_step",
-    "kkt_residual", "load_scenario", "net_utility", "project_box_sum",
-    "project_profile", "recover_multipliers", "revenue", "run_market",
+    "Allocation", "BlockSchedule", "ComparisonReport", "CostParams",
+    "Customer", "DivergenceError", "EquilibriumReport", "IterationRecord",
+    "IterationTrace", "KktMultipliers", "KktResidual", "OracleSolution",
+    "PriceSchedule", "RunConfig", "Scenario", "ScenarioError",
+    "block_prices", "brute_force_welfare", "canonical_split",
+    "compare_equilibrium", "cost_value", "default_step_size",
+    "detect_convergence", "kkt_residual", "load_scenario", "net_utility",
+    "project_band", "recover_multipliers", "revenue", "run_market",
     "social_welfare", "solve_welfare_centralized", "step_profile",
     "utility_gradient", "utility_value", "validate_scenario",
     "worst_kkt_residual",

@@ -1,5 +1,6 @@
-"""One customer's price response: gradient step, feasibility projection,
-net utility, and equilibrium (KKT) residuals."""
+"""The customers' price response on the whole (N, T) allocation: the
+projected-gradient step, the batched daily-band projection, net utility,
+and equilibrium (KKT) residuals."""
 
 from __future__ import annotations
 
@@ -7,53 +8,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Allocation,
-    BlockSchedule,
-    Customer,
-    PriceSchedule,
-    Scenario,
-    canonical_split,
-    utility_gradient,
-    utility_value,
-)
-
-# Bisection settings for the daily-sum shift multiplier.  200 halvings
-# drive the residual to machine precision; the threshold is only an early
-# exit, so it sits well below the 1e-10 feasibility guarantee.
-_SUM_RESIDUAL_TOL = 1e-13
-_MAX_BISECT_STEPS = 200
+from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
 
 # A per-slot bound (y = b, z = b, x = 0) counts as active within this margin.
 _ACTIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class CustomerProfile:
-    """One customer's per-slot consumption with its canonical block split."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def from_consumption(cls, x: np.ndarray, blocks: BlockSchedule) -> "CustomerProfile":
-        x = np.asarray(x, dtype=float)
-        y, z = canonical_split(x, blocks.b)
-        return cls(x=x, y=np.atleast_1d(y), z=np.atleast_1d(z))
-
-
-@dataclass(frozen=True)
 class KktMultipliers:
-    """Multipliers for the daily d_max (lambda1) and d_min (lambda2) constraints."""
+    """Per-customer multipliers, shape (N,), for the daily d_max (lambda1)
+    and d_min (lambda2) constraints."""
 
-    lambda1: float
-    lambda2: float
+    lambda1: np.ndarray
+    lambda2: np.ndarray
 
 
 @dataclass(frozen=True)
 class KktResidual:
-    """Max-norm violations of the four equilibrium conditions."""
+    """Max-norm violations of the four equilibrium conditions over all customers."""
 
     stationarity_y: float
     stationarity_z: float
@@ -65,161 +37,131 @@ class KktResidual:
                    self.comp_slack_1, self.comp_slack_2)
 
 
-def gradient_step(profile: CustomerProfile, prices: PriceSchedule, gamma: float,
-                  customer: Customer, blocks: BlockSchedule):
-    """Raw (unprojected) gradient update of the block variables.
+def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
+    """Euclidean projection of each row of ``x`` onto ``{x >= 0, d_min <= sum(x) <= d_max}``.
 
-    For each slot: ``y_new = y + gamma*(U'(x) - p_l)`` and
-    ``z_new = z + gamma*(U'(x) - p_u)``.  Returns the raw pair together with
-    the reconstituted raw consumption ``y_new + z_new - b``.
+    ``x`` has shape (N, T); the bounds are scalars or shape (N,).  A row
+    whose clipped sum lies in its band is only clipped.  Any other row
+    becomes ``max(x - tau, 0)`` with the exact shift ``tau`` that puts its
+    sum on the violated edge, found by sorting the row (Duchi et al.,
+    "Efficient projections onto the l1-ball for learning in high
+    dimensions", ICML 2008).
+    """
+    x = np.asarray(x, dtype=float)
+    n, t = x.shape
+    d_min = np.broadcast_to(np.asarray(d_min, dtype=float), (n,))
+    d_max = np.broadcast_to(np.asarray(d_max, dtype=float), (n,))
+    if np.any(d_min > d_max):
+        raise ValueError("infeasible constraint set: d_min exceeds d_max")
+    clipped = np.maximum(x, 0.0)
+    total = clipped.sum(axis=1)
+    target = np.clip(total, d_min, d_max)
+    shift = total != target
+    if not np.any(shift):
+        return clipped
+
+    rows, radius = x[shift], target[shift]
+    desc = -np.sort(-rows, axis=1)
+    excess = np.cumsum(desc, axis=1) - radius[:, None]
+    # The entries still positive after the shift are a prefix of the sorted
+    # row; the first always is, whatever rounding says.
+    positive = desc - excess / np.arange(1, t + 1) > 0
+    positive[:, 0] = True
+    count = t - np.argmax(positive[:, ::-1], axis=1)
+    tau = excess[np.arange(rows.shape[0]), count - 1] / count
+    # A zero cap leaves only zeros (tau = max(row)), which the sort formula misses.
+    clipped[shift] = np.where(radius[:, None] > 0,
+                              np.maximum(rows - tau[:, None], 0.0), 0.0)
+    return clipped
+
+
+def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
+                 scenario: Scenario) -> np.ndarray:
+    """One projected-gradient update of every customer's daily profile.
+
+    Per slot the block variables ``y = min(x, b)`` and ``z = max(x, b)``
+    step by ``gamma*(U'(x) - p_l)`` and ``gamma*(U'(x) - p_u)`` and are then
+    clipped to their block bounds (``y <= b``, ``z >= b``), so that a block
+    variable sitting at its bound cannot drag consumption through the other
+    block's price.  The rebuilt consumption ``y + z - b`` is projected onto
+    each customer's daily band.  Returns the new (N, T) consumption.
     """
     if gamma < 0:
         raise ValueError("step size must be nonnegative")
-    grad = utility_gradient(profile.x, customer.w, customer.alpha)
-    y_raw = profile.y + gamma * (grad - prices.p_l)
-    z_raw = profile.z + gamma * (grad - prices.p_u)
-    return y_raw, z_raw, y_raw + z_raw - blocks.b
-
-
-def project_box_sum(x: np.ndarray, d_min: float, d_max: float) -> np.ndarray:
-    """Euclidean projection onto ``{x >= 0, d_min <= sum(x) <= d_max}``.
-
-    Clipping to the nonnegative orthant settles the box; if the daily sum
-    then falls outside its band, a scalar shift is bisected (water-filling)
-    until the sum constraint is met to within 1e-10.
-    """
-    if d_min > d_max:
-        raise ValueError("infeasible constraint set: d_min exceeds d_max")
-    x = np.asarray(x, dtype=float)
-    clipped = np.maximum(x, 0.0)
-    total = float(clipped.sum())
-    if d_min - _SUM_RESIDUAL_TOL <= total <= d_max + _SUM_RESIDUAL_TOL:
-        return clipped
-
-    if total > d_max:
-        if d_max <= 0.0:
-            return np.zeros_like(x)
-        target, sign = d_max, -1.0
-        hi = float(np.max(x))
-    else:
-        target, sign = d_min, 1.0
-        hi = d_min / x.size + max(0.0, -float(np.min(x)))
-
-    lo = 0.0
-    for _ in range(_MAX_BISECT_STEPS):
-        nu = 0.5 * (lo + hi)
-        shifted = np.maximum(x + sign * nu, 0.0)
-        residual = float(shifted.sum()) - target
-        if abs(residual) <= _SUM_RESIDUAL_TOL:
-            return shifted
-        # sign = -1: sum decreases in nu; sign = +1: sum increases in nu
-        if residual * sign < 0:
-            lo = nu
-        else:
-            hi = nu
-    return np.maximum(x + sign * nu, 0.0)
-
-
-def project_profile(raw_x: np.ndarray, customer: Customer,
-                    blocks: BlockSchedule) -> CustomerProfile:
-    """Project raw consumption onto the customer's feasible set and re-split."""
-    raw_x = np.asarray(raw_x, dtype=float)
-    if not np.all(np.isfinite(raw_x)):
+    b = scenario.blocks.b
+    grad = utility_gradient(x, scenario.w, scenario.alpha)
+    y = np.minimum(np.minimum(x, b) + gamma * (grad - prices.p_l), b)
+    z = np.maximum(np.maximum(x, b) + gamma * (grad - prices.p_u), b)
+    raw = y + z - b
+    if not np.all(np.isfinite(raw)):
         raise ValueError("raw consumption must be finite")
-    x = project_box_sum(raw_x, customer.d_min, customer.d_max)
-    return CustomerProfile.from_consumption(x, blocks)
+    return project_band(raw, scenario.d_min, scenario.d_max)
 
 
-def step_profile(profile: CustomerProfile, prices: PriceSchedule, gamma: float,
-                 customer: Customer, blocks: BlockSchedule) -> CustomerProfile:
-    """One full projected-gradient update of a customer's profile.
-
-    The raw block updates are first projected onto the block bounds
-    (``y <= b``, ``z >= b``) so that a block variable sitting at its bound
-    cannot drag consumption through the other block's price.  The
-    reconstituted consumption is then projected onto the daily feasibility
-    set and re-split canonically.
-    """
-    y_raw, z_raw, _ = gradient_step(profile, prices, gamma, customer, blocks)
-    y_box = np.minimum(y_raw, blocks.b)
-    z_box = np.maximum(z_raw, blocks.b)
-    return project_profile(y_box + z_box - blocks.b, customer, blocks)
+def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.ndarray:
+    """Each customer's utility minus block payments, shape (N,):
+    ``sum_t U(x) - p_l*y - p_u*(z - b)``."""
+    b = scenario.blocks.b
+    util = utility_value(x, scenario.w, scenario.alpha)
+    payment = prices.p_l * np.minimum(x, b) + prices.p_u * (np.maximum(x, b) - b)
+    return np.sum(util - payment, axis=1)
 
 
-def net_utility(profile: CustomerProfile, prices: PriceSchedule,
-                customer: Customer, blocks: BlockSchedule) -> float:
-    """Total utility minus block payments: sum_t U(x) - p_l*y - p_u*(z - b)."""
-    util = utility_value(profile.x, customer.w, customer.alpha)
-    payment = prices.p_l * profile.y + prices.p_u * (profile.z - blocks.b)
-    return float(np.sum(util - payment))
+def _free_gaps(scenario: Scenario, alloc: Allocation, prices: PriceSchedule):
+    """Stationarity gaps ``U' - p_l`` and ``U' - p_u`` with the slots where
+    the y (resp. z) bound is inactive and consumption is positive."""
+    b = scenario.blocks.b
+    grad = utility_gradient(alloc.x, scenario.w, scenario.alpha)
+    positive = alloc.x > _ACTIVE_TOL
+    y_free = positive & (alloc.y < b - _ACTIVE_TOL)
+    z_free = positive & (alloc.z > b + _ACTIVE_TOL)
+    return grad - prices.p_l, grad - prices.p_u, y_free, z_free
 
 
-def kkt_residual(profile: CustomerProfile, prices: PriceSchedule,
-                 mult: KktMultipliers, customer: Customer,
-                 blocks: BlockSchedule) -> KktResidual:
-    """Equilibrium-condition violations for one customer.
+def kkt_residual(scenario: Scenario, alloc: Allocation, prices: PriceSchedule,
+                 mult: KktMultipliers) -> KktResidual:
+    """Equilibrium-condition violations, worst over all customers.
 
     Stationarity in y is checked on slots where the y-bound is inactive
     (y < b) and consumption is positive; likewise stationarity in z on slots
     with z > b.  Slots at an active bound are absorbed by bound multipliers
     that are not modeled explicitly.
     """
-    if mult.lambda1 < 0 or mult.lambda2 < 0:
+    if np.any(mult.lambda1 < 0) or np.any(mult.lambda2 < 0):
         raise ValueError("multipliers must be nonnegative")
-    grad = utility_gradient(profile.x, customer.w, customer.alpha)
-    shift = mult.lambda1 - mult.lambda2
-    positive = profile.x > _ACTIVE_TOL
-
-    y_free = positive & (profile.y < blocks.b - _ACTIVE_TOL)
-    z_free = positive & (profile.z > blocks.b + _ACTIVE_TOL)
-
-    stat_y = grad - prices.p_l - shift
-    stat_z = grad - prices.p_u - shift
-    total = float(profile.x.sum())
+    gap_y, gap_z, y_free, z_free = _free_gaps(scenario, alloc, prices)
+    shift = np.reshape(mult.lambda1 - mult.lambda2, (-1, 1))
+    total = alloc.x.sum(axis=1)
     return KktResidual(
-        stationarity_y=float(np.max(np.abs(stat_y[y_free]), initial=0.0)),
-        stationarity_z=float(np.max(np.abs(stat_z[z_free]), initial=0.0)),
-        comp_slack_1=abs(mult.lambda1 * (total - customer.d_max)),
-        comp_slack_2=abs(mult.lambda2 * (customer.d_min - total)),
+        stationarity_y=float(np.max(np.abs(gap_y - shift), where=y_free, initial=0.0)),
+        stationarity_z=float(np.max(np.abs(gap_z - shift), where=z_free, initial=0.0)),
+        comp_slack_1=float(np.max(np.abs(mult.lambda1 * (total - scenario.d_max)))),
+        comp_slack_2=float(np.max(np.abs(mult.lambda2 * (scenario.d_min - total)))),
     )
 
 
-def recover_multipliers(profile: CustomerProfile, prices: PriceSchedule,
-                        customer: Customer, blocks: BlockSchedule,
+def recover_multipliers(scenario: Scenario, alloc: Allocation, prices: PriceSchedule,
                         active_tol: float = 1e-7) -> KktMultipliers:
     """Active-set multiplier estimate for the daily energy constraints.
 
-    When the d_max (resp. d_min) constraint is active, lambda1 (resp.
-    lambda2) is set from the average stationarity gap over slots with
-    inactive block bounds; otherwise both multipliers are zero.
+    For a customer whose d_max (resp. d_min) constraint is active, lambda1
+    (resp. lambda2) is the average stationarity gap over slots with inactive
+    block bounds; otherwise both of its multipliers are zero.
     """
-    grad = utility_gradient(profile.x, customer.w, customer.alpha)
-    positive = profile.x > _ACTIVE_TOL
-    y_free = positive & (profile.y < blocks.b - _ACTIVE_TOL)
-    z_free = positive & (profile.z > blocks.b + _ACTIVE_TOL)
-    gaps = np.concatenate([
-        (grad - prices.p_l)[y_free],
-        (grad - prices.p_u)[z_free],
-    ])
-    if gaps.size == 0:
-        return KktMultipliers(0.0, 0.0)
-
-    total = float(profile.x.sum())
-    mean_gap = float(np.mean(gaps))
-    if total >= customer.d_max - active_tol and mean_gap > 0:
-        return KktMultipliers(mean_gap, 0.0)
-    if total <= customer.d_min + active_tol and mean_gap < 0:
-        return KktMultipliers(0.0, -mean_gap)
-    return KktMultipliers(0.0, 0.0)
+    gap_y, gap_z, y_free, z_free = _free_gaps(scenario, alloc, prices)
+    count = np.count_nonzero(y_free, axis=1) + np.count_nonzero(z_free, axis=1)
+    gap_sum = (np.sum(gap_y, axis=1, where=y_free)
+               + np.sum(gap_z, axis=1, where=z_free))
+    mean_gap = np.divide(gap_sum, count, out=np.zeros_like(gap_sum), where=count > 0)
+    total = alloc.x.sum(axis=1)
+    at_cap = (total >= scenario.d_max - active_tol) & (mean_gap > 0)
+    at_floor = (total <= scenario.d_min + active_tol) & (mean_gap < 0)
+    return KktMultipliers(lambda1=np.where(at_cap, mean_gap, 0.0),
+                          lambda2=np.where(at_floor, -mean_gap, 0.0))
 
 
 def worst_kkt_residual(scenario: Scenario, alloc: Allocation,
                        prices: PriceSchedule) -> float:
     """Largest equilibrium-condition violation across all customers."""
-    worst = 0.0
-    for i, customer in enumerate(scenario.customers):
-        profile = CustomerProfile(x=alloc.x[i], y=alloc.y[i], z=alloc.z[i])
-        mult = recover_multipliers(profile, prices, customer, scenario.blocks)
-        res = kkt_residual(profile, prices, mult, customer, scenario.blocks)
-        worst = max(worst, res.worst())
-    return worst
+    mult = recover_multipliers(scenario, alloc, prices)
+    return kkt_residual(scenario, alloc, prices, mult).worst()

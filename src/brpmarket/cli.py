@@ -3,9 +3,9 @@
 Subcommands: run (market to equilibrium), sweep (step-size study),
 verify (oracle certification), demo (built-in two-customer scenario).
 
-Exit codes: 0 success, 1 bad scenario or I/O error, 2 no convergence
-(max-iter exhaustion or divergence), 3 oracle non-convergence,
-4 verification failure.
+Exit codes: 0 success, 1 bad scenario, bad option value or I/O error,
+checked before any solve; 2 no convergence (max-iter exhaustion or
+divergence), 3 oracle non-convergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .oracle import (
 )
 
 EXIT_OK = 0
-EXIT_BAD_SCENARIO = 1
+EXIT_BAD_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_ORACLE_FAILED = 3
 EXIT_VERIFY_FAILED = 4
@@ -44,7 +44,7 @@ def demo_scenario_document() -> dict:
     return json.loads(text)
 
 
-def _load(args, parser):
+def _load(args):
     if getattr(args, "scenario", None) is None:
         return validate_scenario(demo_scenario_document())
     return load_scenario(args.scenario)
@@ -68,15 +68,19 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
+def _bad_input(problem) -> int:
+    print(f"error: {problem}", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
 def cmd_run(args, parser) -> int:
     try:
-        scenario = _load(args, parser)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+        scenario = _load(args)
+        gamma = args.gamma if args.gamma is not None else default_step_size(scenario)
+        config = RunConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
+    except (ScenarioError, OSError, ValueError) as exc:
+        return _bad_input(exc)
 
-    gamma = args.gamma if args.gamma is not None else default_step_size(scenario)
-    config = RunConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
     try:
         report, trace = run_market(scenario, config)
     except DivergenceError as exc:
@@ -100,16 +104,17 @@ def cmd_sweep(args, parser) -> int:
         parser.error("--gammas requires at least one value")
 
     try:
-        scenario = _load(args, parser)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+        scenario = _load(args)
+        configs = [RunConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
+                   for gamma in gammas]
+    except (ScenarioError, OSError, ValueError) as exc:
+        return _bad_input(exc)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for gamma in gammas:
-        config = RunConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
+    for config in configs:
+        gamma = config.gamma
         try:
             report, trace = run_market(scenario, config)
         except DivergenceError as exc:
@@ -130,14 +135,15 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if not args.grid_step > 0:
+        return _bad_input(f"--grid-step must be positive, got {args.grid_step!r}")
     try:
-        scenario = _load(args, parser)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SCENARIO
+        scenario = _load(args)
+        gamma = args.gamma if args.gamma is not None else default_step_size(scenario)
+        config = RunConfig(gamma=gamma, tol=1e-10, max_iter=args.max_iter)
+    except (ScenarioError, OSError, ValueError) as exc:
+        return _bad_input(exc)
 
-    gamma = args.gamma if args.gamma is not None else default_step_size(scenario)
-    config = RunConfig(gamma=gamma, tol=1e-10, max_iter=args.max_iter)
     try:
         report, _ = run_market(scenario, config)
         centralized = solve_welfare_centralized(scenario, tol=1e-6, gamma=gamma)

@@ -1,8 +1,9 @@
 """Distributed market loop: aggregate demand, price, broadcast, step customers.
 
-Each iteration updates the full daily profile of every customer jointly
-(all slots priced, all slots stepped, the daily-sum projection applied
-once), so the daily energy band constraints stay enforced throughout.
+Each iteration updates the full daily profile of every customer at once
+(all slots priced, one array step over the (N, T) allocation, each
+customer's daily-sum projection applied once), so the daily energy band
+constraints stay enforced throughout.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import CustomerProfile, step_profile, worst_kkt_residual
+from .agent import step_profile, worst_kkt_residual
 from .model import Allocation, PriceSchedule, Scenario, cost_value, utility_value
-from .pricing import AggregateDemand, block_prices
+from .pricing import block_prices
 
 TRACE_COMMENT = (
     "# welfare and max_change are per-iteration summary values repeated on "
@@ -112,9 +113,7 @@ class EquilibriumReport:
 
 def social_welfare(alloc: Allocation, scenario: Scenario) -> float:
     """Total customer utility minus total production cost."""
-    total = 0.0
-    for i, customer in enumerate(scenario.customers):
-        total += float(np.sum(utility_value(alloc.x[i], customer.w, customer.alpha)))
+    total = float(np.sum(utility_value(alloc.x, scenario.w, scenario.alpha)))
     demand = alloc.x.sum(axis=0)
     block_total = scenario.blocks.b * scenario.num_customers
     total -= float(np.sum(cost_value(demand, block_total, scenario.cost)))
@@ -141,9 +140,16 @@ def default_step_size(scenario: Scenario) -> float:
     utility exceeds both prices, the two block variables move together and
     the effective step doubles, so the stability bound carries a factor 2.
     """
-    alpha_max = max(c.alpha for c in scenario.customers)
+    alpha_max = float(np.max(scenario.alpha))
     beta_max = float(np.max(scenario.cost.beta2))
     return 0.5 / (alpha_max + 2.0 * beta_max * scenario.num_customers)
+
+
+def _posted_prices(alloc: Allocation, scenario: Scenario) -> PriceSchedule:
+    """Block prices at the demand the supplier sells: first-block energy
+    plus second-block energy, summed over customers per slot."""
+    demand = alloc.y.sum(axis=0) + (alloc.z - scenario.blocks.b).sum(axis=0)
+    return block_prices(demand, scenario.cost)
 
 
 def run_market(scenario: Scenario, config: RunConfig):
@@ -152,31 +158,21 @@ def run_market(scenario: Scenario, config: RunConfig):
     Returns ``(EquilibriumReport, IterationTrace)``.  Raises
     :class:`DivergenceError` if any iterate turns non-finite.
     """
-    n, t = scenario.num_customers, scenario.num_slots
-    x = np.empty((n, t))
-    for i, customer in enumerate(scenario.customers):
-        x[i, :] = customer.d_min / t
+    t = scenario.num_slots
+    x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
 
     trace = IterationTrace()
     alloc = Allocation.from_consumption(x, scenario.blocks)
-    prices = block_prices(AggregateDemand.from_allocation(alloc, scenario.blocks),
-                          scenario.cost)
+    prices = _posted_prices(alloc, scenario)
     trace.append(IterationRecord(alloc, prices, social_welfare(alloc, scenario),
                                  float("nan")))
 
     converged = False
     iterations = 0
     for k in range(1, config.max_iter + 1):
-        new_x = np.empty_like(x)
-        for i, customer in enumerate(scenario.customers):
-            profile = CustomerProfile(x=alloc.x[i], y=alloc.y[i], z=alloc.z[i])
-            new_x[i, :] = step_profile(profile, prices, config.gamma,
-                                       customer, scenario.blocks).x
-
+        new_x = step_profile(x, prices, config.gamma, scenario)
         new_alloc = Allocation.from_consumption(new_x, scenario.blocks)
-        new_prices = block_prices(
-            AggregateDemand.from_allocation(new_alloc, scenario.blocks),
-            scenario.cost)
+        new_prices = _posted_prices(new_alloc, scenario)
         welfare = social_welfare(new_alloc, scenario)
         if not (np.all(np.isfinite(new_x))
                 and np.all(np.isfinite(new_prices.p_l))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,13 +77,37 @@ class PriceSchedule:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full market instance."""
+    """A full market instance.
+
+    The customers' fields are also given stacked into arrays (``w``,
+    ``alpha``, ``d_min``, ``d_max``), each built once on first use.
+    """
 
     num_customers: int
     num_slots: int
     customers: tuple[Customer, ...]
     blocks: BlockSchedule
     cost: CostParams
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """Willingness of every customer, shape (N, T)."""
+        return np.stack([c.w for c in self.customers])
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """Satiation coefficients as a column, shape (N, 1), to broadcast over slots."""
+        return np.array([[c.alpha] for c in self.customers])
+
+    @cached_property
+    def d_min(self) -> np.ndarray:
+        """Minimum daily energy of every customer, shape (N,)."""
+        return np.array([c.d_min for c in self.customers])
+
+    @cached_property
+    def d_max(self) -> np.ndarray:
+        """Maximum daily energy of every customer, shape (N,)."""
+        return np.array([c.d_max for c in self.customers])
 
     def fingerprint(self) -> str:
         """Stable digest of all scenario data, used to match solver outputs."""

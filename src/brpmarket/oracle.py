@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import CustomerProfile, project_box_sum, step_profile, worst_kkt_residual
+from .agent import project_band, step_profile, worst_kkt_residual
 from .market import (
     DivergenceError,
     EquilibriumReport,
@@ -74,67 +74,55 @@ def _is_boundary_degenerate(alloc: Allocation, scenario: Scenario) -> bool:
     return bool(np.any(np.abs(demand - block_total) < BOUNDARY_TOL))
 
 
+def _marginal_cost_residual(scenario: Scenario, x: np.ndarray) -> float:
+    """Worst KKT residual of consumption ``x`` against the marginal costs."""
+    marginal = PriceSchedule(*cost_gradients(x.sum(axis=0), scenario.cost))
+    return worst_kkt_residual(scenario, Allocation.from_consumption(x, scenario.blocks),
+                              marginal)
+
+
 def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
                               gamma: float | None = None,
                               max_iter: int = 200000,
                               x0: np.ndarray | None = None) -> OracleSolution:
     """Projected-gradient ascent on the joint welfare objective.
 
-    Uses the same per-customer projection machinery as the market loop but
-    drives the step with the segment-wise marginal costs directly instead
-    of broadcast prices.  Stops once the stationarity residuals drop below
-    ``tol``; if the iteration cap is hit first the solution is returned
-    with ``converged=False``.
+    Uses the same array step as the market loop but drives it with the
+    segment-wise marginal costs directly instead of broadcast prices.  Stops
+    once the stationarity residuals drop below ``tol``; if the iteration cap
+    is hit first the solution is returned with ``converged=False``.
     """
-    n, t = scenario.num_customers, scenario.num_slots
+    t = scenario.num_slots
     if gamma is None:
         gamma = default_step_size(scenario)
     if x0 is None:
-        x = np.empty((n, t))
-        for i, customer in enumerate(scenario.customers):
-            x[i, :] = customer.d_min / t
+        x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
     else:
-        x = np.empty((n, t))
-        for i, customer in enumerate(scenario.customers):
-            x[i, :] = project_box_sum(np.asarray(x0, dtype=float)[i],
-                                      customer.d_min, customer.d_max)
+        x = project_band(x0, scenario.d_min, scenario.d_max)
 
-    alloc = Allocation.from_consumption(x, scenario.blocks)
     # Stop stepping once allocation movement is well below what a
     # tol-sized residual would produce, then measure the residual itself.
     step_tol = 0.1 * gamma * tol
-    residual = np.inf
-    converged = False
     for k in range(1, max_iter + 1):
-        marginal = PriceSchedule(*cost_gradients(alloc.x.sum(axis=0), scenario.cost))
-        new_x = np.empty_like(x)
-        for i, customer in enumerate(scenario.customers):
-            profile = CustomerProfile(x=alloc.x[i], y=alloc.y[i], z=alloc.z[i])
-            new_x[i, :] = step_profile(profile, marginal, gamma,
-                                       customer, scenario.blocks).x
+        marginal = PriceSchedule(*cost_gradients(x.sum(axis=0), scenario.cost))
+        new_x = step_profile(x, marginal, gamma, scenario)
         if not np.all(np.isfinite(new_x)):
             raise DivergenceError(k)
         change = float(np.max(np.abs(new_x - x)))
         x = new_x
-        alloc = Allocation.from_consumption(x, scenario.blocks)
         if change < step_tol:
-            marginal = PriceSchedule(*cost_gradients(alloc.x.sum(axis=0),
-                                                     scenario.cost))
-            residual = worst_kkt_residual(scenario, alloc, marginal)
+            residual = _marginal_cost_residual(scenario, x)
             if residual < tol:
-                converged = True
                 break
+    else:
+        residual = _marginal_cost_residual(scenario, x)
 
-    if not converged:
-        marginal = PriceSchedule(*cost_gradients(alloc.x.sum(axis=0), scenario.cost))
-        residual = worst_kkt_residual(scenario, alloc, marginal)
-        converged = residual < tol
-
+    alloc = Allocation.from_consumption(x, scenario.blocks)
     return OracleSolution(
         allocation=alloc,
         welfare=social_welfare(alloc, scenario),
         method="centralized-gradient",
-        converged=converged,
+        converged=bool(residual < tol),
         boundary_degenerate=_is_boundary_degenerate(alloc, scenario),
         stationarity_residual=float(residual),
         scenario_fingerprint=scenario.fingerprint(),

@@ -2,52 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import Allocation, BlockSchedule, CostParams, PriceSchedule, cost_value
+from .model import Allocation, BlockSchedule, CostParams, PriceSchedule, cost_gradients, cost_value
 
 
-@dataclass(frozen=True)
-class AggregateDemand:
-    """Per-slot aggregate energy by block."""
-
-    first_block: np.ndarray   # sum_i y_i^t (kWh)
-    second_block: np.ndarray  # sum_i (z_i^t - b^t) (kWh)
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.first_block + self.second_block
-
-    @classmethod
-    def from_allocation(cls, alloc: Allocation, blocks: BlockSchedule) -> "AggregateDemand":
-        return cls(
-            first_block=alloc.y.sum(axis=0),
-            second_block=(alloc.z - blocks.b).sum(axis=0),
-        )
-
-
-def block_prices(agg: AggregateDemand, cost: CostParams) -> PriceSchedule:
-    """Marginal-cost prices for both blocks, evaluated at total demand.
+def block_prices(demand, cost: CostParams) -> PriceSchedule:
+    """Marginal-cost prices for both blocks, evaluated at per-slot total demand.
 
     The first-block price uses the first-segment cost coefficient and the
     second-block price the second-segment coefficient, both at the current
     total demand D: ``p_l = 2*beta1*D``, ``p_u = 2*beta2*D``.  Consequently
     ``p_u/p_l == beta2/beta1`` whenever D > 0.
     """
-    d = np.asarray(agg.total, dtype=float)
-    return PriceSchedule(
-        p_l=2.0 * np.asarray(cost.beta1, dtype=float) * d,
-        p_u=2.0 * np.asarray(cost.beta2, dtype=float) * d,
-    )
+    return PriceSchedule(*cost_gradients(demand, cost))
 
 
 def revenue(alloc: Allocation, prices: PriceSchedule, blocks: BlockSchedule,
             cost: CostParams) -> float:
     """Supplier net revenue: block sales income minus production cost."""
-    agg = AggregateDemand.from_allocation(alloc, blocks)
+    first_block = alloc.y.sum(axis=0)
+    second_block = (alloc.z - blocks.b).sum(axis=0)
     n = alloc.x.shape[0]
-    income = prices.p_l * agg.first_block + prices.p_u * agg.second_block
-    production = cost_value(agg.total, blocks.b * n, cost)
+    income = prices.p_l * first_block + prices.p_u * second_block
+    production = cost_value(first_block + second_block, blocks.b * n, cost)
     return float(np.sum(income - production))

@@ -17,7 +17,7 @@ from brpmarket import (
     brute_force_welfare,
     compare_equilibrium,
     default_step_size,
-    project_box_sum,
+    project_band,
     run_market,
     solve_welfare_centralized,
     utility_gradient,
@@ -243,10 +243,10 @@ def test_criterion_7_gradient_and_projection_hygiene():
         raw = rng.uniform(-20.0, 40.0, size=t)
         lo = float(rng.uniform(0.0, 10.0)) * t
         hi = lo + float(rng.uniform(0.0, 30.0)) * t
-        p = project_box_sum(raw, lo, hi)
-        again = project_box_sum(p, lo, hi)
+        p = project_band(raw[None, :], lo, hi)[0]
+        again = project_band(p[None, :], lo, hi)[0]
         worst_idem = max(worst_idem, float(np.max(np.abs(again - p))))
-        q = project_box_sum(rng.uniform(-20.0, 40.0, size=t), lo, hi)
+        q = project_band(rng.uniform(-20.0, 40.0, size=(1, t)), lo, hi)[0]
         worst_vi = max(worst_vi, float(np.dot(raw - p, q - p)))
     assert worst_idem < 1e-9
     assert worst_vi < 1e-7

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from brpmarket import cli
 from brpmarket.cli import demo_scenario_document, main
 
 
@@ -146,6 +147,45 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "grid oracle skipped" in err
         assert code == 0
+
+
+class TestBadOptionValues:
+    """A bad option value exits 1 with one error line, before any solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver called despite a bad option value")
+        monkeypatch.setattr(cli, "run_market", refuse)
+        monkeypatch.setattr(cli, "solve_welfare_centralized", refuse)
+
+    def assert_rejected(self, argv, out, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_demo_negative_gamma(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.assert_rejected(["demo", "--gamma", "-1", "--out", str(out)], out, capsys)
+
+    def test_run_zero_tol(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.assert_rejected(["run", "--scenario", str(demo_file), "--tol", "0",
+                              "--out", str(out)], out, capsys)
+
+    def test_sweep_negative_gamma(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.assert_rejected(["sweep", "--scenario", str(demo_file),
+                              "--gammas=0.1,-1", "--out", str(out)], out, capsys)
+
+    def test_verify_zero_grid_step(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.assert_rejected(["verify", "--scenario", str(demo_file),
+                              "--grid-step", "0", "--out", str(out)], out, capsys)
 
 
 class TestDemoCommand:

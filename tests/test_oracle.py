@@ -90,11 +90,10 @@ class TestBruteForce:
         assert sol.allocation.x[0, 0] == pytest.approx(7.0, abs=1e-6)
 
     def test_equal_betas_make_blocks_inert(self):
-        from brpmarket import AggregateDemand, block_prices
+        from brpmarket import block_prices
         scenario = single_customer_scenario(beta=1.0)
         sol = brute_force_welfare(scenario, 0.001)
-        agg = AggregateDemand.from_allocation(sol.allocation, scenario.blocks)
-        prices = block_prices(agg, scenario.cost)
+        prices = block_prices(sol.allocation.x.sum(axis=0), scenario.cost)
         assert prices.p_l[0] == pytest.approx(prices.p_u[0])
 
     def test_too_many_variables_rejected(self):

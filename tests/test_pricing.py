@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from brpmarket import (
-    AggregateDemand,
     Allocation,
     BlockSchedule,
     CostParams,
@@ -11,19 +10,19 @@ from brpmarket import (
 )
 
 
-def agg(first, second):
-    return AggregateDemand(first_block=np.asarray(first, dtype=float),
-                           second_block=np.asarray(second, dtype=float))
+def demand(first, second):
+    """Per-slot total demand from first-block and second-block energy."""
+    return np.asarray(first, dtype=float) + np.asarray(second, dtype=float)
 
 
 class TestBlockPrices:
     def test_zero_demand_zero_prices(self):
-        prices = block_prices(agg([0.0], [0.0]), CostParams(0.5, 0.6))
+        prices = block_prices(demand([0.0], [0.0]), CostParams(0.5, 0.6))
         assert prices.p_l[0] == 0.0
         assert prices.p_u[0] == 0.0
 
     def test_marginal_of_quadratic(self):
-        prices = block_prices(agg([40.0], [0.0]), CostParams(0.5, 0.6))
+        prices = block_prices(demand([40.0], [0.0]), CostParams(0.5, 0.6))
         assert prices.p_l[0] == pytest.approx(40.0)
         assert prices.p_u[0] == pytest.approx(48.0)
 
@@ -34,17 +33,17 @@ class TestBlockPrices:
             b2 = rng.uniform(0.1, 2.0)
             d1 = rng.uniform(0.1, 100.0)
             d2 = rng.uniform(0.0, 50.0)
-            prices = block_prices(agg([d1], [d2]), CostParams(b1, b2))
+            prices = block_prices(demand([d1], [d2]), CostParams(b1, b2))
             assert prices.p_u[0] / prices.p_l[0] == pytest.approx(b2 / b1, abs=1e-12)
 
     def test_second_block_pricier_when_beta2_larger(self):
-        prices = block_prices(agg([10.0], [5.0]), CostParams(0.5, 0.6))
+        prices = block_prices(demand([10.0], [5.0]), CostParams(0.5, 0.6))
         assert prices.p_u[0] > prices.p_l[0]
 
     def test_linear_in_demand(self):
         cost = CostParams(0.5, 0.6)
-        p1 = block_prices(agg([12.0], [3.0]), cost)
-        p2 = block_prices(agg([24.0], [6.0]), cost)
+        p1 = block_prices(demand([12.0], [3.0]), cost)
+        p2 = block_prices(demand([24.0], [6.0]), cost)
         assert p2.p_l[0] == pytest.approx(2 * p1.p_l[0])
         assert p2.p_u[0] == pytest.approx(2 * p1.p_u[0])
 
@@ -80,7 +79,9 @@ class TestAggregateDemand:
         blocks = BlockSchedule(b=rng.uniform(5, 40, size=4))
         x = rng.uniform(0, 80, size=(3, 4))
         alloc = Allocation.from_consumption(x, blocks)
-        a = AggregateDemand.from_allocation(alloc, blocks)
-        assert np.all(a.first_block >= -1e-12)
-        assert np.all(a.second_block >= -1e-12)
-        np.testing.assert_allclose(a.total, x.sum(axis=0), rtol=1e-12)
+        first_block = alloc.y.sum(axis=0)
+        second_block = (alloc.z - blocks.b).sum(axis=0)
+        assert np.all(first_block >= -1e-12)
+        assert np.all(second_block >= -1e-12)
+        np.testing.assert_allclose(first_block + second_block, x.sum(axis=0),
+                                   rtol=1e-12)
