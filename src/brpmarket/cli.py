@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .market import (
     default_step_size,
     run_market,
 )
-from .model import ScenarioError, load_scenario, validate_scenario
+from .model import Allocation, ScenarioError, load_scenario, validate_scenario
 from .oracle import (
     brute_force_welfare,
     compare_equilibrium,
@@ -152,8 +153,6 @@ def cmd_verify(args, parser) -> int:
         return EXIT_NOT_CONVERGED
 
     if args.inject_perturbation:
-        from .model import Allocation
-        from dataclasses import replace
         perturbed = Allocation.from_consumption(
             report.allocation.x + args.inject_perturbation, scenario.blocks)
         report = replace(report, allocation=perturbed)

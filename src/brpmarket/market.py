@@ -8,7 +8,6 @@ constraints stay enforced throughout.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,25 +76,25 @@ class IterationTrace:
         return self.records[idx]
 
     def to_csv(self, path) -> None:
-        """Write one row per (iteration, slot, customer), full float precision."""
+        """Write one row per (iteration, slot, customer), full float precision.
+
+        The comment line ends in LF; the header and every row end in CRLF, as
+        ``csv.writer`` writes them, and floats are written as their ``repr``.
+        """
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_COMMENT + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
+            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
             for k, rec in enumerate(self.records):
-                n, t = rec.allocation.x.shape
-                for slot in range(t):
-                    for cust in range(n):
-                        writer.writerow([
-                            k, slot, cust,
-                            repr(float(rec.allocation.x[cust, slot])),
-                            repr(float(rec.allocation.y[cust, slot])),
-                            repr(float(rec.allocation.z[cust, slot])),
-                            repr(float(rec.prices.p_l[slot])),
-                            repr(float(rec.prices.p_u[slot])),
-                            repr(float(rec.welfare)),
-                            repr(float(rec.max_change)),
-                        ])
+                x, y, z = (np.asarray(a, dtype=float).T.tolist() for a in
+                           (rec.allocation.x, rec.allocation.y, rec.allocation.z))
+                tail = f",{float(rec.welfare)!r},{float(rec.max_change)!r}\r\n"
+                suffixes = [f",{p_l!r},{p_u!r}{tail}" for p_l, p_u in zip(
+                    np.asarray(rec.prices.p_l, dtype=float).tolist(),
+                    np.asarray(rec.prices.p_u, dtype=float).tolist())]
+                fh.write("".join(
+                    f"{k},{slot},{cust},{xv!r},{yv!r},{zv!r}{suffix}"
+                    for slot, (xs, ys, zs, suffix) in enumerate(zip(x, y, z, suffixes))
+                    for cust, (xv, yv, zv) in enumerate(zip(xs, ys, zs))))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,8 @@ def _as_slot_array(value, num_slots: int, path: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ScenarioError(f"{path}: expected a number or a list of numbers")
+    if not np.isfinite(arr).all():
+        raise ScenarioError(f"{path}: must be finite (no NaN or inf)")
     if arr.ndim == 0:
         return np.full(num_slots, float(arr))
     if arr.shape != (num_slots,):
@@ -234,7 +237,7 @@ def validate_scenario(doc: dict) -> Scenario:
     if not isinstance(raw_customers, list) or not raw_customers:
         raise ScenarioError("customers: must be a non-empty list")
 
-    customers = []
+    customers, ids = [], set()
     for idx, entry in enumerate(raw_customers):
         path = f"customers[{idx}]"
         if not isinstance(entry, dict):
@@ -253,6 +256,9 @@ def validate_scenario(doc: dict) -> Scenario:
             d_max = float(entry["d_max"])
         except (KeyError, TypeError, ValueError):
             raise ScenarioError(f"{path}: d_min/d_max must be numbers")
+        for name, value in (("alpha", alpha), ("d_min", d_min), ("d_max", d_max)):
+            if not math.isfinite(value):
+                raise ScenarioError(f"{path}.{name}: must be finite (no NaN or inf)")
         if d_min < 0:
             raise ScenarioError(f"{path}.d_min: must be nonnegative")
         if d_min > d_max:
@@ -262,10 +268,11 @@ def validate_scenario(doc: dict) -> Scenario:
                 f"{path}: infeasible scenario, d_min exceeds the total "
                 f"satiation energy sum(w/alpha) = {float(np.sum(w / alpha))!r}"
             )
-        customers.append(
-            Customer(id=int(entry.get("id", idx)), w=w, alpha=alpha,
-                     d_min=d_min, d_max=d_max)
-        )
+        customers.append(Customer(id=int(entry.get("id", idx)), w=w, alpha=alpha,
+                                  d_min=d_min, d_max=d_max))
+        if customers[-1].id in ids:
+            raise ScenarioError(f"{path}.id: duplicate customer id {customers[-1].id}")
+        ids.add(customers[-1].id)
 
     blocks_doc = doc.get("blocks")
     if not isinstance(blocks_doc, dict):
@@ -283,6 +290,9 @@ def validate_scenario(doc: dict) -> Scenario:
         raise ScenarioError("cost.beta1: must be strictly positive")
     if np.any(beta2 <= 0):
         raise ScenarioError("cost.beta2: must be strictly positive")
+    if np.any(beta2 < beta1):
+        raise ScenarioError("cost.beta2: must be at least beta1 in every slot, got "
+                            f"beta2 < beta1 in slots {np.flatnonzero(beta2 < beta1).tolist()}")
 
     return Scenario(
         num_customers=len(customers),

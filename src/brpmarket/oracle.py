@@ -8,6 +8,7 @@ instances, and compares either against a distributed run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,9 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
     Each variable ranges over ``[0, w/alpha]`` at resolution ``grid_step``;
     points violating a customer's daily energy band are discarded.  Ties
     resolve to the lexicographically lowest allocation (first occurrence in
-    row-major enumeration over ascending axes).
+    row-major enumeration over ascending axes).  The grid is walked in slabs
+    of whole rows of about ``_GRID_CHUNK`` (1M) points, each formed by
+    broadcasting the variables' axes against one another.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -145,58 +148,61 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
 
     variables = [(i, s) for i in range(n) for s in range(t)]
     # size the grid before materializing any axis
-    sizes = []
-    for i, s in variables:
-        sat = scenario.customers[i].satiation[s]
-        sizes.append(int(np.ceil((sat + 0.5 * grid_step) / grid_step)))
-    total_points = int(np.prod(sizes, dtype=np.int64))
+    stops = [scenario.customers[i].satiation[s] + 0.5 * grid_step
+             for i, s in variables]
+    sizes = [int(np.ceil(stop / grid_step)) for stop in stops]
+    total_points = math.prod(sizes)
     if total_points > MAX_GRID_POINTS:
         raise ValueError(
             f"grid too large: {total_points} points exceeds {MAX_GRID_POINTS}")
-    axes = []
-    for i, s in variables:
-        sat = scenario.customers[i].satiation[s]
-        axes.append(np.arange(0.0, sat + 0.5 * grid_step, grid_step))
-    shape = tuple(axis.size for axis in axes)
-    total_points = int(np.prod(shape, dtype=np.int64))
+    axes = [np.arange(0.0, stop, grid_step) for stop in stops]
+    utilities = [utility_value(axis, scenario.customers[i].w[s],
+                               scenario.customers[i].alpha)
+                 for axis, (i, s) in zip(axes, variables)]
+
+    # A slab is a block of whole rows over the first `lead` axes, flattened;
+    # the other axes (at most _GRID_CHUNK points a row) are broadcast.
+    lead = next(k for k in range(1, len(sizes) + 1)
+                if math.prod(sizes[k:]) <= _GRID_CHUNK)
+    inner = math.prod(sizes[lead:])
+    outer, rows = total_points // inner, _GRID_CHUNK // inner
 
     block_total = scenario.blocks.b * n
     best_welfare = -np.inf
     best_point = None
-    for start in range(0, total_points, _GRID_CHUNK):
-        flat = np.arange(start, min(start + _GRID_CHUNK, total_points))
-        coords = np.unravel_index(flat, shape)
-        xs = [axes[j][coords[j]] for j in range(len(variables))]
+    for start in range(0, outer, rows):
+        grid = np.ogrid[(slice(start, min(start + rows, outer)),)
+                        + tuple(slice(size) for size in sizes[lead:])]
+        idx = [*np.unravel_index(grid[0], sizes[:lead]), *grid[1:]]
+        xs = [axis[k] for axis, k in zip(axes, idx)]
 
-        feasible = np.ones(flat.size, dtype=bool)
+        feasible = True
         for i, customer in enumerate(scenario.customers):
             daily = sum(xs[j] for j, (ci, _) in enumerate(variables) if ci == i)
-            feasible &= (daily >= customer.d_min - 1e-9)
-            feasible &= (daily <= customer.d_max + 1e-9)
+            feasible = (feasible & (daily >= customer.d_min - 1e-9)
+                        & (daily <= customer.d_max + 1e-9))
         if not np.any(feasible):
             continue
 
-        welfare = np.zeros(flat.size)
-        for j, (i, s) in enumerate(variables):
-            customer = scenario.customers[i]
-            welfare += utility_value(xs[j], customer.w[s], customer.alpha)
+        # utilities in variable order, then costs in slot order
+        welfare = sum(u[k] for u, k in zip(utilities, idx))
         for s in range(t):
             demand = sum(xs[j] for j, (_, cs) in enumerate(variables) if cs == s)
-            welfare -= cost_value(demand, block_total[s],
-                                  _slot_cost(scenario, s))
-        welfare[~feasible] = -np.inf
+            welfare -= cost_value(demand, block_total[s], CostParams(
+                scenario.cost.beta1[s], scenario.cost.beta2[s]))
+        np.copyto(welfare, -np.inf, where=~feasible)
 
         j_best = int(np.argmax(welfare))
-        if welfare[j_best] > best_welfare:
-            best_welfare = float(welfare[j_best])
-            best_point = [float(xs[j][j_best]) for j in range(len(variables))]
+        if welfare.flat[j_best] > best_welfare:
+            best_welfare = float(welfare.flat[j_best])
+            at = np.unravel_index(start * inner + j_best, sizes)
+            best_point = [float(axis[k]) for axis, k in zip(axes, at)]
 
     if best_point is None:
         raise ValueError("no feasible grid point (daily band narrower than grid)")
 
-    x = np.zeros((n, t))
-    for j, (i, s) in enumerate(variables):
-        x[i, s] = best_point[j]
+    # variables run customer-major, the row-major order of x
+    x = np.reshape(best_point, (n, t))
     alloc = Allocation.from_consumption(x, scenario.blocks)
     return OracleSolution(
         allocation=alloc,
@@ -207,10 +213,6 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
         stationarity_residual=None,
         scenario_fingerprint=scenario.fingerprint(),
     )
-
-
-def _slot_cost(scenario: Scenario, s: int) -> CostParams:
-    return CostParams(beta1=scenario.cost.beta1[s], beta2=scenario.cost.beta2[s])
 
 
 def compare_equilibrium(distributed: EquilibriumReport, oracle: OracleSolution,

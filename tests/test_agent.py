@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brpmarket import (
     Allocation,
@@ -261,3 +263,60 @@ class TestMultiplierRecovery:
         assert mult.lambda1[0] == pytest.approx(70.0 - 10.0, abs=1e-4)
         res = kkt_residual(scen, report.allocation, report.prices, mult)
         assert res.worst() < 1e-5
+
+
+@st.composite
+def band_rows(draw):
+    """A batch of rows with one daily band per row: (x, d_min, d_max)."""
+    n = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 6))
+    entry = st.floats(-50.0, 100.0)
+    x = np.array(draw(st.lists(st.lists(entry, min_size=t, max_size=t),
+                               min_size=n, max_size=n)))
+    d_min = np.array(draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.floats(0.0, 80.0), min_size=n, max_size=n)))
+    return x, d_min, d_min + width
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=200,
+                             deadline=None)
+
+
+class TestProjectBandProperties:
+    """Properties of the projection onto {x >= 0, d_min <= sum(x) <= d_max}."""
+
+    @PROPERTY_SETTINGS
+    @given(band_rows())
+    def test_idempotent(self, case):
+        x, d_min, d_max = case
+        once = project_band(x, d_min, d_max)
+        np.testing.assert_allclose(project_band(once, d_min, d_max), once,
+                                   rtol=0, atol=1e-12 * (1 + np.abs(x).max()))
+
+    @PROPERTY_SETTINGS
+    @given(band_rows())
+    def test_feasible(self, case):
+        x, d_min, d_max = case
+        p = project_band(x, d_min, d_max)
+        assert p.shape == x.shape
+        assert np.all(p >= 0.0)
+        tol = 1e-12 * (1 + np.abs(x).sum(axis=1))
+        daily = p.sum(axis=1)
+        assert np.all(daily >= d_min - tol) and np.all(daily <= d_max + tol)
+
+    @PROPERTY_SETTINGS
+    @given(band_rows(), st.data())
+    def test_variational_inequality(self, case, data):
+        # (x - P(x)) . (q - P(x)) <= 0 for every feasible q
+        x, d_min, d_max = case
+        p = project_band(x, d_min, d_max)
+        n, t = x.shape
+        weights = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=t, max_size=t),
+            min_size=n, max_size=n))) + 1e-3
+        share = np.array(data.draw(st.lists(st.floats(0.0, 1.0),
+                                            min_size=n, max_size=n)))
+        daily = d_min + share * (d_max - d_min)
+        q = weights * (daily / weights.sum(axis=1))[:, None]
+        inner = np.sum((x - p) * (q - p), axis=1)
+        assert np.all(inner <= 1e-9 * (1 + np.abs(x).max()) ** 2)

@@ -148,6 +148,17 @@ class TestVerifyCommand:
         assert "grid oracle skipped" in err
         assert code == 0
 
+    def test_non_finite_scenario_exits_1(self, tmp_path, capsys):
+        doc = demo_scenario_document()
+        doc["customers"][0]["w"] = float("nan")
+        scen = tmp_path / "nan.json"
+        scen.write_text(json.dumps(doc))  # json writes the NaN literal
+        out = tmp_path / "out"
+        code = main(["verify", "--scenario", str(scen), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: customers[0].w: must be finite")
+        assert not out.exists()
+
 
 class TestBadOptionValues:
     """A bad option value exits 1 with one error line, before any solve."""

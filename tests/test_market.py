@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from brpmarket import (
     social_welfare,
     validate_scenario,
 )
+from brpmarket import cli
+from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT
 from conftest import make_scenario, single_customer_scenario
 
 
@@ -198,3 +201,81 @@ class TestTraceCsv:
         t1.to_csv(p1)
         t2.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_trace_csv(trace, path):
+    """The csv.writer loop ``to_csv`` replaced, kept as the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(TRACE_COMMENT + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for k, rec in enumerate(trace.records):
+            n, t = rec.allocation.x.shape
+            for slot in range(t):
+                for cust in range(n):
+                    writer.writerow([
+                        k, slot, cust,
+                        repr(float(rec.allocation.x[cust, slot])),
+                        repr(float(rec.allocation.y[cust, slot])),
+                        repr(float(rec.allocation.z[cust, slot])),
+                        repr(float(rec.prices.p_l[slot])),
+                        repr(float(rec.prices.p_u[slot])),
+                        repr(float(rec.welfare)),
+                        repr(float(rec.max_change)),
+                    ])
+
+
+def straddling_document():
+    """N=3, T=2 with per-slot b; the equilibrium has customers on both sides
+    of b in both slots."""
+    return {
+        "num_slots": 2,
+        "customers": [
+            {"id": 0, "w": [60, 90], "alpha": 1.0, "d_min": 0, "d_max": 1000},
+            {"id": 1, "w": [30, 45], "alpha": 1.0, "d_min": 0, "d_max": 1000},
+            {"id": 2, "w": [80, 25], "alpha": 1.0, "d_min": 0, "d_max": 1000},
+        ],
+        "blocks": {"b": [20, 30]},
+        "cost": {"beta1": 0.15, "beta2": 0.2},
+    }
+
+
+class TestTraceCsvGolden:
+    def test_run_trace_matches_reference_writer(self, tmp_path):
+        scenario = validate_scenario(straddling_document())
+        report, trace = run_market(scenario, RunConfig(gamma=0.3))
+        x, b = report.allocation.x, scenario.blocks.b
+        assert np.all(np.any(x < b, axis=0)) and np.all(np.any(x > b, axis=0))
+        trace.to_csv(tmp_path / "fast.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        data = (tmp_path / "fast.csv").read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        comment, header, first = data.split(b"\n")[:3]
+        assert not comment.endswith(b"\r") and header.endswith(b"\r")
+        assert first.startswith(b"0,0,0,") and first.endswith(b",nan\r")
+
+    def test_special_values_match_reference_writer(self, tmp_path):
+        # integer arrays, numpy scalars, signed zero, tiny, huge and infinite values
+        alloc = Allocation(x=np.array([[3, 0], [1, 2]]),
+                           y=np.array([[-0.0, 1e-300], [1, 2]]),
+                           z=np.array([[1e22, 0.1], [2.5, math.inf]]))
+        prices = PriceSchedule(p_l=[1, 2.0], p_u=np.array([3, -math.inf]))
+        trace = IterationTrace()
+        for welfare, change in ((7, math.nan), (np.float64(-0.0), np.float64(1e-17))):
+            trace.append(IterationRecord(alloc, prices, welfare, change))
+        trace.to_csv(tmp_path / "fast.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_sweep_traces_match_reference_writer(self, tmp_path):
+        scenario_path = tmp_path / "straddle.json"
+        scenario_path.write_text(json.dumps(straddling_document()))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--scenario", str(scenario_path),
+                         "--gammas", "0.1,0.3", "--out", str(out)]) == 0
+        scenario = validate_scenario(straddling_document())
+        for gamma in (0.1, 0.3):
+            _, trace = run_market(scenario, RunConfig(gamma=gamma))
+            reference_trace_csv(trace, tmp_path / "reference.csv")
+            assert ((out / f"trace_gamma_{gamma}.csv").read_bytes()
+                    == (tmp_path / "reference.csv").read_bytes())

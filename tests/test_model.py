@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from brpmarket import (
     ScenarioError,
     canonical_split,
     cost_value,
+    load_scenario,
     utility_gradient,
     utility_value,
     validate_scenario,
@@ -213,3 +217,49 @@ class TestValidateScenario:
         doc = self.base_doc()
         doc["cost"]["beta1"] = 0.51
         assert validate_scenario(doc).fingerprint() != a.fingerprint()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("path, place", [
+        ("customers[0].w", lambda doc, v: doc["customers"][0].update(w=[60.0, v])),
+        ("customers[1].alpha", lambda doc, v: doc["customers"][1].update(alpha=v)),
+        ("customers[0].d_min", lambda doc, v: doc["customers"][0].update(d_min=v)),
+        ("customers[1].d_max", lambda doc, v: doc["customers"][1].update(d_max=v)),
+        ("blocks.b", lambda doc, v: doc["blocks"].update(b=[25.0, v])),
+        ("cost.beta1", lambda doc, v: doc["cost"].update(beta1=v)),
+        ("cost.beta2", lambda doc, v: doc["cost"].update(beta2=[v, 0.6])),
+    ])
+    def test_non_finite_rejected(self, path, place, value):
+        doc = self.base_doc()
+        doc["num_slots"] = 2
+        place(doc, value)
+        # -inf alpha is caught by the positivity check, also under its path
+        with pytest.raises(ScenarioError, match=re.escape(path) + ": "):
+            validate_scenario(doc)
+
+    def test_non_finite_json_literal_rejected(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(self.base_doc()).replace('"w": 100', '"w": NaN', 1))
+        with pytest.raises(ScenarioError, match=r"customers\[0\]\.w: must be finite"):
+            load_scenario(path)
+
+    def test_beta2_below_beta1_rejected(self):
+        doc = self.base_doc()
+        doc["num_slots"] = 3
+        doc["cost"] = {"beta1": 0.5, "beta2": [0.6, 0.4, 0.5]}
+        with pytest.raises(ScenarioError, match=r"cost\.beta2: .*slots \[1\]"):
+            validate_scenario(doc)
+
+    def test_equal_betas_accepted(self):
+        doc = self.base_doc()
+        doc["cost"] = {"beta1": 0.5, "beta2": 0.5}
+        validate_scenario(doc)
+
+    @pytest.mark.parametrize("ids", [(3, 3), (1, None)])
+    def test_duplicate_customer_ids_rejected(self, ids):
+        doc = self.base_doc()
+        for customer, cid in zip(doc["customers"], ids):
+            customer.pop("id")
+            if cid is not None:
+                customer["id"] = cid  # a missing id defaults to the list index
+        with pytest.raises(ScenarioError, match=r"customers\[1\]\.id: duplicate"):
+            validate_scenario(doc)

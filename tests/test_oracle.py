@@ -1,15 +1,20 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from brpmarket import (
+    CostParams,
     RunConfig,
     brute_force_welfare,
     compare_equilibrium,
+    cost_value,
+    oracle,
     run_market,
     solve_welfare_centralized,
     utility_gradient,
+    utility_value,
     validate_scenario,
 )
 from conftest import make_scenario, single_customer_scenario
@@ -169,3 +174,83 @@ class TestCompareEquilibrium:
         sol = solve_welfare_centralized(other, tol=1e-6)
         with pytest.raises(ValueError, match="scenario mismatch"):
             compare_equilibrium(report, sol)
+
+
+def naive_grid(scenario, grid_step):
+    """Point-by-point enumeration of the grid oracle's search, as a reference.
+
+    Returns (best welfare, its allocation, how many points reach it, how
+    many points are infeasible).  Welfare sums utilities in variable order,
+    then subtracts costs in slot order; the first maximum in row-major order
+    wins.
+    """
+    n, t = scenario.num_customers, scenario.num_slots
+    variables = [(i, s) for i in range(n) for s in range(t)]
+    axes = [np.arange(0.0, scenario.customers[i].satiation[s] + 0.5 * grid_step,
+                      grid_step) for i, s in variables]
+    block_total = scenario.blocks.b * n
+    best, best_point, ties, infeasible = -np.inf, None, 0, 0
+    for point in itertools.product(*axes):
+        feasible = True
+        for i, customer in enumerate(scenario.customers):
+            daily = sum(point[j] for j, (ci, _) in enumerate(variables) if ci == i)
+            feasible &= customer.d_min - 1e-9 <= daily <= customer.d_max + 1e-9
+        if not feasible:
+            infeasible += 1
+            continue
+        welfare = 0.0
+        for j, (i, s) in enumerate(variables):
+            customer = scenario.customers[i]
+            welfare += utility_value(point[j], customer.w[s], customer.alpha)
+        for s in range(t):
+            demand = sum(point[j] for j, (_, cs) in enumerate(variables) if cs == s)
+            welfare -= cost_value(demand, block_total[s],
+                                  CostParams(scenario.cost.beta1[s], scenario.cost.beta2[s]))
+        if welfare > best:
+            best, best_point, ties = welfare, point, 1
+        elif welfare == best:
+            ties += 1
+    return best, np.reshape(best_point, (n, t)), ties, infeasible
+
+
+GRID_INSTANCES = [
+    # one customer over three slots; d_max = 3 binds and cuts off part of the grid
+    pytest.param(
+        make_scenario(3, [{"id": 0, "w": [3.0, 2.5, 2.0], "alpha": 1.0,
+                           "d_min": 0.5, "d_max": 3.0}],
+                      b=1.0, beta1=0.25, beta2=0.3),
+        0.2, lambda x, ties, infeasible: infeasible > 0 and x.sum() > 2.8,
+        id="1x3-binding-d_max"),
+    # three customers in one slot; customer 0's floor leaves only the last
+    # row of the grid feasible, and demand crosses the segment boundary bN = 4.5
+    pytest.param(
+        make_scenario(1, [{"id": 0, "w": 3.0, "alpha": 1.0, "d_min": 2.9, "d_max": 50},
+                          {"id": 1, "w": 2.5, "alpha": 1.0, "d_min": 0.4, "d_max": 50},
+                          {"id": 2, "w": 2.0, "alpha": 1.0, "d_min": 0, "d_max": 50}],
+                      b=1.5, beta1=0.25, beta2=0.3),
+        0.2, lambda x, ties, infeasible: x[0, 0] == 3.0,
+        id="3x1"),
+    # two identical customers whose optimum x = 1.55 falls between grid
+    # points: (1.5, 1.6) and (1.6, 1.5) tie exactly
+    pytest.param(
+        make_scenario(1, [{"id": 0, "w": 3.1, "alpha": 1.0, "d_min": 0, "d_max": 50},
+                          {"id": 1, "w": 3.1, "alpha": 1.0, "d_min": 0, "d_max": 50}],
+                      b=10.0, beta1=0.25, beta2=0.25),
+        0.1, lambda x, ties, infeasible: ties >= 2 and x[0, 0] < x[1, 0],
+        id="2x1-ties"),
+]
+
+
+class TestBruteForceAgainstEnumeration:
+    @pytest.mark.parametrize("scenario, grid_step, has_property", GRID_INSTANCES)
+    def test_same_welfare_and_allocation(self, scenario, grid_step, has_property,
+                                         monkeypatch):
+        welfare, x, ties, infeasible = naive_grid(scenario, grid_step)
+        assert has_property(x, ties, infeasible)
+        # the default slab, then slabs of several rows, of single rows over
+        # the first one or two axes, and of a few points
+        for chunk in (oracle._GRID_CHUNK, 1000, 150, 12, 3):
+            monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
+            sol = brute_force_welfare(scenario, grid_step)
+            assert sol.welfare == welfare
+            assert sol.allocation.x.tolist() == x.tolist()
