@@ -84,7 +84,9 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     clipped to their block bounds (``y <= b``, ``z >= b``), so that a block
     variable sitting at its bound cannot drag consumption through the other
     block's price.  The rebuilt consumption ``y + z - b`` is projected onto
-    each customer's daily band.  Returns the new (N, T) consumption.
+    each customer's daily band.  Returns the new (N, T) consumption.  An
+    overflowing step raises ``FloatingPointError`` before the projection,
+    which would clip a ``-inf`` entry to 0 unnoticed.
     """
     if gamma < 0:
         raise ValueError("step size must be nonnegative")
@@ -94,7 +96,7 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     z = np.maximum(np.maximum(x, b) + gamma * (grad - prices.p_u), b)
     raw = y + z - b
     if not np.all(np.isfinite(raw)):
-        raise ValueError("raw consumption must be finite")
+        raise FloatingPointError("raw consumption must be finite")
     return project_band(raw, scenario.d_min, scenario.d_max)
 
 

@@ -169,7 +169,10 @@ def run_market(scenario: Scenario, config: RunConfig):
     converged = False
     iterations = 0
     for k in range(1, config.max_iter + 1):
-        new_x = step_profile(x, prices, config.gamma, scenario)
+        try:
+            new_x = step_profile(x, prices, config.gamma, scenario)
+        except FloatingPointError:
+            raise DivergenceError(k) from None
         new_alloc = Allocation.from_consumption(new_x, scenario.blocks)
         new_prices = _posted_prices(new_alloc, scenario)
         welfare = social_welfare(new_alloc, scenario)

@@ -82,46 +82,44 @@ class PriceSchedule:
 class Scenario:
     """A full market instance.
 
-    The customers' fields are also given stacked into arrays (``w``,
-    ``alpha``, ``d_min``, ``d_max``), each built once on first use.
+    The customers are stored once, as stacked arrays: ``ids``, ``d_min`` and
+    ``d_max`` (N,), ``w`` (N, T) and ``alpha`` (N, 1), which broadcasts over
+    slots.  ``customers`` derives one :class:`Customer` per row from them.
     """
 
-    num_customers: int
-    num_slots: int
-    customers: tuple[Customer, ...]
+    ids: np.ndarray
+    w: np.ndarray
+    alpha: np.ndarray
+    d_min: np.ndarray
+    d_max: np.ndarray
     blocks: BlockSchedule
     cost: CostParams
 
-    @cached_property
-    def w(self) -> np.ndarray:
-        """Willingness of every customer, shape (N, T)."""
-        return np.stack([c.w for c in self.customers])
+    @property
+    def num_customers(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def num_slots(self) -> int:
+        return self.w.shape[1]
 
     @cached_property
-    def alpha(self) -> np.ndarray:
-        """Satiation coefficients as a column, shape (N, 1), to broadcast over slots."""
-        return np.array([[c.alpha] for c in self.customers])
-
-    @cached_property
-    def d_min(self) -> np.ndarray:
-        """Minimum daily energy of every customer, shape (N,)."""
-        return np.array([c.d_min for c in self.customers])
-
-    @cached_property
-    def d_max(self) -> np.ndarray:
-        """Maximum daily energy of every customer, shape (N,)."""
-        return np.array([c.d_max for c in self.customers])
+    def customers(self) -> tuple[Customer, ...]:
+        """One :class:`Customer` per row of the stacked arrays."""
+        return tuple(Customer(id=int(i), w=w, alpha=float(a), d_min=float(lo),
+                              d_max=float(hi))
+                     for i, w, a, lo, hi in zip(self.ids, self.w, self.alpha[:, 0],
+                                                self.d_min, self.d_max))
 
     def fingerprint(self) -> str:
         """Stable digest of all scenario data, used to match solver outputs."""
         h = hashlib.sha256()
-        h.update(np.array([self.num_customers, self.num_slots]).tobytes())
-        for c in self.customers:
-            h.update(np.asarray([float(c.id), c.alpha, c.d_min, c.d_max]).tobytes())
-            h.update(np.asarray(c.w, dtype=float).tobytes())
-        h.update(np.asarray(self.blocks.b, dtype=float).tobytes())
-        h.update(np.asarray(self.cost.beta1, dtype=float).tobytes())
-        h.update(np.asarray(self.cost.beta2, dtype=float).tobytes())
+        h.update(np.array(self.w.shape).tobytes())
+        # one row per customer (id, alpha, d_min, d_max, w); digests depend on it
+        h.update(np.column_stack([self.ids.astype(float), self.alpha, self.d_min,
+                                  self.d_max, self.w]).tobytes())
+        for per_slot in (self.blocks.b, self.cost.beta1, self.cost.beta2):
+            h.update(np.asarray(per_slot, dtype=float).tobytes())
         return h.hexdigest()
 
 
@@ -180,21 +178,11 @@ def cost_value(demand, block_total, cost: CostParams):
     demand = np.asarray(demand, dtype=float)
     if np.any(demand < 0):
         raise ValueError("demand must be nonnegative")
-    val = np.where(
-        demand <= np.asarray(block_total, dtype=float),
-        np.asarray(cost.beta1, dtype=float) * demand * demand,
-        np.asarray(cost.beta2, dtype=float) * demand * demand,
-    )
+    beta = np.where(demand <= np.asarray(block_total, dtype=float),
+                    np.asarray(cost.beta1, dtype=float),
+                    np.asarray(cost.beta2, dtype=float))
+    val = beta * demand * demand
     return float(val) if val.ndim == 0 else val
-
-
-def cost_gradients(demand, cost: CostParams):
-    """Segment-wise marginal costs ``(2*beta1*D, 2*beta2*D)`` at total demand."""
-    demand = np.asarray(demand, dtype=float)
-    return (
-        2.0 * np.asarray(cost.beta1, dtype=float) * demand,
-        2.0 * np.asarray(cost.beta2, dtype=float) * demand,
-    )
 
 
 def canonical_split(x, b):
@@ -237,7 +225,7 @@ def validate_scenario(doc: dict) -> Scenario:
     if not isinstance(raw_customers, list) or not raw_customers:
         raise ScenarioError("customers: must be a non-empty list")
 
-    customers, ids = [], set()
+    rows, seen = [], set()
     for idx, entry in enumerate(raw_customers):
         path = f"customers[{idx}]"
         if not isinstance(entry, dict):
@@ -268,11 +256,18 @@ def validate_scenario(doc: dict) -> Scenario:
                 f"{path}: infeasible scenario, d_min exceeds the total "
                 f"satiation energy sum(w/alpha) = {float(np.sum(w / alpha))!r}"
             )
-        customers.append(Customer(id=int(entry.get("id", idx)), w=w, alpha=alpha,
-                                  d_min=d_min, d_max=d_max))
-        if customers[-1].id in ids:
-            raise ScenarioError(f"{path}.id: duplicate customer id {customers[-1].id}")
-        ids.add(customers[-1].id)
+        raw_id = entry.get("id", idx)
+        try:
+            cid = int(raw_id)
+        except (TypeError, ValueError, OverflowError):  # null, "a", NaN, inf
+            cid = None
+        # an int, an integral float or a string of an int, never truncated
+        if cid is None or not (isinstance(raw_id, str) or cid == raw_id):
+            raise ScenarioError(f"{path}.id: must be an integer, got {raw_id!r}")
+        if cid in seen:
+            raise ScenarioError(f"{path}.id: duplicate customer id {cid}")
+        seen.add(cid)
+        rows.append((cid, w, alpha, d_min, d_max))
 
     blocks_doc = doc.get("blocks")
     if not isinstance(blocks_doc, dict):
@@ -294,13 +289,10 @@ def validate_scenario(doc: dict) -> Scenario:
         raise ScenarioError("cost.beta2: must be at least beta1 in every slot, got "
                             f"beta2 < beta1 in slots {np.flatnonzero(beta2 < beta1).tolist()}")
 
-    return Scenario(
-        num_customers=len(customers),
-        num_slots=num_slots,
-        customers=tuple(customers),
-        blocks=BlockSchedule(b=b),
-        cost=CostParams(beta1=beta1, beta2=beta2),
-    )
+    ids, ws, alphas, d_mins, d_maxs = zip(*rows)
+    return Scenario(ids=np.array(ids), w=np.stack(ws), alpha=np.array(alphas)[:, None],
+                    d_min=np.array(d_mins), d_max=np.array(d_maxs),
+                    blocks=BlockSchedule(b=b), cost=CostParams(beta1=beta1, beta2=beta2))
 
 
 def load_scenario(path) -> Scenario:

@@ -20,15 +20,8 @@ from .market import (
     default_step_size,
     social_welfare,
 )
-from .model import (
-    Allocation,
-    CostParams,
-    PriceSchedule,
-    Scenario,
-    cost_gradients,
-    cost_value,
-    utility_value,
-)
+from .model import Allocation, CostParams, Scenario, cost_value, utility_value
+from .pricing import block_prices
 
 BOUNDARY_TOL = 1e-6
 MAX_GRID_POINTS = 10**8
@@ -77,7 +70,7 @@ def _is_boundary_degenerate(alloc: Allocation, scenario: Scenario) -> bool:
 
 def _marginal_cost_residual(scenario: Scenario, x: np.ndarray) -> float:
     """Worst KKT residual of consumption ``x`` against the marginal costs."""
-    marginal = PriceSchedule(*cost_gradients(x.sum(axis=0), scenario.cost))
+    marginal = block_prices(x.sum(axis=0), scenario.cost)
     return worst_kkt_residual(scenario, Allocation.from_consumption(x, scenario.blocks),
                               marginal)
 
@@ -105,8 +98,11 @@ def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
     # tol-sized residual would produce, then measure the residual itself.
     step_tol = 0.1 * gamma * tol
     for k in range(1, max_iter + 1):
-        marginal = PriceSchedule(*cost_gradients(x.sum(axis=0), scenario.cost))
-        new_x = step_profile(x, marginal, gamma, scenario)
+        marginal = block_prices(x.sum(axis=0), scenario.cost)
+        try:
+            new_x = step_profile(x, marginal, gamma, scenario)
+        except FloatingPointError:
+            raise DivergenceError(k) from None
         if not np.all(np.isfinite(new_x)):
             raise DivergenceError(k)
         change = float(np.max(np.abs(new_x - x)))
@@ -148,16 +144,15 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
 
     variables = [(i, s) for i in range(n) for s in range(t)]
     # size the grid before materializing any axis
-    stops = [scenario.customers[i].satiation[s] + 0.5 * grid_step
-             for i, s in variables]
+    satiation = scenario.w / scenario.alpha
+    stops = [satiation[i, s] + 0.5 * grid_step for i, s in variables]
     sizes = [int(np.ceil(stop / grid_step)) for stop in stops]
     total_points = math.prod(sizes)
     if total_points > MAX_GRID_POINTS:
         raise ValueError(
             f"grid too large: {total_points} points exceeds {MAX_GRID_POINTS}")
     axes = [np.arange(0.0, stop, grid_step) for stop in stops]
-    utilities = [utility_value(axis, scenario.customers[i].w[s],
-                               scenario.customers[i].alpha)
+    utilities = [utility_value(axis, scenario.w[i, s], scenario.alpha[i, 0])
                  for axis, (i, s) in zip(axes, variables)]
 
     # A slab is a block of whole rows over the first `lead` axes, flattened;
@@ -177,10 +172,10 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
         xs = [axis[k] for axis, k in zip(axes, idx)]
 
         feasible = True
-        for i, customer in enumerate(scenario.customers):
+        for i in range(n):
             daily = sum(xs[j] for j, (ci, _) in enumerate(variables) if ci == i)
-            feasible = (feasible & (daily >= customer.d_min - 1e-9)
-                        & (daily <= customer.d_max + 1e-9))
+            feasible = (feasible & (daily >= scenario.d_min[i] - 1e-9)
+                        & (daily <= scenario.d_max[i] + 1e-9))
         if not np.any(feasible):
             continue
 

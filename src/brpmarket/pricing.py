@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Allocation, BlockSchedule, CostParams, PriceSchedule, cost_gradients, cost_value
+from .model import Allocation, BlockSchedule, CostParams, PriceSchedule, cost_value
 
 
 def block_prices(demand, cost: CostParams) -> PriceSchedule:
@@ -15,7 +15,9 @@ def block_prices(demand, cost: CostParams) -> PriceSchedule:
     total demand D: ``p_l = 2*beta1*D``, ``p_u = 2*beta2*D``.  Consequently
     ``p_u/p_l == beta2/beta1`` whenever D > 0.
     """
-    return PriceSchedule(*cost_gradients(demand, cost))
+    demand = np.asarray(demand, dtype=float)
+    return PriceSchedule(p_l=2.0 * np.asarray(cost.beta1, dtype=float) * demand,
+                         p_u=2.0 * np.asarray(cost.beta2, dtype=float) * demand)
 
 
 def revenue(alloc: Allocation, prices: PriceSchedule, blocks: BlockSchedule,

@@ -67,6 +67,13 @@ class TestGradientStep:
         out = step_profile(x, prices(5.0, 9.0), 0.0, scenario())
         np.testing.assert_array_equal(out, x)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_to_minus_inf_raises(self):
+        # y steps to -inf; the band projection alone would clip it to 0
+        x = np.array([[30.0]])
+        with pytest.raises(FloatingPointError, match="must be finite"):
+            step_profile(x, prices(1e300, 1e300), 1e10, scenario())
+
 
 class TestProjectProfile:
     def test_feasible_point_unchanged(self):

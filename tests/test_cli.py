@@ -61,6 +61,23 @@ class TestRunCommand:
         assert not (out / "trace.csv").exists()
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_overflowing_step_exits_2_with_one_error_line(self, command, tmp_path,
+                                                          capsys):
+        doc = demo_scenario_document()
+        for c in doc["customers"]:
+            c["d_max"] = 1e308
+        scen = tmp_path / "overflow.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([command, "--scenario", str(scen), "--gamma", "1e307",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: market iteration diverged at iteration 1"]
+        assert not out.exists()
+
     def test_byte_identical_outputs(self, demo_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -147,6 +164,22 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "grid oracle skipped" in err
         assert code == 0
+
+    @pytest.mark.parametrize("cid", ["null", '"a"', "NaN", "Infinity", "1.7"])
+    def test_non_integer_customer_id_exits_1(self, cid, tmp_path, capsys):
+        doc = demo_scenario_document()
+        doc["customers"][1]["id"] = "ID"
+        scen = tmp_path / "bad_id.json"
+        scen.write_text(json.dumps(doc).replace('"ID"', cid))
+        out = tmp_path / "out"
+        code = main(["verify", "--scenario", str(scen), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: customers[1].id: must be an integer")
+        assert not out.exists()
 
     def test_non_finite_scenario_exits_1(self, tmp_path, capsys):
         doc = demo_scenario_document()

@@ -114,6 +114,15 @@ class TestRunMarket:
             run_market(scenario, RunConfig(gamma=1e160, max_iter=100))
         assert err.value.iteration >= 1
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_step_raises_divergence_at_iteration_1(self):
+        doc = cli.demo_scenario_document()
+        for c in doc["customers"]:
+            c["d_max"] = 1e308
+        with pytest.raises(DivergenceError) as err:
+            run_market(validate_scenario(doc), RunConfig(gamma=1e307))
+        assert err.value.iteration == 1
+
     def test_max_iter_exhaustion_reports_not_converged(self, demo_scenario):
         report, trace = run_market(demo_scenario, RunConfig(gamma=0.01, max_iter=5))
         assert not report.converged

@@ -14,6 +14,7 @@ from brpmarket import (
     utility_value,
     validate_scenario,
 )
+from test_market import straddling_document
 
 
 class TestUtilityValue:
@@ -263,3 +264,71 @@ class TestValidateScenario:
                 customer["id"] = cid  # a missing id defaults to the list index
         with pytest.raises(ScenarioError, match=r"customers\[1\]\.id: duplicate"):
             validate_scenario(doc)
+
+    @pytest.mark.parametrize("cid", [None, "a", float("nan"), float("inf"),
+                                     -float("inf"), 1.7, "3.0", [3]],
+                             ids=["null", "letter", "nan", "inf", "-inf", "fraction",
+                                  "float-string", "list"])
+    def test_non_integer_customer_id_rejected(self, cid):
+        doc = self.base_doc()
+        doc["customers"][1]["id"] = cid
+        with pytest.raises(ScenarioError, match=r"^customers\[1\]\.id: must be an integer"):
+            validate_scenario(doc)
+
+    @pytest.mark.parametrize("cid, expected", [(3, 3), (2.0, 2), ("3", 3), (-4, -4)],
+                             ids=["int", "integral-float", "string", "negative"])
+    def test_integer_valued_customer_id_accepted(self, cid, expected):
+        doc = self.base_doc()
+        doc["customers"][1]["id"] = cid
+        scenario = validate_scenario(doc)
+        assert scenario.customers[1].id == expected
+        assert type(scenario.customers[1].id) is int
+        np.testing.assert_array_equal(scenario.ids, [0, expected])
+
+
+class TestScenarioArrays:
+    """The stacked arrays are the scenario's one copy of its customers."""
+
+    def scenario(self):
+        return validate_scenario({
+            "num_slots": 3,
+            "customers": [
+                {"id": 7, "w": [60, 90, 30], "alpha": 2, "d_min": 1, "d_max": 40},
+                {"w": 50, "alpha": 0.5, "d_max": 200},
+                {"id": "4", "w": [10, 20, 30], "alpha": 1.5, "d_min": 2.5, "d_max": 2.5},
+            ],
+            "blocks": {"b": [5, 6, 7]},
+            "cost": {"beta1": 0.5, "beta2": [0.6, 0.7, 0.8]},
+        })
+
+    def test_array_shapes_and_sizes(self):
+        scenario = self.scenario()
+        assert (scenario.num_customers, scenario.num_slots) == (3, 3)
+        assert scenario.ids.shape == (3,)
+        assert scenario.w.shape == (3, 3)
+        assert scenario.alpha.shape == (3, 1)
+        assert scenario.d_min.shape == scenario.d_max.shape == (3,)
+        np.testing.assert_array_equal(scenario.ids, [7, 1, 4])
+
+    def test_customers_view_matches_arrays_row_by_row(self):
+        scenario = self.scenario()
+        assert len(scenario.customers) == scenario.num_customers
+        for i, customer in enumerate(scenario.customers):
+            assert type(customer.id) is int and customer.id == scenario.ids[i]
+            for name in ("alpha", "d_min", "d_max"):
+                assert type(getattr(customer, name)) is float
+            assert customer.alpha == scenario.alpha[i, 0]
+            assert customer.d_min == scenario.d_min[i]
+            assert customer.d_max == scenario.d_max[i]
+            np.testing.assert_array_equal(customer.w, scenario.w[i])
+            np.testing.assert_array_equal(customer.satiation,
+                                          scenario.w[i] / scenario.alpha[i, 0])
+        assert scenario.customers is scenario.customers  # built once
+
+    def test_fingerprint_pinned_on_demo(self, demo_scenario):
+        assert demo_scenario.fingerprint() == (
+            "549e201e8e07b10593152910ac24ac74c0a4103c1614ca8f6b9a5dd7f06d34b1")
+
+    def test_fingerprint_pinned_on_straddling_scenario(self):
+        assert validate_scenario(straddling_document()).fingerprint() == (
+            "afea539f7b528557242ded0d26fb5eeed1b546a640845ed9c53e5b6884ea8d2e")

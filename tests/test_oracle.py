@@ -6,6 +6,7 @@ import pytest
 
 from brpmarket import (
     CostParams,
+    DivergenceError,
     RunConfig,
     brute_force_welfare,
     compare_equilibrium,
@@ -77,6 +78,13 @@ class TestCentralizedSolver:
         for a in solutions:
             for b in solutions:
                 assert np.max(np.abs(a - b)) < 1e-3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_step_raises_divergence_at_iteration_1(self):
+        scenario = single_customer_scenario(d_max=1e308)
+        with pytest.raises(DivergenceError) as err:
+            solve_welfare_centralized(scenario, gamma=1e307)
+        assert err.value.iteration == 1
 
     def test_boundary_degenerate_flagged(self):
         # aggregate demand pinned exactly at bN by a forced daily band
