@@ -85,16 +85,18 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     variable sitting at its bound cannot drag consumption through the other
     block's price.  The rebuilt consumption ``y + z - b`` is projected onto
     each customer's daily band.  Returns the new (N, T) consumption.  An
-    overflowing step raises ``FloatingPointError`` before the projection,
-    which would clip a ``-inf`` entry to 0 unnoticed.
+    overflowing step raises ``FloatingPointError``, without numpy's overflow
+    warnings, before the projection, which would clip a ``-inf`` entry to 0
+    unnoticed.
     """
     if gamma < 0:
         raise ValueError("step size must be nonnegative")
     b = scenario.blocks.b
     grad = utility_gradient(x, scenario.w, scenario.alpha)
-    y = np.minimum(np.minimum(x, b) + gamma * (grad - prices.p_l), b)
-    z = np.maximum(np.maximum(x, b) + gamma * (grad - prices.p_u), b)
-    raw = y + z - b
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        y = np.minimum(np.minimum(x, b) + gamma * (grad - prices.p_l), b)
+        z = np.maximum(np.maximum(x, b) + gamma * (grad - prices.p_u), b)
+        raw = y + z - b
     if not np.all(np.isfinite(raw)):
         raise FloatingPointError("raw consumption must be finite")
     return project_band(raw, scenario.d_min, scenario.d_max)

@@ -174,8 +174,9 @@ def run_market(scenario: Scenario, config: RunConfig):
         except FloatingPointError:
             raise DivergenceError(k) from None
         new_alloc = Allocation.from_consumption(new_x, scenario.blocks)
-        new_prices = _posted_prices(new_alloc, scenario)
-        welfare = social_welfare(new_alloc, scenario)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            new_prices = _posted_prices(new_alloc, scenario)
+            welfare = social_welfare(new_alloc, scenario)
         if not (np.all(np.isfinite(new_x))
                 and np.all(np.isfinite(new_prices.p_l))
                 and np.all(np.isfinite(new_prices.p_u))

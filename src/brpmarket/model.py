@@ -25,7 +25,7 @@ def _as_slot_array(value, num_slots: int, path: str) -> np.ndarray:
     """Broadcast a scalar to a per-slot vector, or validate vector length."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past 1e308
         raise ScenarioError(f"{path}: expected a number or a list of numbers")
     if not np.isfinite(arr).all():
         raise ScenarioError(f"{path}: must be finite (no NaN or inf)")
@@ -216,7 +216,7 @@ def validate_scenario(doc: dict) -> Scenario:
         num_slots = int(doc["num_slots"])
     except KeyError:
         raise ScenarioError("num_slots: field is required")
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError("num_slots: must be an integer")
     if num_slots < 1:
         raise ScenarioError("num_slots: must be at least 1")
@@ -235,14 +235,14 @@ def validate_scenario(doc: dict) -> Scenario:
             raise ScenarioError(f"{path}.w: w must be strictly positive for every slot")
         try:
             alpha = float(entry["alpha"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ScenarioError(f"{path}.alpha: must be a number")
         if alpha <= 0:
             raise ScenarioError(f"{path}.alpha: alpha must be strictly positive")
         try:
             d_min = float(entry.get("d_min", 0.0))
             d_max = float(entry["d_max"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ScenarioError(f"{path}: d_min/d_max must be numbers")
         for name, value in (("alpha", alpha), ("d_min", d_min), ("d_max", d_max)):
             if not math.isfinite(value):

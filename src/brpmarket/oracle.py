@@ -25,7 +25,7 @@ from .pricing import block_prices
 
 BOUNDARY_TOL = 1e-6
 MAX_GRID_POINTS = 10**8
-_GRID_CHUNK = 1_000_000
+_GRID_CHUNK = 131_072
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,18 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
     points violating a customer's daily energy band are discarded.  Ties
     resolve to the lexicographically lowest allocation (first occurrence in
     row-major enumeration over ascending axes).  The grid is walked in slabs
-    of whole rows of about ``_GRID_CHUNK`` (1M) points, each formed by
+    of whole rows of about ``_GRID_CHUNK`` points, each formed by
     broadcasting the variables' axes against one another.
+
+    A slab is skipped (branch and bound) when an upper bound on its welfare
+    lies below the best welfare found so far by more than a rounding margin.
+    The bound is each lead variable's largest utility over the slab's rows,
+    plus the largest over one row of the trailing axes of their utilities
+    minus the costs at the slab's smallest lead demand per slot.  Costs are
+    nondecreasing in demand (``0 <= beta1 <= beta2``) and the daily band is
+    ignored, so no point of the slab can beat the bound; a skipped slab
+    holds no point that reaches the best welfare, so the answer and its tie
+    rule (the strict ``>`` across slabs) are those of the full search.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -163,14 +173,58 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
     outer, rows = total_points // inner, _GRID_CHUNK // inner
 
     block_total = scenario.blocks.b * n
+    costs = [CostParams(scenario.cost.beta1[s], scenario.cost.beta2[s])
+             for s in range(t)]
+    in_slot = [[j for j, (_, cs) in enumerate(variables) if cs == s]
+               for s in range(t)]
+
+    # One row of the trailing axes, broadcast against each other; a slab
+    # broadcasts it against its lead rows.
+    row = np.ogrid[tuple(slice(size) for size in sizes[lead:])]
+    row_xs = [axis[k] for axis, k in zip(axes[lead:], row)]
+    row_us = [u[k] for u, k in zip(utilities[lead:], row)]
+    as_rows = (-1,) + (1,) * len(row)
+
+    def slot_demands(lead_demand):
+        # per slot: the lead axes' sum, then the row's axes, in the grid's order
+        return [sum((row_xs[j - lead] for j in in_slot[s] if j >= lead),
+                    lead_demand[s]) for s in range(t)]
+
+    # Rounding margin of the bound.  A welfare, of a grid point or a bound,
+    # sums at most six terms (N*T utilities, T costs) whose absolute values
+    # add up to at most `scale`; any order of summation lands within
+    # 5*eps*scale of the exact sum.  The bound's terms dominate each point's
+    # terms exactly in floating point: its lead utilities are maxima of the
+    # same computed values, and its slot demand adds the same trailing values
+    # in the same order to the smallest rounded lead sum, so (rounded sums
+    # and products being monotone) its cost is at most the point's.  Every
+    # point of a slab whose bound lies below `best - margin` is therefore
+    # below `best` by more than margin - 10*eps*scale > 0, and skipping the
+    # slab cannot change the argmax or its tie-break.
+    scale = (sum(float(np.max(np.abs(u))) for u in utilities)
+             + sum(costs[s].beta2 * sum(axes[j][-1] for j in in_slot[s]) ** 2
+                   for s in range(t)))
+    margin = 1e-12 * scale
+
     best_welfare = -np.inf
     best_point = None
     for start in range(0, outer, rows):
-        grid = np.ogrid[(slice(start, min(start + rows, outer)),)
-                        + tuple(slice(size) for size in sizes[lead:])]
-        idx = [*np.unravel_index(grid[0], sizes[:lead]), *grid[1:]]
-        xs = [axis[k] for axis, k in zip(axes, idx)]
+        lead_idx = np.unravel_index(np.arange(start, min(start + rows, outer)),
+                                    sizes[:lead])
+        lead_xs = [axis[k] for axis, k in zip(axes, lead_idx)]
+        lead_us = [u[k] for u, k in zip(utilities, lead_idx)]
+        lead_demand = [sum(lead_xs[j] for j in in_slot[s] if j < lead)
+                       for s in range(t)]
 
+        # the slab's welfare bound, taken over one row
+        row_welfare = sum(row_us)
+        for s, demand in enumerate(slot_demands([np.min(d) for d in lead_demand])):
+            row_welfare -= cost_value(demand, block_total[s], costs[s])
+        bound = sum(float(np.max(u)) for u in lead_us) + float(np.max(row_welfare))
+        if bound < best_welfare - margin:
+            continue
+
+        xs = [x.reshape(as_rows) for x in lead_xs] + row_xs
         feasible = True
         for i in range(n):
             daily = sum(xs[j] for j, (ci, _) in enumerate(variables) if ci == i)
@@ -180,11 +234,10 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
             continue
 
         # utilities in variable order, then costs in slot order
-        welfare = sum(u[k] for u, k in zip(utilities, idx))
-        for s in range(t):
-            demand = sum(xs[j] for j, (_, cs) in enumerate(variables) if cs == s)
-            welfare -= cost_value(demand, block_total[s], CostParams(
-                scenario.cost.beta1[s], scenario.cost.beta2[s]))
+        welfare = sum([u.reshape(as_rows) for u in lead_us] + row_us)
+        demands = slot_demands([np.reshape(d, as_rows) for d in lead_demand])
+        for s, demand in enumerate(demands):
+            welfare -= cost_value(demand, block_total[s], costs[s])
         np.copyto(welfare, -np.inf, where=~feasible)
 
         j_best = int(np.argmax(welfare))

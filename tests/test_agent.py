@@ -67,7 +67,6 @@ class TestGradientStep:
         out = step_profile(x, prices(5.0, 9.0), 0.0, scenario())
         np.testing.assert_array_equal(out, x)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_to_minus_inf_raises(self):
         # y steps to -inf; the band projection alone would clip it to 0
         x = np.array([[30.0]])

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,7 +50,6 @@ class TestRunCommand:
         assert code == 2
         assert (out / "summary.json").exists()  # partial result still recorded
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_exits_2_without_partial_writes(self, tmp_path):
         doc = demo_scenario_document()
         for c in doc["customers"]:
@@ -61,7 +63,6 @@ class TestRunCommand:
         assert not (out / "trace.csv").exists()
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_overflowing_step_exits_2_with_one_error_line(self, command, tmp_path,
                                                           capsys):
@@ -77,6 +78,30 @@ class TestRunCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: market iteration diverged at iteration 1"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("gamma, d_max", [
+        ("1e307", 1e308),  # the step itself overflows
+        ("1e160", 1e200),  # the step is finite, its welfare overflows
+    ])
+    def test_diverging_run_writes_one_stderr_line(self, command, gamma, d_max,
+                                                  tmp_path):
+        # a fresh interpreter, so any numpy warning would reach stderr as well
+        doc = demo_scenario_document()
+        for c in doc["customers"]:
+            c["d_max"] = d_max
+        scen = tmp_path / "overflow.json"
+        scen.write_text(json.dumps(doc))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "brpmarket.cli", command,
+             "--scenario", str(scen), "--gamma", gamma, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: market iteration diverged at iteration 1"]
 
     def test_byte_identical_outputs(self, demo_file, tmp_path):
         outs = []
@@ -116,7 +141,6 @@ class TestSweepCommand:
                   "--out", str(tmp_path / "o")])
         assert err.value.code == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_gamma_recorded_not_fatal(self, tmp_path):
         doc = demo_scenario_document()
         for c in doc["customers"]:

@@ -107,14 +107,12 @@ class TestRunMarket:
             assert np.array_equal(a.prices.p_l, b.prices.p_l)
             assert a.welfare == b.welfare
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises_with_iteration(self):
         scenario = single_customer_scenario(beta=0.5, d_max=1e200)
         with pytest.raises(DivergenceError) as err:
             run_market(scenario, RunConfig(gamma=1e160, max_iter=100))
         assert err.value.iteration >= 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_step_raises_divergence_at_iteration_1(self):
         doc = cli.demo_scenario_document()
         for c in doc["customers"]:

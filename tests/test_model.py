@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brpmarket import (
     CostParams,
@@ -332,3 +334,80 @@ class TestScenarioArrays:
     def test_fingerprint_pinned_on_straddling_scenario(self):
         assert validate_scenario(straddling_document()).fingerprint() == (
             "afea539f7b528557242ded0d26fb5eeed1b546a640845ed9c53e5b6884ea8d2e")
+
+
+# values that some field of a scenario document must refuse
+_JUNK = st.sampled_from([None, "a", "", [], {}, [1.0, "x"], float("nan"), float("inf"),
+                         -float("inf"), 10**400, -1.0, 0.0])
+
+
+@st.composite
+def scenario_documents(draw):
+    """Scenario documents whose fields are mostly valid, each one replaced by
+    junk, dropped, or given the wrong length now and then."""
+    t = draw(st.integers(1, 3))
+
+    def rarely():  # one draw in 40; hypothesis favours the ends of a range
+        return draw(st.integers(0, 39)) == 17
+
+    def field(good):
+        return draw(_JUNK) if rarely() else draw(good)
+
+    def per_slot(good):
+        if draw(st.booleans()):
+            return field(good)
+        size = draw(st.sampled_from([0, t + 1])) if rarely() else t
+        return [field(good) for _ in range(size)]
+
+    customers = []
+    for i in range(draw(st.integers(1, 3))):
+        entry = {"id": field(st.sampled_from([i, float(i), str(i), 7])),
+                 "w": per_slot(st.floats(0.1, 100.0)),
+                 "alpha": field(st.floats(0.1, 5.0)),
+                 "d_min": field(st.floats(0.0, 30.0)),
+                 "d_max": field(st.floats(20.0, 300.0))}
+        if rarely():
+            del entry[draw(st.sampled_from(sorted(entry)))]
+        customers.append(entry)
+    doc = {"_notes": ["free-form"],
+           "num_slots": field(st.just(t)),
+           "customers": field(st.just(customers)),
+           "blocks": field(st.just({"b": per_slot(st.floats(0.1, 50.0))})),
+           "cost": field(st.just({"beta1": per_slot(st.floats(0.01, 1.0)),
+                                  "beta2": per_slot(st.floats(0.01, 1.0))}))}
+    if rarely():
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return field(st.just(doc))
+
+
+# a field path, then ": ", e.g. "customers[1].alpha: ..." or "cost.beta2: ..."
+_FIELD_PATH = re.compile(
+    r"(num_slots|customers(\[(?P<index>\d+)\](\.(w|alpha|d_min|d_max|id))?)?"
+    r"|blocks(\.b)?|cost(\.beta[12])?): ")
+
+
+class TestValidateScenarioProperties:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(scenario_documents())
+    def test_accepts_only_consistent_documents(self, doc):
+        try:
+            scenario = validate_scenario(doc)
+        except ScenarioError as err:
+            message = str(err)
+            if message == "scenario document must be a JSON object":
+                assert not isinstance(doc, dict)
+                return
+            match = _FIELD_PATH.match(message)
+            assert match, message
+            if match["index"] is not None:
+                assert int(match["index"]) < len(doc["customers"])
+            return
+        n, t = len(doc["customers"]), doc["num_slots"]
+        assert scenario.w.shape == (n, t)
+        for arr in (scenario.w, scenario.alpha, scenario.d_min, scenario.d_max,
+                    scenario.blocks.b, scenario.cost.beta1, scenario.cost.beta2):
+            assert np.all(np.isfinite(arr))
+        for per_slot in (scenario.blocks.b, scenario.cost.beta1, scenario.cost.beta2):
+            assert per_slot.shape == (t,)
+        assert np.all(scenario.d_min <= scenario.d_max)
+        assert np.all(scenario.cost.beta2 >= scenario.cost.beta1)

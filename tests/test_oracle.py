@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brpmarket import (
     CostParams,
@@ -79,7 +81,6 @@ class TestCentralizedSolver:
             for b in solutions:
                 assert np.max(np.abs(a - b)) < 1e-3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_step_raises_divergence_at_iteration_1(self):
         scenario = single_customer_scenario(d_max=1e308)
         with pytest.raises(DivergenceError) as err:
@@ -260,5 +261,69 @@ class TestBruteForceAgainstEnumeration:
         for chunk in (oracle._GRID_CHUNK, 1000, 150, 12, 3):
             monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
             sol = brute_force_welfare(scenario, grid_step)
+            assert sol.welfare == welfare
+            assert sol.allocation.x.tolist() == x.tolist()
+
+
+# grid axes per variable for N*T = 1, 2, 3, so each grid has at most ~1000 points
+_AXIS_CAP = {1: 300, 2: 21, 3: 8}
+
+
+@st.composite
+def tiny_markets(draw):
+    """A random N*T <= 3 market on a unit grid: half-integer satiation levels
+    (optima between grid points), bands that may bind on or off the grid,
+    a block threshold whose aggregate bN falls inside the demand range, and
+    twin customers whose swapped allocations tie exactly."""
+    n, t = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]))
+    cap = _AXIS_CAP[n * t]
+    twins = n > 1 and draw(st.booleans())
+    customers = []
+    for i in range(n):
+        if twins and i > 0:
+            customers.append({**customers[0], "id": i})
+            continue
+        w = [draw(st.integers(2, 2 * cap)) / 2 for _ in range(t)]
+        satiation = sum(w)
+        band = draw(st.sampled_from(["slack", "floor", "cap", "both"]))
+        on_grid = draw(st.booleans())
+        d_min = d_max = None
+        if band in ("floor", "both"):
+            d_min = draw(st.floats(0.0, 0.7)) * satiation
+        if band in ("cap", "both"):
+            d_max = draw(st.floats(0.1, 1.0)) * satiation
+        if on_grid:
+            d_min = d_min and float(np.floor(d_min))
+            d_max = d_max and float(np.ceil(d_max))
+        d_min = d_min or 0.0
+        d_max = max(d_max or 10 * satiation, d_min)
+        customers.append({"id": i, "w": w, "alpha": 1.0, "d_min": d_min, "d_max": d_max})
+    beta1 = draw(st.floats(0.05, 0.5))
+    beta2 = beta1 * draw(st.sampled_from([1.0, 1.2, 2.0, 3.0]))
+    # bN somewhere in [0.1, 0.9] of the largest aggregate demand in slot 0
+    peak = sum(c["w"][0] for c in customers)
+    b = draw(st.floats(0.1, 0.9)) * peak / n
+    return make_scenario(t, customers, b=b, beta1=beta1, beta2=beta2)
+
+
+class TestBruteForcePruningProperties:
+    """The slab-pruned grid search returns exactly what full enumeration does."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(tiny_markets())
+    @example(GRID_INSTANCES[2].values[0])  # exact argmax tie
+    @example(make_scenario(1, [{"id": 0, "w": 40.5, "alpha": 1.0, "d_max": 100},
+                               {"id": 1, "w": 60.5, "alpha": 1.0, "d_max": 100}],
+                           b=12.5, beta1=0.3, beta2=0.9))  # demand crosses bN
+    def test_matches_enumeration(self, scenario):
+        welfare, x, _, _ = naive_grid(scenario, 1.0)
+        for chunk in (oracle._GRID_CHUNK, 1000, 150, 12, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_GRID_CHUNK", chunk)
+                if welfare == -np.inf:
+                    with pytest.raises(ValueError, match="no feasible grid point"):
+                        brute_force_welfare(scenario, 1.0)
+                    continue
+                sol = brute_force_welfare(scenario, 1.0)
             assert sol.welfare == welfare
             assert sol.allocation.x.tolist() == x.tolist()
