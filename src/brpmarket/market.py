@@ -78,23 +78,46 @@ class IterationTrace:
     def to_csv(self, path) -> None:
         """Write one row per (iteration, slot, customer), full float precision.
 
-        The comment line ends in LF; the header and every row end in CRLF, as
-        ``csv.writer`` writes them, and floats are written as their ``repr``.
+        The bytes are fixed: the comment line ends in LF; the header and every
+        row end in CRLF, as ``csv.writer`` writes them.  Rows run iteration by
+        iteration, slot-major within an iteration, and every float is written
+        as the ``repr`` of its Python ``float``, so it round-trips exactly.
+
+        Each iterate is written with one ``write``.  Its x, y and z hold few
+        distinct values (one of y and z is x, the other is the slot's ``b``),
+        so ``repr`` runs once per distinct float64 bit pattern, not per cell.
         """
+        prefixes, shape = [], None
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_COMMENT + "\n")
             fh.write(",".join(TRACE_COLUMNS) + "\r\n")
             for k, rec in enumerate(self.records):
-                x, y, z = (np.asarray(a, dtype=float).T.tolist() for a in
-                           (rec.allocation.x, rec.allocation.y, rec.allocation.z))
+                if np.shape(rec.allocation.x) != shape:
+                    shape = np.shape(rec.allocation.x)
+                    prefixes = [[f",{slot},{cust}," for cust in range(shape[0])]
+                                for slot in range(shape[1])]
+                texts = iter(_cell_texts(rec.allocation))
                 tail = f",{float(rec.welfare)!r},{float(rec.max_change)!r}\r\n"
                 suffixes = [f",{p_l!r},{p_u!r}{tail}" for p_l, p_u in zip(
                     np.asarray(rec.prices.p_l, dtype=float).tolist(),
                     np.asarray(rec.prices.p_u, dtype=float).tolist())]
                 fh.write("".join(
-                    f"{k},{slot},{cust},{xv!r},{yv!r},{zv!r}{suffix}"
-                    for slot, (xs, ys, zs, suffix) in enumerate(zip(x, y, z, suffixes))
-                    for cust, (xv, yv, zv) in enumerate(zip(xs, ys, zs))))
+                    f"{k}{prefix}{xs},{ys},{zs}{suffix}"
+                    for slot_prefixes, suffix in zip(prefixes, suffixes)
+                    for prefix, xs, ys, zs in zip(slot_prefixes, texts, texts, texts)))
+
+
+def _cell_texts(alloc: Allocation) -> list[str]:
+    """The ``repr`` of x, y and z of every cell, slot-major, then customer.
+
+    ``repr`` runs once per distinct float64 bit pattern; keying on bits, not
+    on ``==``, keeps -0.0 apart from 0.0.
+    """
+    cells = np.stack([np.asarray(a, dtype=float).T for a in (alloc.x, alloc.y, alloc.z)],
+                     axis=-1)
+    bits, index = np.unique(cells.view(np.int64), return_inverse=True)
+    table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return table[index.ravel()].tolist()
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,19 @@ def _as_slot_array(value, num_slots: int, path: str) -> np.ndarray:
     return arr.astype(float).copy()
 
 
+def _as_integer(value, path: str) -> int:
+    """An int, an integral float or a string of an int; never truncated, and
+    never a boolean, although ``int(True)`` is 1."""
+    try:
+        result = int(value)
+    except (TypeError, ValueError, OverflowError):  # null, "a", NaN, inf
+        result = None
+    if (result is None or isinstance(value, (bool, np.bool_))
+            or not (isinstance(value, str) or result == value)):
+        raise ScenarioError(f"{path}: must be an integer, got {value!r}")
+    return result
+
+
 @dataclass(frozen=True)
 class Customer:
     """One customer: per-slot willingness, satiation rate, daily energy band."""
@@ -212,12 +225,9 @@ def validate_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
 
-    try:
-        num_slots = int(doc["num_slots"])
-    except KeyError:
+    if "num_slots" not in doc:
         raise ScenarioError("num_slots: field is required")
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError("num_slots: must be an integer")
+    num_slots = _as_integer(doc["num_slots"], "num_slots")
     if num_slots < 1:
         raise ScenarioError("num_slots: must be at least 1")
 
@@ -251,23 +261,29 @@ def validate_scenario(doc: dict) -> Scenario:
             raise ScenarioError(f"{path}.d_min: must be nonnegative")
         if d_min > d_max:
             raise ScenarioError(f"{path}: d_min exceeds d_max")
-        if d_min > float(np.sum(w / alpha)):
-            raise ScenarioError(
-                f"{path}: infeasible scenario, d_min exceeds the total "
-                f"satiation energy sum(w/alpha) = {float(np.sum(w / alpha))!r}"
-            )
-        raw_id = entry.get("id", idx)
-        try:
-            cid = int(raw_id)
-        except (TypeError, ValueError, OverflowError):  # null, "a", NaN, inf
-            cid = None
-        # an int, an integral float or a string of an int, never truncated
-        if cid is None or not (isinstance(raw_id, str) or cid == raw_id):
-            raise ScenarioError(f"{path}.id: must be an integer, got {raw_id!r}")
+        cid = _as_integer(entry.get("id", idx), f"{path}.id")
         if cid in seen:
             raise ScenarioError(f"{path}.id: duplicate customer id {cid}")
         seen.add(cid)
         rows.append((cid, w, alpha, d_min, d_max))
+
+    ids, ws, alphas, d_mins, d_maxs = zip(*rows)
+    w, alpha, d_min = np.stack(ws), np.array(alphas)[:, None], np.array(d_mins)
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        satiation = w / alpha
+        total_satiation = satiation.sum(axis=1)
+    overflowed = ~np.isfinite(satiation).all(axis=1)
+    bad = np.flatnonzero(overflowed | (d_min > total_satiation))
+    if bad.size:
+        idx = bad[0]
+        if overflowed[idx]:
+            raise ScenarioError(
+                f"customers[{idx}]: satiation w/alpha must be finite, overflows in "
+                f"slots {np.flatnonzero(~np.isfinite(satiation[idx])).tolist()}")
+        raise ScenarioError(
+            f"customers[{idx}]: infeasible scenario, d_min exceeds the total "
+            f"satiation energy sum(w/alpha) = {float(total_satiation[idx])!r}"
+        )
 
     blocks_doc = doc.get("blocks")
     if not isinstance(blocks_doc, dict):
@@ -289,9 +305,7 @@ def validate_scenario(doc: dict) -> Scenario:
         raise ScenarioError("cost.beta2: must be at least beta1 in every slot, got "
                             f"beta2 < beta1 in slots {np.flatnonzero(beta2 < beta1).tolist()}")
 
-    ids, ws, alphas, d_mins, d_maxs = zip(*rows)
-    return Scenario(ids=np.array(ids), w=np.stack(ws), alpha=np.array(alphas)[:, None],
-                    d_min=np.array(d_mins), d_max=np.array(d_maxs),
+    return Scenario(ids=np.array(ids), w=w, alpha=alpha, d_min=d_min, d_max=np.array(d_maxs),
                     blocks=BlockSchedule(b=b), cost=CostParams(beta1=beta1, beta2=beta2))
 
 

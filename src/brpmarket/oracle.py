@@ -153,14 +153,16 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
         raise ValueError("grid oracle limited to N*T <= 3 variables")
 
     variables = [(i, s) for i in range(n) for s in range(t)]
-    # size the grid before materializing any axis
+    # size the grid before materializing any axis; an axis is counted up to
+    # one point past the budget, as its length may overflow to inf
     satiation = scenario.w / scenario.alpha
     stops = [satiation[i, s] + 0.5 * grid_step for i, s in variables]
-    sizes = [int(np.ceil(stop / grid_step)) for stop in stops]
+    sizes = [math.ceil(min(float(stop) / grid_step, MAX_GRID_POINTS + 1))
+             for stop in stops]
     total_points = math.prod(sizes)
     if total_points > MAX_GRID_POINTS:
         raise ValueError(
-            f"grid too large: {total_points} points exceeds {MAX_GRID_POINTS}")
+            f"grid too large: at least {total_points} points exceeds {MAX_GRID_POINTS}")
     axes = [np.arange(0.0, stop, grid_step) for stop in stops]
     utilities = [utility_value(axis, scenario.w[i, s], scenario.alpha[i, 0])
                  for axis, (i, s) in zip(axes, variables)]

@@ -216,6 +216,21 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: customers[0].w: must be finite")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+    def test_overflowing_satiation_exits_1(self, tmp_path, capsys):
+        doc = demo_scenario_document()
+        doc["customers"] = [{"id": 0, "w": 1e300, "alpha": 1e-10, "d_max": 10}]
+        scen = tmp_path / "satiation.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(["verify", "--scenario", str(scen), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: customers[0]: satiation w/alpha must be finite, overflows in slots [0]"]
+        assert not out.exists()
+
 
 class TestBadOptionValues:
     """A bad option value exits 1 with one error line, before any solve."""

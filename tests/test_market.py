@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brpmarket import (
     Allocation,
@@ -286,3 +288,96 @@ class TestTraceCsvGolden:
             reference_trace_csv(trace, tmp_path / "reference.csv")
             assert ((out / f"trace_gamma_{gamma}.csv").read_bytes()
                     == (tmp_path / "reference.csv").read_bytes())
+
+    def test_wide_slack_run_matches_reference_writer(self, tmp_path):
+        # N=100, T=24 with a never-binding band: the size of the benchmark's
+        # report run, about a fifth of x exactly 0 and the rest on both sides of b
+        n, t = 100, 24
+        w = np.random.default_rng(1).uniform(10.0, 100.0, size=(n, t))
+        scenario = validate_scenario({
+            "num_slots": t,
+            "customers": [{"id": i, "w": row.tolist(), "alpha": 1.0, "d_min": 0.0,
+                           "d_max": 1000.0 * t} for i, row in enumerate(w)],
+            "blocks": {"b": 25.0},
+            "cost": {"beta1": 0.5 / n, "beta2": 0.6 / n},
+        })
+        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        x = report.allocation.x
+        assert report.converged and np.any(x == 0.0) and np.any(x > 25.0)
+        trace.to_csv(tmp_path / "fast.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# Values that a writer caching one repr per value could mix up: both zeros,
+# NaNs with other signs and payloads, infinities, subnormals, the smallest
+# normal, the largest float, and floats with short and with long reprs.
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan,
+                   np.frombuffer(bytes.fromhex("010000000000f87f"), dtype=float)[0],
+                   math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 0.1, 1 / 3, 25.0, -1.5, 1e22, 1e16]
+_cell_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(width=64))
+
+
+@st.composite
+def _cell_array(draw, shape):
+    """An array of float64s, float32s or int64s."""
+    kind = draw(st.sampled_from(["float64", "float32", "int"]))
+    size = shape[0] * shape[1]
+    if kind == "int":
+        values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=size, max_size=size))
+        return np.array(values, dtype=np.int64).reshape(shape)
+    values = draw(st.lists(_cell_floats, min_size=size, max_size=size))
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            return np.array(values, dtype=np.float32).reshape(shape)
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@st.composite
+def _scalar(draw):
+    """welfare or max_change: a float, an int or a numpy scalar."""
+    value = draw(_cell_floats)
+    wrap = draw(st.sampled_from([float, np.float64, np.float32, "int"]))
+    if wrap == "int":
+        return draw(st.integers(-10**6, 10**6))
+    with np.errstate(over="ignore"):
+        return wrap(value)
+
+
+@st.composite
+def _traces(draw):
+    """A trace of one to three iterates whose y and z need not be the split of
+    x; cells are drawn from a small pool so values repeat within an iterate.
+    The shape may change from one iterate to the next."""
+    trace = IterationTrace()
+    shape = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            shape = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        n, t = shape
+        x, y, z = (draw(_cell_array((n, t))) for _ in range(3))
+        p_l, p_u = draw(_cell_array((2, t)))
+        prices = PriceSchedule(p_l=p_l.tolist() if draw(st.booleans()) else p_l, p_u=p_u)
+        trace.append(IterationRecord(Allocation(x=x, y=y, z=z), prices,
+                                     draw(_scalar()), draw(_scalar())))
+    return trace
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("trace")
+
+
+class TestTraceCsvProperties:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_traces())
+    @example(IterationTrace([IterationRecord(
+        Allocation(x=np.array([[0.0, -0.0]]), y=np.array([[-0.0, 0.0]]),
+                   z=np.array([[math.nan, -math.nan]])),
+        PriceSchedule(p_l=np.array([-0.0, 0.0]), p_u=np.array([0.0, -0.0])),
+        -0.0, np.float64(0.0))]))
+    def test_matches_reference_writer(self, trace_dir, trace):
+        trace.to_csv(trace_dir / "fast.csv")
+        reference_trace_csv(trace, trace_dir / "reference.csv")
+        assert (trace_dir / "fast.csv").read_bytes() == (trace_dir / "reference.csv").read_bytes()

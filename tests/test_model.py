@@ -196,6 +196,32 @@ class TestValidateScenario:
         with pytest.raises(ScenarioError, match="infeasible"):
             validate_scenario(doc)
 
+    @pytest.mark.filterwarnings("error")  # the check itself must not warn
+    def test_overflowing_satiation_rejected(self):
+        doc = self.base_doc()
+        doc["num_slots"] = 2
+        doc["customers"][1].update(w=[1.0, 1e300], alpha=1e-10)  # 1e310 overflows
+        with pytest.raises(ScenarioError,
+                           match=r"^customers\[1\]: satiation w/alpha must be finite.*\[1\]"):
+            validate_scenario(doc)
+
+    @pytest.mark.parametrize("value", [1.7, True, "1.5", None],
+                             ids=["fraction", "bool", "float-string", "null"])
+    def test_non_integer_num_slots_rejected(self, value):
+        doc = self.base_doc()
+        doc["num_slots"] = value
+        with pytest.raises(ScenarioError, match=r"^num_slots: must be an integer"):
+            validate_scenario(doc)
+
+    @pytest.mark.parametrize("value, expected", [(3, 3), (2.0, 2), ("3", 3)],
+                             ids=["int", "integral-float", "string"])
+    def test_integer_valued_num_slots_accepted(self, value, expected):
+        doc = self.base_doc()
+        doc["num_slots"] = value
+        scenario = validate_scenario(doc)
+        assert scenario.num_slots == expected
+        assert scenario.blocks.b.shape == (expected,)
+
     def test_nonpositive_threshold_rejected(self):
         doc = self.base_doc()
         doc["blocks"]["b"] = 0
@@ -268,9 +294,9 @@ class TestValidateScenario:
             validate_scenario(doc)
 
     @pytest.mark.parametrize("cid", [None, "a", float("nan"), float("inf"),
-                                     -float("inf"), 1.7, "3.0", [3]],
+                                     -float("inf"), 1.7, "3.0", [3], True],
                              ids=["null", "letter", "nan", "inf", "-inf", "fraction",
-                                  "float-string", "list"])
+                                  "float-string", "list", "bool"])
     def test_non_integer_customer_id_rejected(self, cid):
         doc = self.base_doc()
         doc["customers"][1]["id"] = cid
@@ -409,5 +435,6 @@ class TestValidateScenarioProperties:
             assert np.all(np.isfinite(arr))
         for per_slot in (scenario.blocks.b, scenario.cost.beta1, scenario.cost.beta2):
             assert per_slot.shape == (t,)
+        assert np.all(np.isfinite(scenario.w / scenario.alpha))
         assert np.all(scenario.d_min <= scenario.d_max)
         assert np.all(scenario.cost.beta2 >= scenario.cost.beta1)

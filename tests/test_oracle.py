@@ -124,6 +124,14 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="grid too large"):
             brute_force_welfare(scenario, 1e-7)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha, grid_step", [(1e-307, 0.01), (1.0, 1e-320)])
+    def test_overflowing_axis_length_rejected(self, alpha, grid_step):
+        # satiation w/alpha is finite, (w/alpha) / grid_step overflows to inf
+        scenario = single_customer_scenario(w=1.0, alpha=alpha)
+        with pytest.raises(ValueError, match="grid too large"):
+            brute_force_welfare(scenario, grid_step)
+
     def test_is_upper_bound_for_distributed_welfare(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
         grid = brute_force_welfare(demo_scenario, 0.05)
