@@ -8,14 +8,13 @@ from .model import (
     PriceSchedule,
     Scenario,
     ScenarioError,
-    canonical_split,
     cost_value,
     load_scenario,
     utility_gradient,
     utility_value,
     validate_scenario,
 )
-from .pricing import block_prices, revenue
+from .pricing import block_prices
 from .agent import (
     KktMultipliers,
     KktResidual,
@@ -52,11 +51,10 @@ __all__ = [
     "Customer", "DivergenceError", "EquilibriumReport", "IterationRecord",
     "IterationTrace", "KktMultipliers", "KktResidual", "OracleSolution",
     "PriceSchedule", "RunConfig", "Scenario", "ScenarioError",
-    "block_prices", "brute_force_welfare", "canonical_split",
-    "compare_equilibrium", "cost_value", "default_step_size",
-    "detect_convergence", "kkt_residual", "load_scenario", "net_utility",
-    "project_band", "recover_multipliers", "revenue", "run_market",
-    "social_welfare", "solve_welfare_centralized", "step_profile",
-    "utility_gradient", "utility_value", "validate_scenario",
+    "block_prices", "brute_force_welfare", "compare_equilibrium",
+    "cost_value", "default_step_size", "detect_convergence", "kkt_residual",
+    "load_scenario", "net_utility", "project_band", "recover_multipliers",
+    "run_market", "social_welfare", "solve_welfare_centralized",
+    "step_profile", "utility_gradient", "utility_value", "validate_scenario",
     "worst_kkt_residual",
 ]

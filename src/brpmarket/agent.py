@@ -10,7 +10,7 @@ import numpy as np
 
 from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
 
-# A per-slot bound (y = b, z = b, x = 0) counts as active within this margin.
+# A per-slot bound (x = b, x = 0) counts as active within this margin.
 _ACTIVE_TOL = 1e-9
 
 
@@ -104,7 +104,7 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
 
 def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.ndarray:
     """Each customer's utility minus block payments, shape (N,):
-    ``sum_t U(x) - p_l*y - p_u*(z - b)``."""
+    ``sum_t U(x) - p_l*min(x, b) - p_u*(max(x, b) - b)``."""
     b = scenario.blocks.b
     util = utility_value(x, scenario.w, scenario.alpha)
     payment = prices.p_l * np.minimum(x, b) + prices.p_u * (np.maximum(x, b) - b)
@@ -113,12 +113,13 @@ def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.
 
 def _free_gaps(scenario: Scenario, alloc: Allocation, prices: PriceSchedule):
     """Stationarity gaps ``U' - p_l`` and ``U' - p_u`` with the slots where
-    the y (resp. z) bound is inactive and consumption is positive."""
-    b = scenario.blocks.b
-    grad = utility_gradient(alloc.x, scenario.w, scenario.alpha)
-    positive = alloc.x > _ACTIVE_TOL
-    y_free = positive & (alloc.y < b - _ACTIVE_TOL)
-    z_free = positive & (alloc.z > b + _ACTIVE_TOL)
+    consumption is positive and below (resp. above) ``b``, so that the first
+    (resp. second) block variable is off its bound."""
+    x, b = alloc.x, scenario.blocks.b
+    grad = utility_gradient(x, scenario.w, scenario.alpha)
+    positive = x > _ACTIVE_TOL
+    y_free = positive & (x < b - _ACTIVE_TOL)
+    z_free = positive & (x > b + _ACTIVE_TOL)
     return grad - prices.p_l, grad - prices.p_u, y_free, z_free
 
 
@@ -126,10 +127,10 @@ def kkt_residual(scenario: Scenario, alloc: Allocation, prices: PriceSchedule,
                  mult: KktMultipliers) -> KktResidual:
     """Equilibrium-condition violations, worst over all customers.
 
-    Stationarity in y is checked on slots where the y-bound is inactive
-    (y < b) and consumption is positive; likewise stationarity in z on slots
-    with z > b.  Slots at an active bound are absorbed by bound multipliers
-    that are not modeled explicitly.
+    Stationarity in the first block is checked on slots with positive
+    consumption below ``b``, and in the second block on slots above ``b``.
+    Slots at an active bound are absorbed by bound multipliers that are not
+    modeled explicitly.
     """
     if np.any(mult.lambda1 < 0) or np.any(mult.lambda2 < 0):
         raise ValueError("multipliers must be nonnegative")

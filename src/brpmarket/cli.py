@@ -142,6 +142,10 @@ def cmd_verify(args, parser) -> int:
         scenario = _load(args)
         gamma = args.gamma if args.gamma is not None else default_step_size(scenario)
         config = RunConfig(gamma=gamma, tol=1e-10, max_iter=args.max_iter)
+        # the grid oracle runs first: a grid too large or with no feasible
+        # point is a bad --grid-step, rejected before any solve
+        grid = (brute_force_welfare(scenario, args.grid_step)
+                if scenario.num_customers * scenario.num_slots <= 3 else None)
     except (ScenarioError, OSError, ValueError) as exc:
         return _bad_input(exc)
 
@@ -153,9 +157,8 @@ def cmd_verify(args, parser) -> int:
         return EXIT_NOT_CONVERGED
 
     if args.inject_perturbation:
-        perturbed = Allocation.from_consumption(
-            report.allocation.x + args.inject_perturbation, scenario.blocks)
-        report = replace(report, allocation=perturbed)
+        report = replace(report, allocation=Allocation(
+            report.allocation.x + args.inject_perturbation))
 
     if not centralized.converged:
         print("error: centralized oracle did not reach the requested "
@@ -167,8 +170,7 @@ def cmd_verify(args, parser) -> int:
     payload = comparison.as_dict()
     all_pass = comparison.passed
 
-    if scenario.num_customers * scenario.num_slots <= 3:
-        grid = brute_force_welfare(scenario, args.grid_step)
+    if grid is not None:
         grid_cmp = compare_equilibrium(report, grid,
                                        tol_allocation=2 * args.grid_step,
                                        tol_welfare=math.inf)

@@ -62,8 +62,10 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    """Time series of market iterates."""
+    """Time series of market iterates, with the per-slot block threshold
+    ``b`` of their run, from which the trace's block split is derived."""
 
+    b: np.ndarray
     records: list[IterationRecord] = field(default_factory=list)
 
     def append(self, record: IterationRecord) -> None:
@@ -82,6 +84,7 @@ class IterationTrace:
         row end in CRLF, as ``csv.writer`` writes them.  Rows run iteration by
         iteration, slot-major within an iteration, and every float is written
         as the ``repr`` of its Python ``float``, so it round-trips exactly.
+        The block split ``y = min(x, b)``, ``z = max(x, b)`` is derived here.
 
         Each iterate is written with one ``write``.  Its x, y and z hold few
         distinct values (one of y and z is x, the other is the slot's ``b``),
@@ -96,7 +99,7 @@ class IterationTrace:
                     shape = np.shape(rec.allocation.x)
                     prefixes = [[f",{slot},{cust}," for cust in range(shape[0])]
                                 for slot in range(shape[1])]
-                texts = iter(_cell_texts(rec.allocation))
+                texts = iter(_cell_texts(rec.allocation.x, self.b))
                 tail = f",{float(rec.welfare)!r},{float(rec.max_change)!r}\r\n"
                 suffixes = [f",{p_l!r},{p_u!r}{tail}" for p_l, p_u in zip(
                     np.asarray(rec.prices.p_l, dtype=float).tolist(),
@@ -107,14 +110,15 @@ class IterationTrace:
                     for prefix, xs, ys, zs in zip(slot_prefixes, texts, texts, texts)))
 
 
-def _cell_texts(alloc: Allocation) -> list[str]:
-    """The ``repr`` of x, y and z of every cell, slot-major, then customer.
+def _cell_texts(x, b) -> list[str]:
+    """The ``repr`` of x, ``min(x, b)`` and ``max(x, b)`` of every cell,
+    slot-major, then customer.
 
     ``repr`` runs once per distinct float64 bit pattern; keying on bits, not
     on ``==``, keeps -0.0 apart from 0.0.
     """
-    cells = np.stack([np.asarray(a, dtype=float).T for a in (alloc.x, alloc.y, alloc.z)],
-                     axis=-1)
+    x, b = np.asarray(x, dtype=float).T, np.asarray(b, dtype=float)[:, None]
+    cells = np.stack([x, np.minimum(x, b), np.maximum(x, b)], axis=-1)
     bits, index = np.unique(cells.view(np.int64), return_inverse=True)
     table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return table[index.ravel()].tolist()
@@ -170,7 +174,8 @@ def default_step_size(scenario: Scenario) -> float:
 def _posted_prices(alloc: Allocation, scenario: Scenario) -> PriceSchedule:
     """Block prices at the demand the supplier sells: first-block energy
     plus second-block energy, summed over customers per slot."""
-    demand = alloc.y.sum(axis=0) + (alloc.z - scenario.blocks.b).sum(axis=0)
+    x, b = alloc.x, scenario.blocks.b
+    demand = np.minimum(x, b).sum(axis=0) + (np.maximum(x, b) - b).sum(axis=0)
     return block_prices(demand, scenario.cost)
 
 
@@ -183,8 +188,8 @@ def run_market(scenario: Scenario, config: RunConfig):
     t = scenario.num_slots
     x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
 
-    trace = IterationTrace()
-    alloc = Allocation.from_consumption(x, scenario.blocks)
+    trace = IterationTrace(scenario.blocks.b)
+    alloc = Allocation(x)
     prices = _posted_prices(alloc, scenario)
     trace.append(IterationRecord(alloc, prices, social_welfare(alloc, scenario),
                                  float("nan")))
@@ -196,7 +201,7 @@ def run_market(scenario: Scenario, config: RunConfig):
             new_x = step_profile(x, prices, config.gamma, scenario)
         except FloatingPointError:
             raise DivergenceError(k) from None
-        new_alloc = Allocation.from_consumption(new_x, scenario.blocks)
+        new_alloc = Allocation(new_x)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             new_prices = _posted_prices(new_alloc, scenario)
             welfare = social_welfare(new_alloc, scenario)

@@ -2,8 +2,8 @@
 
 Customers have a quadratic-then-flat utility of consumption; the supplier
 has a two-segment quadratic cost that switches at an aggregate threshold.
-Consumption at each slot is decomposed into first-block and second-block
-energy around a per-slot threshold ``b``.
+Consumption at each slot is billed in two blocks around a per-slot
+threshold ``b``: ``min(x, b)`` in the first, ``max(x, b) - b`` in the second.
 """
 
 from __future__ import annotations
@@ -138,17 +138,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Per-(customer, slot) consumption with its canonical block split."""
+    """Per-(customer, slot) consumption.  Its block split ``min(x, b)``,
+    ``max(x, b)`` is derived where it is read, never stored."""
 
     x: np.ndarray       # consumption, shape (N, T)
-    y: np.ndarray       # first-block part min(x, b), shape (N, T)
-    z: np.ndarray       # second-block carrier max(x, b), shape (N, T)
-
-    @classmethod
-    def from_consumption(cls, x: np.ndarray, blocks: BlockSchedule) -> "Allocation":
-        x = np.asarray(x, dtype=float)
-        y, z = canonical_split(x, blocks.b)
-        return cls(x=x, y=y, z=z)
 
 
 def utility_value(x, w, alpha):
@@ -162,8 +155,12 @@ def utility_value(x, w, alpha):
     if np.any(x < 0):
         raise ValueError("consumption must be nonnegative")
     w = np.asarray(w, dtype=float)
-    sat = w / alpha
-    val = np.where(x < sat, w * x - 0.5 * alpha * x * x, w * w / (2.0 * alpha))
+    val = np.asarray(w * x - 0.5 * alpha * x * x)
+    # the flat value only where it is used: w*w overflows for w past ~1e154
+    flat = ~(x < w / alpha)
+    if flat.any():
+        w_flat = np.broadcast_to(w, val.shape)[flat]
+        val[flat] = w_flat * w_flat / (2.0 * np.broadcast_to(alpha, val.shape)[flat])
     return float(val) if val.ndim == 0 else val
 
 
@@ -196,23 +193,6 @@ def cost_value(demand, block_total, cost: CostParams):
                     np.asarray(cost.beta2, dtype=float))
     val = beta * demand * demand
     return float(val) if val.ndim == 0 else val
-
-
-def canonical_split(x, b):
-    """Split consumption into ``y = min(x, b)`` and ``z = max(x, b)``.
-
-    The identity ``y + z - b == x`` holds exactly (one of y, z equals x and
-    the other equals b, so no rounding is introduced).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("consumption must be nonnegative")
-    b = np.asarray(b, dtype=float)
-    y = np.minimum(x, b)
-    z = np.maximum(x, b)
-    if y.ndim == 0:
-        return float(y), float(z)
-    return y, z
 
 
 def validate_scenario(doc: dict) -> Scenario:

@@ -71,8 +71,7 @@ def _is_boundary_degenerate(alloc: Allocation, scenario: Scenario) -> bool:
 def _marginal_cost_residual(scenario: Scenario, x: np.ndarray) -> float:
     """Worst KKT residual of consumption ``x`` against the marginal costs."""
     marginal = block_prices(x.sum(axis=0), scenario.cost)
-    return worst_kkt_residual(scenario, Allocation.from_consumption(x, scenario.blocks),
-                              marginal)
+    return worst_kkt_residual(scenario, Allocation(x), marginal)
 
 
 def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
@@ -114,7 +113,7 @@ def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
     else:
         residual = _marginal_cost_residual(scenario, x)
 
-    alloc = Allocation.from_consumption(x, scenario.blocks)
+    alloc = Allocation(x)
     return OracleSolution(
         allocation=alloc,
         welfare=social_welfare(alloc, scenario),
@@ -252,8 +251,7 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
         raise ValueError("no feasible grid point (daily band narrower than grid)")
 
     # variables run customer-major, the row-major order of x
-    x = np.reshape(best_point, (n, t))
-    alloc = Allocation.from_consumption(x, scenario.blocks)
+    alloc = Allocation(np.reshape(best_point, (n, t)))
     return OracleSolution(
         allocation=alloc,
         welfare=best_welfare,

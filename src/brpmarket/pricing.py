@@ -1,10 +1,10 @@
-"""Supplier side: marginal-cost block prices and revenue accounting."""
+"""Supplier side: marginal-cost block prices."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Allocation, BlockSchedule, CostParams, PriceSchedule, cost_value
+from .model import CostParams, PriceSchedule
 
 
 def block_prices(demand, cost: CostParams) -> PriceSchedule:
@@ -19,13 +19,3 @@ def block_prices(demand, cost: CostParams) -> PriceSchedule:
     return PriceSchedule(p_l=2.0 * np.asarray(cost.beta1, dtype=float) * demand,
                          p_u=2.0 * np.asarray(cost.beta2, dtype=float) * demand)
 
-
-def revenue(alloc: Allocation, prices: PriceSchedule, blocks: BlockSchedule,
-            cost: CostParams) -> float:
-    """Supplier net revenue: block sales income minus production cost."""
-    first_block = alloc.y.sum(axis=0)
-    second_block = (alloc.z - blocks.b).sum(axis=0)
-    n = alloc.x.shape[0]
-    income = prices.p_l * first_block + prices.p_u * second_block
-    production = cost_value(first_block + second_block, blocks.b * n, cost)
-    return float(np.sum(income - production))

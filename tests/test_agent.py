@@ -30,9 +30,8 @@ def prices(p_l, p_u):
                          p_u=np.atleast_1d(np.asarray(p_u, dtype=float)))
 
 
-def alloc(x, scen):
-    return Allocation.from_consumption(np.atleast_2d(np.asarray(x, dtype=float)),
-                                       scen.blocks)
+def alloc(x):
+    return Allocation(np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 def project_row(raw, d_min, d_max):
@@ -227,7 +226,7 @@ def multipliers(lambda1, lambda2):
 class TestKktResidual:
     def test_exact_interior_stationarity(self):
         scen = scenario()
-        res = kkt_residual(scen, alloc([10.0], scen), prices(30.0, 35.0),
+        res = kkt_residual(scen, alloc([10.0]), prices(30.0, 35.0),
                            multipliers(0.0, 0.0))
         assert res.stationarity_y == 0.0
         # z = b is an active bound: excluded
@@ -235,14 +234,14 @@ class TestKktResidual:
 
     def test_slack_with_positive_multiplier_violates(self):
         scen = scenario(d_max=100.0)
-        res = kkt_residual(scen, alloc([10.0], scen), prices(30.0, 35.0),
+        res = kkt_residual(scen, alloc([10.0]), prices(30.0, 35.0),
                            multipliers(1.0, 0.0))
         assert res.comp_slack_1 > 0
 
     def test_negative_multiplier_rejected(self):
         scen = scenario()
         with pytest.raises(ValueError):
-            kkt_residual(scen, alloc([10.0], scen), prices(30.0, 35.0),
+            kkt_residual(scen, alloc([10.0]), prices(30.0, 35.0),
                          multipliers(-1.0, 0.0))
 
     def test_equilibrium_with_recovered_multipliers(self, demo_scenario):

@@ -178,6 +178,16 @@ class TestVerifyCommand:
                      "--inject-perturbation", "0.5"])
         assert code == 4
 
+    def test_large_negative_perturbation_fails(self, demo_file, tmp_path, capsys):
+        # negative control: the shifted allocation is negative, and verify
+        # still compares it and fails instead of raising
+        out = tmp_path / "verify"
+        code = main(["verify", "--scenario", str(demo_file), "--grid-step", "0.05",
+                     "--inject-perturbation", "-50", "--out", str(out)])
+        assert code == 4
+        assert json.loads(capsys.readouterr().out)["pass"] is False
+        assert json.loads((out / "comparison.json").read_text())["pass"] is False
+
     def test_grid_skipped_above_three_variables(self, tmp_path, capsys):
         doc = demo_scenario_document()
         doc["num_slots"] = 2
@@ -242,13 +252,13 @@ class TestBadOptionValues:
         monkeypatch.setattr(cli, "run_market", refuse)
         monkeypatch.setattr(cli, "solve_welfare_centralized", refuse)
 
-    def assert_rejected(self, argv, out, capsys):
+    def assert_rejected(self, argv, out, capsys, reason=""):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines) == 1 and lines[0].startswith(f"error: {reason}")
         assert not out.exists()
 
     def test_demo_negative_gamma(self, tmp_path, capsys):
@@ -269,6 +279,23 @@ class TestBadOptionValues:
         out = tmp_path / "out"
         self.assert_rejected(["verify", "--scenario", str(demo_file),
                               "--grid-step", "0", "--out", str(out)], out, capsys)
+
+    def test_verify_grid_too_large(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.assert_rejected(["verify", "--scenario", str(demo_file),
+                              "--grid-step", "1e-7", "--out", str(out)], out, capsys,
+                             reason="grid too large")
+
+    def test_verify_no_feasible_grid_point(self, tmp_path, capsys):
+        # the daily band [0.005, 0.005] holds no point of the 0.01 grid
+        doc = demo_scenario_document()
+        doc["customers"] = [{"id": 0, "w": 100, "alpha": 1.0, "d_min": 0.005,
+                             "d_max": 0.005}]
+        scen = tmp_path / "narrow.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        self.assert_rejected(["verify", "--scenario", str(scen), "--out", str(out)],
+                             out, capsys, reason="no feasible grid point")
 
 
 class TestDemoCommand:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from brpmarket import (
     Allocation,
-    BlockSchedule,
     DivergenceError,
     IterationRecord,
     IterationTrace,
@@ -29,7 +28,7 @@ from conftest import make_scenario, single_customer_scenario
 
 class TestSocialWelfare:
     def test_zero_allocation(self, demo_scenario):
-        alloc = Allocation.from_consumption(np.zeros((2, 1)), demo_scenario.blocks)
+        alloc = Allocation(np.zeros((2, 1)))
         assert social_welfare(alloc, demo_scenario) == 0.0
 
     def test_direct_evaluation(self):
@@ -38,8 +37,7 @@ class TestSocialWelfare:
             [{"id": 0, "w": 100, "alpha": 1.0, "d_min": 0, "d_max": 1000},
              {"id": 1, "w": 100, "alpha": 1.0, "d_min": 0, "d_max": 1000}],
             b=25, beta1=0.5, beta2=0.6)
-        alloc = Allocation.from_consumption(np.array([[20.0], [20.0]]),
-                                            scenario.blocks)
+        alloc = Allocation(np.array([[20.0], [20.0]]))
         # 2*(2000 - 200) - 0.5*40**2, D = 40 below bN = 50
         assert social_welfare(alloc, scenario) == pytest.approx(2800.0)
 
@@ -148,37 +146,36 @@ class TestDefaultStepSize:
 
 
 def _record(x, p_l, p_u, welfare=0.0, change=0.0):
-    blocks = BlockSchedule(b=np.full(x.shape[1], 25.0))
     return IterationRecord(
-        allocation=Allocation.from_consumption(x, blocks),
+        allocation=Allocation(x),
         prices=PriceSchedule(p_l=np.asarray(p_l, float), p_u=np.asarray(p_u, float)),
         welfare=welfare, max_change=change)
 
 
 class TestDetectConvergence:
     def test_identical_iterates(self):
-        trace = IterationTrace()
+        trace = IterationTrace(np.array([25.0]))
         x = np.array([[10.0]])
         trace.append(_record(x, [3.0], [4.0]))
         trace.append(_record(x, [3.0], [4.0]))
         assert detect_convergence(trace, 1e-6)
 
     def test_allocation_change_of_twice_tol(self):
-        trace = IterationTrace()
+        trace = IterationTrace(np.array([25.0]))
         tol = 1e-6
         trace.append(_record(np.array([[10.0]]), [3.0], [4.0]))
         trace.append(_record(np.array([[10.0 + 2 * tol]]), [3.0], [4.0]))
         assert not detect_convergence(trace, tol)
 
     def test_price_movement_alone_blocks_convergence(self):
-        trace = IterationTrace()
+        trace = IterationTrace(np.array([25.0]))
         x = np.array([[10.0]])
         trace.append(_record(x, [3.0], [4.0]))
         trace.append(_record(x, [3.1], [4.0]))
         assert not detect_convergence(trace, 1e-6)
 
     def test_requires_two_iterates(self):
-        trace = IterationTrace()
+        trace = IterationTrace(np.array([25.0]))
         trace.append(_record(np.array([[10.0]]), [3.0], [4.0]))
         with pytest.raises(ValueError):
             detect_convergence(trace, 1e-6)
@@ -213,7 +210,8 @@ class TestTraceCsv:
 
 
 def reference_trace_csv(trace, path):
-    """The csv.writer loop ``to_csv`` replaced, kept as the byte reference."""
+    """The csv.writer loop ``to_csv`` replaced, kept as the byte reference.
+    Each cell's y and z are derived one at a time from x and the slot's b."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_COMMENT + "\n")
         writer = csv.writer(fh)
@@ -221,12 +219,14 @@ def reference_trace_csv(trace, path):
         for k, rec in enumerate(trace.records):
             n, t = rec.allocation.x.shape
             for slot in range(t):
+                b = np.float64(trace.b[slot])
                 for cust in range(n):
+                    x = np.float64(rec.allocation.x[cust, slot])
                     writer.writerow([
                         k, slot, cust,
-                        repr(float(rec.allocation.x[cust, slot])),
-                        repr(float(rec.allocation.y[cust, slot])),
-                        repr(float(rec.allocation.z[cust, slot])),
+                        repr(float(x)),
+                        repr(float(np.minimum(x, b))),
+                        repr(float(np.maximum(x, b))),
                         repr(float(rec.prices.p_l[slot])),
                         repr(float(rec.prices.p_u[slot])),
                         repr(float(rec.welfare)),
@@ -265,13 +265,13 @@ class TestTraceCsvGolden:
 
     def test_special_values_match_reference_writer(self, tmp_path):
         # integer arrays, numpy scalars, signed zero, tiny, huge and infinite values
-        alloc = Allocation(x=np.array([[3, 0], [1, 2]]),
-                           y=np.array([[-0.0, 1e-300], [1, 2]]),
-                           z=np.array([[1e22, 0.1], [2.5, math.inf]]))
         prices = PriceSchedule(p_l=[1, 2.0], p_u=np.array([3, -math.inf]))
-        trace = IterationTrace()
-        for welfare, change in ((7, math.nan), (np.float64(-0.0), np.float64(1e-17))):
-            trace.append(IterationRecord(alloc, prices, welfare, change))
+        trace = IterationTrace(np.array([2.5, 0.0]))
+        for x, welfare, change in (
+                (np.array([[3, 0], [1, 2]]), 7, math.nan),
+                (np.array([[1e-300, -0.0], [1e22, math.inf]]), np.float64(-0.0),
+                 np.float64(1e-17))):
+            trace.append(IterationRecord(Allocation(x), prices, welfare, change))
         trace.to_csv(tmp_path / "fast.csv")
         reference_trace_csv(trace, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -307,6 +307,35 @@ class TestTraceCsvGolden:
         trace.to_csv(tmp_path / "fast.csv")
         reference_trace_csv(trace, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+class TestTraceSplit:
+    """trace.csv derives the block split ``y = min(x, b)``, ``z = max(x, b)``
+    from each iterate's x and the run's per-slot b."""
+
+    @pytest.mark.parametrize("x,b,expected", [
+        (10.0, 25.0, (10.0, 25.0)),
+        (30.0, 25.0, (25.0, 30.0)),
+        (25.0, 25.0, (25.0, 25.0)),
+    ])
+    def test_examples(self, x, b, expected, tmp_path):
+        trace = IterationTrace(np.array([b]), [_record(np.array([[x]]), [1.0], [2.0])])
+        trace.to_csv(tmp_path / "trace.csv")
+        row = next(csv.DictReader((tmp_path / "trace.csv").read_text().splitlines()[1:]))
+        assert (float(row["y"]), float(row["z"])) == expected
+
+    def test_round_trip_exact(self, tmp_path):
+        # exact on this run: each iterate's x is the step's y + z - b, and the
+        # band never binds, so adding b back and taking it away again is exact
+        scenario = validate_scenario(straddling_document())
+        _, trace = run_market(scenario, RunConfig(gamma=0.3))
+        trace.to_csv(tmp_path / "trace.csv")
+        rows = list(csv.DictReader((tmp_path / "trace.csv").read_text().splitlines()[1:]))
+        assert len(rows) == len(trace) * 3 * 2
+        for row in rows:
+            x, y, z = float(row["x"]), float(row["y"]), float(row["z"])
+            b = float(scenario.blocks.b[int(row["slot"])])
+            assert y == min(x, b) and z == max(x, b) and y + z - b == x
 
 
 # Values that a writer caching one repr per value could mix up: both zeros,
@@ -347,19 +376,20 @@ def _scalar(draw):
 
 @st.composite
 def _traces(draw):
-    """A trace of one to three iterates whose y and z need not be the split of
-    x; cells are drawn from a small pool so values repeat within an iterate.
-    The shape may change from one iterate to the next."""
-    trace = IterationTrace()
-    shape = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    """A trace of one to three iterates; x and b are drawn from a small pool so
+    values repeat and tie within an iterate.  The number of customers may
+    change from one iterate to the next; b fixes the number of slots."""
+    t = draw(st.integers(1, 3))
+    b = draw(_cell_array((1, t)))[0]
+    trace = IterationTrace(b.tolist() if draw(st.booleans()) else b)
+    n = draw(st.integers(1, 4))
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
-            shape = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-        n, t = shape
-        x, y, z = (draw(_cell_array((n, t))) for _ in range(3))
+            n = draw(st.integers(1, 4))
+        x = draw(_cell_array((n, t)))
         p_l, p_u = draw(_cell_array((2, t)))
         prices = PriceSchedule(p_l=p_l.tolist() if draw(st.booleans()) else p_l, p_u=p_u)
-        trace.append(IterationRecord(Allocation(x=x, y=y, z=z), prices,
+        trace.append(IterationRecord(Allocation(x), prices,
                                      draw(_scalar()), draw(_scalar())))
     return trace
 
@@ -372,9 +402,8 @@ def trace_dir(tmp_path_factory):
 class TestTraceCsvProperties:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(_traces())
-    @example(IterationTrace([IterationRecord(
-        Allocation(x=np.array([[0.0, -0.0]]), y=np.array([[-0.0, 0.0]]),
-                   z=np.array([[math.nan, -math.nan]])),
+    @example(IterationTrace(np.array([0.0, -0.0]), [IterationRecord(
+        Allocation(np.array([[-0.0, 0.0], [math.nan, -math.nan]])),
         PriceSchedule(p_l=np.array([-0.0, 0.0]), p_u=np.array([0.0, -0.0])),
         -0.0, np.float64(0.0))]))
     def test_matches_reference_writer(self, trace_dir, trace):

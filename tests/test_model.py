@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from brpmarket import (
     CostParams,
     ScenarioError,
-    canonical_split,
     cost_value,
     load_scenario,
     utility_gradient,
@@ -36,6 +36,26 @@ class TestUtilityValue:
     def test_negative_consumption_rejected(self):
         with pytest.raises(ValueError):
             utility_value(-1.0, 40.0, 1.0)
+
+    def test_no_overflow_warning_below_satiation(self):
+        # the flat value w*w/(2*alpha) overflows for w = 1e300, but no cell
+        # here reaches satiation w/alpha = 1e306, so nothing overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = utility_value(np.array([0.0, 10.0]), 1e300, 1e-6)
+        assert val.tolist() == [0.0, 1e300 * 10.0 - 0.5 * 1e-6 * 10.0 * 10.0]
+
+    def test_matches_two_branch_formula_bitwise(self):
+        rng = np.random.default_rng(11)
+        w = rng.uniform(1.0, 100.0, size=(50, 6))
+        alpha = rng.uniform(0.1, 3.0, size=(50, 1))
+        x = rng.uniform(0.0, 2.0, size=(50, 6)) * w / alpha
+        x[::7] = (w / alpha)[::7]  # exactly at satiation
+        expected = np.where(x < w / alpha, w * x - 0.5 * alpha * x * x,
+                            w * w / (2.0 * alpha))
+        assert np.any(x >= w / alpha) and np.any(x < w / alpha)
+        assert np.array_equal(utility_value(x, w, alpha), expected)
+        assert utility_value(60.0, 40.0, 1.0) == 40.0 * 40.0 / 2.0
 
     def test_nondecreasing_and_midpoint_concave(self):
         rng = np.random.default_rng(7)
@@ -113,28 +133,6 @@ class TestCostValue:
         assert np.all(np.diff(v2) >= 0)
         jump = (cost_value(bn + 1e-12, bn, cost) - cost_value(bn, bn, cost))
         assert jump == pytest.approx((0.6 - 0.5) * bn**2, rel=1e-6)
-
-
-class TestCanonicalSplit:
-    @pytest.mark.parametrize("x,b,expected", [
-        (10.0, 25.0, (10.0, 25.0)),
-        (30.0, 25.0, (25.0, 30.0)),
-        (25.0, 25.0, (25.0, 25.0)),
-    ])
-    def test_examples(self, x, b, expected):
-        assert canonical_split(x, b) == expected
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0, 100, size=1000)
-        b = rng.uniform(1, 60, size=1000)
-        y, z = canonical_split(x, b)
-        # each pair is bitwise {x, b}; the reconstitution sum is then
-        # exact up to one rounding of x + b
-        assert np.all(((y == x) & (z == b)) | ((y == b) & (z == x)))
-        np.testing.assert_allclose(y + z - b, x, rtol=1e-15, atol=1e-13)
-        assert np.all(y <= b)
-        assert np.all(b <= z)
 
 
 class TestValidateScenario:

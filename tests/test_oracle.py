@@ -178,8 +178,7 @@ class TestCompareEquilibrium:
         from brpmarket import Allocation
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
         sol = solve_welfare_centralized(demo_scenario, tol=1e-6)
-        shifted = Allocation.from_consumption(report.allocation.x + 0.5,
-                                              demo_scenario.blocks)
+        shifted = Allocation(report.allocation.x + 0.5)
         bad = replace(report, allocation=shifted)
         cmp = compare_equilibrium(bad, sol)
         assert not cmp.passed

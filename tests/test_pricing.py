@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from brpmarket import (
-    Allocation,
-    BlockSchedule,
-    CostParams,
-    block_prices,
-    revenue,
-)
+from brpmarket import CostParams, block_prices
 
 
 def demand(first, second):
@@ -48,39 +42,14 @@ class TestBlockPrices:
         assert p2.p_u[0] == pytest.approx(2 * p1.p_u[0])
 
 
-class TestRevenue:
-    def test_no_sales_no_cost(self):
-        blocks = BlockSchedule(b=np.array([25.0]))
-        alloc = Allocation.from_consumption(np.zeros((2, 1)), blocks)
-        from brpmarket import PriceSchedule
-        prices = PriceSchedule(p_l=np.array([2.0]), p_u=np.array([5.0]))
-        assert revenue(alloc, prices, blocks, CostParams(0.5, 0.6)) == 0.0
-
-    def test_single_customer_first_block(self):
-        from brpmarket import PriceSchedule
-        blocks = BlockSchedule(b=np.array([25.0]))
-        alloc = Allocation.from_consumption(np.array([[10.0]]), blocks)
-        prices = PriceSchedule(p_l=np.array([2.0]), p_u=np.array([5.0]))
-        # 2*10 - 0.01*100
-        assert revenue(alloc, prices, blocks, CostParams(0.01, 0.01)) == pytest.approx(19.0)
-
-    def test_two_customers_spanning_blocks(self):
-        from brpmarket import PriceSchedule
-        blocks = BlockSchedule(b=np.array([25.0]))
-        alloc = Allocation.from_consumption(np.array([[30.0], [30.0]]), blocks)
-        prices = PriceSchedule(p_l=np.array([1.0]), p_u=np.array([2.0]))
-        # Y = 50, Z = 10, zero cost coefficients: 1*50 + 2*10
-        assert revenue(alloc, prices, blocks, CostParams(0.0, 0.0)) == pytest.approx(70.0)
-
-
 class TestAggregateDemand:
     def test_decomposition_identity(self):
         rng = np.random.default_rng(9)
-        blocks = BlockSchedule(b=rng.uniform(5, 40, size=4))
+        b = rng.uniform(5, 40, size=4)
         x = rng.uniform(0, 80, size=(3, 4))
-        alloc = Allocation.from_consumption(x, blocks)
-        first_block = alloc.y.sum(axis=0)
-        second_block = (alloc.z - blocks.b).sum(axis=0)
+        # the posted demand: first-block plus second-block energy per slot
+        first_block = np.minimum(x, b).sum(axis=0)
+        second_block = (np.maximum(x, b) - b).sum(axis=0)
         assert np.all(first_block >= -1e-12)
         assert np.all(second_block >= -1e-12)
         np.testing.assert_allclose(first_block + second_block, x.sum(axis=0),
