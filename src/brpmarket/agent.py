@@ -60,8 +60,13 @@ def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
     if not np.any(shift):
         return clipped
 
+    # Entries are measured from their row's maximum, so that an entry
+    # dwarfing the band cannot round the radius away in the sums below.
     rows, radius = x[shift], target[shift]
-    desc = -np.sort(-rows, axis=1)
+    desc = np.sort(rows, axis=1)[:, ::-1]
+    top = desc[:, :1].copy()
+    desc -= top
+    rows -= top
     excess = np.cumsum(desc, axis=1) - radius[:, None]
     # The entries still positive after the shift are a prefix of the sorted
     # row; the first always is, whatever rounding says.

@@ -1,8 +1,11 @@
 """Independent certification of the market equilibrium.
 
 Solves the centralized welfare problem by projected-gradient ascent with
-the segment-wise cost gradient, runs an exhaustive grid search for tiny
-instances, and compares either against a distributed run.
+the segment-wise cost gradient, runs a grid search for tiny instances, and
+compares either against a distributed run.  The grid search bounds the
+welfare of every cell of the grid in one pass, then evaluates cells best
+first and stops once no remaining cell can reach the best point found; its
+answer, ties included, is that of evaluating every point.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .pricing import block_prices
 
 BOUNDARY_TOL = 1e-6
 MAX_GRID_POINTS = 10**8
-_GRID_CHUNK = 131_072
+_GRID_CHUNK = 262_144
+_GRID_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -131,19 +135,27 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
     Each variable ranges over ``[0, w/alpha]`` at resolution ``grid_step``;
     points violating a customer's daily energy band are discarded.  Ties
     resolve to the lexicographically lowest allocation (first occurrence in
-    row-major enumeration over ascending axes).  The grid is walked in slabs
-    of whole rows of about ``_GRID_CHUNK`` points, each formed by
-    broadcasting the variables' axes against one another.
+    row-major enumeration over ascending axes).
 
-    A slab is skipped (branch and bound) when an upper bound on its welfare
-    lies below the best welfare found so far by more than a rounding margin.
-    The bound is each lead variable's largest utility over the slab's rows,
-    plus the largest over one row of the trailing axes of their utilities
-    minus the costs at the slab's smallest lead demand per slot.  Costs are
-    nondecreasing in demand (``0 <= beta1 <= beta2``) and the daily band is
-    ignored, so no point of the slab can beat the bound; a skipped slab
-    holds no point that reaches the best welfare, so the answer and its tie
-    rule (the strict ``>`` across slabs) are those of the full search.
+    The grid is split into cells: a slab of rows over the leading axes
+    (about ``_GRID_CHUNK`` points) times a block of ``_GRID_BLOCK``
+    consecutive points of the flattened trailing axes.  A bound pass over
+    the slabs bounds every cell's welfare from above: each lead variable's
+    largest utility over the slab's rows, plus the largest over the block of
+    the trailing utilities minus the costs at the slab's smallest lead
+    demand per slot.  Costs are nondecreasing in demand (``0 <= beta1 <=
+    beta2``), so no point of a cell can beat its bound.  The largest is
+    taken over the block's points that some lead row of the slab could
+    make feasible; a cell with none gets the bound ``-inf``.
+
+    Cells are then evaluated best first, in descending order of bound, each
+    by broadcasting its rows against its block, and the search stops at the
+    first cell whose bound is ``-inf`` or lies below the best welfare found
+    by more than a rounding margin (branch and bound).  No cell left
+    unevaluated holds a feasible point that reaches the best welfare, and a
+    point replaces the best only if its welfare is higher, or equal at a
+    lower row-major index, so the answer and its tie rule are those of the
+    full search.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -167,28 +179,44 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
                  for axis, (i, s) in zip(axes, variables)]
 
     # A slab is a block of whole rows over the first `lead` axes, flattened;
-    # the other axes (at most _GRID_CHUNK points a row) are broadcast.
+    # the other axes (at most _GRID_CHUNK points) form one trailing row.  A
+    # cell is a slab's rows times _GRID_BLOCK consecutive points of the
+    # flattened trailing row.
     lead = next(k for k in range(1, len(sizes) + 1)
                 if math.prod(sizes[k:]) <= _GRID_CHUNK)
     inner = math.prod(sizes[lead:])
     outer, rows = total_points // inner, _GRID_CHUNK // inner
+    starts = np.arange(0, inner, _GRID_BLOCK)
 
     block_total = scenario.blocks.b * n
     costs = [CostParams(scenario.cost.beta1[s], scenario.cost.beta2[s])
              for s in range(t)]
     in_slot = [[j for j, (_, cs) in enumerate(variables) if cs == s]
                for s in range(t)]
+    own = [[j for j, (ci, _) in enumerate(variables) if ci == i]
+           for i in range(n)]
+    band_lo, band_hi = scenario.d_min - 1e-9, scenario.d_max + 1e-9
 
-    # One row of the trailing axes, broadcast against each other; a slab
-    # broadcasts it against its lead rows.
+    # The trailing row's axes broadcast against each other, and the axis
+    # indices of each of its points in row-major order.
     row = np.ogrid[tuple(slice(size) for size in sizes[lead:])]
     row_xs = [axis[k] for axis, k in zip(axes[lead:], row)]
-    row_us = [u[k] for u, k in zip(utilities[lead:], row)]
-    as_rows = (-1,) + (1,) * len(row)
+    row_utility = sum((u[k] for u, k in zip(utilities[lead:], row)),
+                      np.zeros(sizes[lead:]))
+    flat_row = [k.ravel() for k in np.indices(sizes[lead:])]
 
-    def slot_demands(lead_demand):
-        # per slot: the lead axes' sum, then the row's axes, in the grid's order
-        return [sum((row_xs[j - lead] for j in in_slot[s] if j >= lead),
+    def slab_values(slab):
+        lead_idx = np.unravel_index(
+            np.arange(slab * rows, min(slab * rows + rows, outer)), sizes[:lead])
+        lead_xs = [axis[k] for axis, k in zip(axes, lead_idx)]
+        lead_us = [u[k] for u, k in zip(utilities, lead_idx)]
+        lead_demand = [sum(lead_xs[j] for j in in_slot[s] if j < lead)
+                       for s in range(t)]
+        return lead_xs, lead_us, lead_demand
+
+    def slot_demands(lead_demand, trailing_xs):
+        # per slot: the lead axes' sum, then the trailing axes, in the grid's order
+        return [sum((trailing_xs[j - lead] for j in in_slot[s] if j >= lead),
                     lead_demand[s]) for s in range(t)]
 
     # Rounding margin of the bound.  A welfare, of a grid point or a bound,
@@ -199,56 +227,87 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
     # same computed values, and its slot demand adds the same trailing values
     # in the same order to the smallest rounded lead sum, so (rounded sums
     # and products being monotone) its cost is at most the point's.  Every
-    # point of a slab whose bound lies below `best - margin` is therefore
+    # point of a cell whose bound lies below `best - margin` is therefore
     # below `best` by more than margin - 10*eps*scale > 0, and skipping the
-    # slab cannot change the argmax or its tie-break.
+    # cell cannot change the argmax or its tie-break.
     scale = (sum(float(np.max(np.abs(u))) for u in utilities)
              + sum(costs[s].beta2 * sum(axes[j][-1] for j in in_slot[s]) ** 2
                    for s in range(t)))
     margin = 1e-12 * scale
 
-    best_welfare = -np.inf
-    best_point = None
-    for start in range(0, outer, rows):
-        lead_idx = np.unravel_index(np.arange(start, min(start + rows, outer)),
-                                    sizes[:lead])
-        lead_xs = [axis[k] for axis, k in zip(axes, lead_idx)]
-        lead_us = [u[k] for u, k in zip(utilities, lead_idx)]
-        lead_demand = [sum(lead_xs[j] for j in in_slot[s] if j < lead)
-                       for s in range(t)]
+    # A customer's daily total at a point is its lead part plus its
+    # trailing part, sums of at most three values no larger than its
+    # largest total `reach`; the bound pass and the search round them
+    # differently, by far less than `daily_margin`.  A customer whose band
+    # holds every total cuts off no point.
+    reach = [sum(axes[j][-1] for j in own[i]) for i in range(n)]
+    daily_margin = [1e-12 * r for r in reach]
+    binding = [i for i in range(n)
+               if band_lo[i] > 0 or band_hi[i] < reach[i] + daily_margin[i]]
+    trailing_daily = [sum(row_xs[j - lead] for j in own[i] if j >= lead)
+                      for i in range(n)]
 
-        # the slab's welfare bound, taken over one row
-        row_welfare = sum(row_us)
-        for s, demand in enumerate(slot_demands([np.min(d) for d in lead_demand])):
+    # Bound pass: each cell's welfare bound, the slab's lead-utility maxima
+    # plus the block's largest row welfare at the slab's smallest lead
+    # demand, taken over the row points whose daily totals lie in every band
+    # for some lead part of the slab (-inf if there are none).
+    bounds = np.empty((-(-outer // rows), len(starts)))
+    for slab in range(len(bounds)):
+        lead_xs, lead_us, lead_demand = slab_values(slab)
+        row_welfare = row_utility.copy()
+        for s, demand in enumerate(slot_demands([np.min(d) for d in lead_demand],
+                                                row_xs)):
             row_welfare -= cost_value(demand, block_total[s], costs[s])
-        bound = sum(float(np.max(u)) for u in lead_us) + float(np.max(row_welfare))
-        if bound < best_welfare - margin:
-            continue
+        for i in binding:
+            lead_daily = sum(lead_xs[j] for j in own[i] if j < lead)
+            np.copyto(row_welfare, -np.inf, where=(
+                (np.min(lead_daily) + trailing_daily[i] > band_hi[i] + daily_margin[i])
+                | (np.max(lead_daily) + trailing_daily[i] < band_lo[i] - daily_margin[i])))
+        bounds[slab] = (sum(float(np.max(u)) for u in lead_us)
+                        + np.maximum.reduceat(row_welfare.ravel(), starts))
 
-        xs = [x.reshape(as_rows) for x in lead_xs] + row_xs
+    # Best-first search: cells in descending order of bound, until a cell
+    # has no feasible point or a bound below the best welfare by more than
+    # the margin.  As cells are visited out of row-major order, a tie goes
+    # to the lower row-major index.
+    best_welfare, best_index = -np.inf, None
+    for cell in np.argsort(-bounds, axis=None):
+        bound = bounds.flat[cell]
+        if bound == -np.inf or bound < best_welfare - margin:
+            break
+        slab, block = divmod(int(cell), len(starts))
+        first = block * _GRID_BLOCK
+        cols = [k[first:first + _GRID_BLOCK] for k in flat_row]
+        lead_xs, lead_us, lead_demand = slab_values(slab)
+        cell_xs = [axis[k] for axis, k in zip(axes[lead:], cols)]
+
+        xs = [x.reshape(-1, 1) for x in lead_xs] + cell_xs
         feasible = True
         for i in range(n):
-            daily = sum(xs[j] for j, (ci, _) in enumerate(variables) if ci == i)
-            feasible = (feasible & (daily >= scenario.d_min[i] - 1e-9)
-                        & (daily <= scenario.d_max[i] + 1e-9))
+            daily = sum(xs[j] for j in own[i])
+            feasible = feasible & (daily >= band_lo[i]) & (daily <= band_hi[i])
         if not np.any(feasible):
             continue
 
         # utilities in variable order, then costs in slot order
-        welfare = sum([u.reshape(as_rows) for u in lead_us] + row_us)
-        demands = slot_demands([np.reshape(d, as_rows) for d in lead_demand])
-        for s, demand in enumerate(demands):
+        welfare = sum([u.reshape(-1, 1) for u in lead_us]
+                      + [u[k] for u, k in zip(utilities[lead:], cols)])
+        for s, demand in enumerate(slot_demands(
+                [np.reshape(d, (-1, 1)) for d in lead_demand], cell_xs)):
             welfare -= cost_value(demand, block_total[s], costs[s])
         np.copyto(welfare, -np.inf, where=~feasible)
 
         j_best = int(np.argmax(welfare))
-        if welfare.flat[j_best] > best_welfare:
-            best_welfare = float(welfare.flat[j_best])
-            at = np.unravel_index(start * inner + j_best, sizes)
-            best_point = [float(axis[k]) for axis, k in zip(axes, at)]
+        r, c = divmod(j_best, welfare.shape[1])
+        index = (slab * rows + r) * inner + first + c
+        value = float(welfare.flat[j_best])
+        if value > best_welfare or (value == best_welfare and index < best_index):
+            best_welfare, best_index = value, index
 
-    if best_point is None:
+    if best_index is None:
         raise ValueError("no feasible grid point (daily band narrower than grid)")
+    at = np.unravel_index(best_index, sizes)
+    best_point = [float(axis[k]) for axis, k in zip(axes, at)]
 
     # variables run customer-major, the row-major order of x
     alloc = Allocation(np.reshape(best_point, (n, t)))

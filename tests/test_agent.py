@@ -145,6 +145,23 @@ class TestProjectProfile:
         floor = project_band(-raw, 8.0, 100.0)
         np.testing.assert_allclose(floor, 2.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("raw, expected", [
+        ([1e17], [10.0]),
+        ([4e299], [10.0]),
+        ([1e17, 5.0, 1e17 - 64], [10.0, 0.0, 0.0]),
+    ])
+    def test_entry_dwarfing_the_band(self, raw, expected):
+        # the cap of 10 must survive sums whose terms are of order 1e17 or more
+        np.testing.assert_array_equal(project_row(raw, 0.0, 10.0), expected)
+
+    def test_run_with_willingness_dwarfing_the_band(self):
+        # the first step lands near 4e299; its projection must keep the cap
+        scen = single_customer_scenario(w=1e300, alpha=1e-6, d_max=10.0, beta=0.5)
+        report, _ = run_market(scen, RunConfig(gamma=0.4))
+        assert report.converged
+        assert report.allocation.x.tolist() == [[10.0]]
+        assert report.welfare == 1e301
+
     def test_infeasible_band_rejected(self):
         with pytest.raises(ValueError, match="d_min exceeds d_max"):
             project_band(np.array([[1.0]]), 5.0, 2.0)

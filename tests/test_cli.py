@@ -172,6 +172,16 @@ class TestVerifyCommand:
         # demo's raw-welfare argmax is on the cost-segment boundary
         assert payload["grid"]["boundary_degenerate"] is True
 
+    def test_demo_grid_section_at_default_step(self, demo_file, tmp_path):
+        # the grid oracle's answer at the default --grid-step 0.01, pinned to
+        # the values of the unpruned search
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(demo_file), "--out", str(out)]) == 0
+        payload = json.loads((out / "comparison.json").read_text())
+        assert payload["grid"] == {"allocation_gap": 6.250000000555708,
+                                   "boundary_degenerate": True, "pass": False,
+                                   "welfare_gap": 29.296875005209586}
+
     def test_perturbation_injection_fails(self, demo_file, tmp_path):
         code = main(["verify", "--scenario", str(demo_file),
                      "--grid-step", "0.05",

@@ -137,6 +137,12 @@ class TestBruteForce:
         grid = brute_force_welfare(demo_scenario, 0.05)
         assert report.welfare <= grid.welfare + 1e-6
 
+    def test_demo_at_cli_default_step(self, demo_scenario):
+        grid = brute_force_welfare(demo_scenario, 0.01)
+        assert grid.allocation.x.tolist() == [[10.0], [40.0]]
+        assert grid.welfare == 2100.0
+        assert grid.boundary_degenerate is True
+
     def test_demo_true_welfare_argmax_is_boundary(self, demo_scenario):
         # with beta2 > beta1 and mixed blocks, the raw welfare maximizer
         # sits exactly at the aggregate segment boundary D = bN
@@ -257,19 +263,37 @@ GRID_INSTANCES = [
 ]
 
 
+# (_GRID_CHUNK, _GRID_BLOCK): the default cells; slabs of several rows, of
+# single rows over the first one or two axes, and of a few points; blocks
+# of a few points and of one
+GRID_SPLITS = list(itertools.product(
+    (oracle._GRID_CHUNK, 1000, 150, 12, 3), (oracle._GRID_BLOCK, 7, 3, 1)))
+
+
 class TestBruteForceAgainstEnumeration:
     @pytest.mark.parametrize("scenario, grid_step, has_property", GRID_INSTANCES)
     def test_same_welfare_and_allocation(self, scenario, grid_step, has_property,
                                          monkeypatch):
         welfare, x, ties, infeasible = naive_grid(scenario, grid_step)
         assert has_property(x, ties, infeasible)
-        # the default slab, then slabs of several rows, of single rows over
-        # the first one or two axes, and of a few points
-        for chunk in (oracle._GRID_CHUNK, 1000, 150, 12, 3):
+        for chunk, block in GRID_SPLITS:
             monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
+            monkeypatch.setattr(oracle, "_GRID_BLOCK", block)
             sol = brute_force_welfare(scenario, grid_step)
             assert sol.welfare == welfare
             assert sol.allocation.x.tolist() == x.tolist()
+
+    @pytest.mark.parametrize("chunk, block", [(32, 1), (32, 7), (12, 3), (3, 1)])
+    def test_tie_goes_to_lower_index_across_cells(self, chunk, block, monkeypatch):
+        # slabs of one row of the 32 x 32 grid, or of a few points: the tied
+        # points (1.5, 1.6) and (1.6, 1.5) of 2x1-ties lie in different
+        # cells, and the cell of (1.6, 1.5), later in row-major order, is
+        # evaluated first
+        scenario, grid_step, _ = GRID_INSTANCES[2].values
+        monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
+        monkeypatch.setattr(oracle, "_GRID_BLOCK", block)
+        sol = brute_force_welfare(scenario, grid_step)
+        assert sol.allocation.x.tolist() == [[1.5], [1.6]]
 
 
 # grid axes per variable for N*T = 1, 2, 3, so each grid has at most ~1000 points
@@ -324,9 +348,10 @@ class TestBruteForcePruningProperties:
                            b=12.5, beta1=0.3, beta2=0.9))  # demand crosses bN
     def test_matches_enumeration(self, scenario):
         welfare, x, _, _ = naive_grid(scenario, 1.0)
-        for chunk in (oracle._GRID_CHUNK, 1000, 150, 12, 3):
+        for chunk, block in GRID_SPLITS:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle, "_GRID_CHUNK", chunk)
+                mp.setattr(oracle, "_GRID_BLOCK", block)
                 if welfare == -np.inf:
                     with pytest.raises(ValueError, match="no feasible grid point"):
                         brute_force_welfare(scenario, 1.0)
