@@ -32,7 +32,6 @@ from .market import (
     IterationTrace,
     RunConfig,
     default_step_size,
-    detect_convergence,
     run_market,
     social_welfare,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "IterationTrace", "KktMultipliers", "KktResidual", "OracleSolution",
     "PriceSchedule", "RunConfig", "Scenario", "ScenarioError",
     "block_prices", "brute_force_welfare", "compare_equilibrium",
-    "cost_value", "default_step_size", "detect_convergence", "kkt_residual",
+    "cost_value", "default_step_size", "kkt_residual",
     "load_scenario", "net_utility", "project_band", "recover_multipliers",
     "run_market", "social_welfare", "solve_welfare_centralized",
     "step_profile", "utility_gradient", "utility_value", "validate_scenario",

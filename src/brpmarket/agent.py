@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
+from .model import Allocation, PriceSchedule, Scenario, _gradient, utility_gradient, utility_value
 
 # A per-slot bound (x = b, x = 0) counts as active within this margin.
 _ACTIVE_TOL = 1e-9
@@ -48,21 +48,21 @@ def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
     dimensions", ICML 2008).
     """
     x = np.asarray(x, dtype=float)
-    n, t = x.shape
-    d_min = np.broadcast_to(np.asarray(d_min, dtype=float), (n,))
-    d_max = np.broadcast_to(np.asarray(d_max, dtype=float), (n,))
-    if np.any(d_min > d_max):
-        raise ValueError("infeasible constraint set: d_min exceeds d_max")
     clipped = np.maximum(x, 0.0)
     total = clipped.sum(axis=1)
-    target = np.clip(total, d_min, d_max)
-    shift = total != target
+    # NaN sums and bounds shift; so does every row with d_min > d_max, checked below
+    shift = ~((d_min <= total) & (total <= d_max))
     if not np.any(shift):
         return clipped
+    n, t = x.shape
+    d_min = np.broadcast_to(np.asarray(d_min, dtype=float), (n,))[shift]
+    d_max = np.broadcast_to(np.asarray(d_max, dtype=float), (n,))[shift]
+    if np.any(d_min > d_max):
+        raise ValueError("infeasible constraint set: d_min exceeds d_max")
 
     # Entries are measured from their row's maximum, so that an entry
     # dwarfing the band cannot round the radius away in the sums below.
-    rows, radius = x[shift], target[shift]
+    rows, radius = x[shift], np.clip(total[shift], d_min, d_max)
     desc = np.sort(rows, axis=1)[:, ::-1]
     top = desc[:, :1].copy()
     desc -= top
@@ -92,12 +92,12 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     each customer's daily band.  Returns the new (N, T) consumption.  An
     overflowing step raises ``FloatingPointError``, without numpy's overflow
     warnings, before the projection, which would clip a ``-inf`` entry to 0
-    unnoticed.
+    unnoticed.  ``x`` must be nonnegative, as every projected iterate is; unchecked.
     """
     if gamma < 0:
         raise ValueError("step size must be nonnegative")
     b = scenario.blocks.b
-    grad = utility_gradient(x, scenario.w, scenario.alpha)
+    grad = _gradient(x, scenario.w, scenario.alpha, scenario.satiation)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         y = np.minimum(np.minimum(x, b) + gamma * (grad - prices.p_l), b)
         z = np.maximum(np.maximum(x, b) + gamma * (grad - prices.p_u), b)

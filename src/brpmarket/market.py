@@ -8,12 +8,13 @@ constraints stay enforced throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agent import step_profile, worst_kkt_residual
-from .model import Allocation, PriceSchedule, Scenario, cost_value, utility_value
+from .model import Allocation, PriceSchedule, Scenario, _nonnegative, _utility, cost_value
 from .pricing import block_prices
 
 TRACE_COMMENT = (
@@ -35,17 +36,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Step size, convergence tolerance and iteration cap for a market run."""
+    """Step size, convergence tolerance and iteration cap for a market run,
+    which stops once allocation and prices both move by less than ``tol``."""
 
     gamma: float
     tol: float = 1e-6
     max_iter: int = 50000
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.gamma < math.inf:  # false for NaN too
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -139,24 +141,15 @@ class EquilibriumReport:
 
 def social_welfare(alloc: Allocation, scenario: Scenario) -> float:
     """Total customer utility minus total production cost."""
-    total = float(np.sum(utility_value(alloc.x, scenario.w, scenario.alpha)))
-    demand = alloc.x.sum(axis=0)
+    return _welfare(_nonnegative(alloc.x, "consumption"), scenario)
+
+
+def _welfare(x: np.ndarray, scenario: Scenario) -> float:
+    """:func:`social_welfare` of consumption ``x >= 0``; unchecked."""
+    total = float(np.sum(_utility(x, scenario.w, scenario.alpha, scenario.satiation)))
     block_total = scenario.blocks.b * scenario.num_customers
-    total -= float(np.sum(cost_value(demand, block_total, scenario.cost)))
+    total -= float(np.sum(cost_value(x.sum(axis=0), block_total, scenario.cost)))
     return total
-
-
-def detect_convergence(trace: IterationTrace, tol: float) -> bool:
-    """True iff both allocation and prices settled over the last iterate."""
-    if len(trace) < 2:
-        raise ValueError("need at least two iterates to detect convergence")
-    prev, cur = trace[-2], trace[-1]
-    alloc_change = float(np.max(np.abs(cur.allocation.x - prev.allocation.x)))
-    price_change = max(
-        float(np.max(np.abs(cur.prices.p_l - prev.prices.p_l))),
-        float(np.max(np.abs(cur.prices.p_u - prev.prices.p_u))),
-    )
-    return alloc_change < tol and price_change < tol
 
 
 def default_step_size(scenario: Scenario) -> float:
@@ -171,10 +164,10 @@ def default_step_size(scenario: Scenario) -> float:
     return 0.5 / (alpha_max + 2.0 * beta_max * scenario.num_customers)
 
 
-def _posted_prices(alloc: Allocation, scenario: Scenario) -> PriceSchedule:
+def _posted_prices(x: np.ndarray, scenario: Scenario) -> PriceSchedule:
     """Block prices at the demand the supplier sells: first-block energy
     plus second-block energy, summed over customers per slot."""
-    x, b = alloc.x, scenario.blocks.b
+    b = scenario.blocks.b
     demand = np.minimum(x, b).sum(axis=0) + (np.maximum(x, b) - b).sum(axis=0)
     return block_prices(demand, scenario.cost)
 
@@ -189,43 +182,42 @@ def run_market(scenario: Scenario, config: RunConfig):
     x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
 
     trace = IterationTrace(scenario.blocks.b)
-    alloc = Allocation(x)
-    prices = _posted_prices(alloc, scenario)
-    trace.append(IterationRecord(alloc, prices, social_welfare(alloc, scenario),
+    prices = _posted_prices(x, scenario)
+    trace.append(IterationRecord(Allocation(x), prices, _welfare(x, scenario),
                                  float("nan")))
 
-    converged = False
-    iterations = 0
+    converged, iterations = False, 0
     for k in range(1, config.max_iter + 1):
         try:
             new_x = step_profile(x, prices, config.gamma, scenario)
         except FloatingPointError:
             raise DivergenceError(k) from None
-        new_alloc = Allocation(new_x)
+        # x is finite, so the change is finite iff the new iterate is
+        max_change = float(np.max(np.abs(new_x - x)))
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            new_prices = _posted_prices(new_alloc, scenario)
-            welfare = social_welfare(new_alloc, scenario)
-        if not (np.all(np.isfinite(new_x))
+            new_prices = _posted_prices(new_x, scenario)
+            welfare = _welfare(new_x, scenario)
+        if not (math.isfinite(max_change)
                 and np.all(np.isfinite(new_prices.p_l))
                 and np.all(np.isfinite(new_prices.p_u))
-                and np.isfinite(welfare)):
+                and math.isfinite(welfare)):
             raise DivergenceError(k)
 
-        max_change = float(np.max(np.abs(new_x - x)))
-        trace.append(IterationRecord(new_alloc, new_prices, welfare, max_change))
-        x, alloc, prices = new_x, new_alloc, new_prices
-        iterations = k
-        if detect_convergence(trace, config.tol):
-            converged = True
+        trace.append(IterationRecord(Allocation(new_x), new_prices, welfare, max_change))
+        converged = (max_change < config.tol
+                     and float(np.max(np.abs(new_prices.p_l - prices.p_l))) < config.tol
+                     and float(np.max(np.abs(new_prices.p_u - prices.p_u))) < config.tol)
+        x, prices, iterations = new_x, new_prices, k
+        if converged:
             break
 
     report = EquilibriumReport(
         converged=converged,
         iterations=iterations,
-        allocation=alloc,
+        allocation=trace[-1].allocation,
         prices=prices,
-        welfare=social_welfare(alloc, scenario),
-        worst_kkt_residual=worst_kkt_residual(scenario, alloc, prices),
+        welfare=trace[-1].welfare,
+        worst_kkt_residual=worst_kkt_residual(scenario, trace[-1].allocation, prices),
         scenario_fingerprint=scenario.fingerprint(),
     )
     return report, trace

@@ -61,11 +61,7 @@ class Customer:
     alpha: float        # satiation coefficient (utils/kWh^2)
     d_min: float        # minimum daily energy (kWh)
     d_max: float        # maximum daily energy (kWh)
-
-    @property
-    def satiation(self) -> np.ndarray:
-        """Per-slot consumption level beyond which utility is flat."""
-        return self.w / self.alpha
+    satiation: np.ndarray  # per-slot level w/alpha beyond which utility is flat
 
 
 @dataclass(frozen=True)
@@ -120,9 +116,15 @@ class Scenario:
     def customers(self) -> tuple[Customer, ...]:
         """One :class:`Customer` per row of the stacked arrays."""
         return tuple(Customer(id=int(i), w=w, alpha=float(a), d_min=float(lo),
-                              d_max=float(hi))
-                     for i, w, a, lo, hi in zip(self.ids, self.w, self.alpha[:, 0],
-                                                self.d_min, self.d_max))
+                              d_max=float(hi), satiation=sat)
+                     for i, w, a, lo, hi, sat in zip(self.ids, self.w, self.alpha[:, 0],
+                                                     self.d_min, self.d_max,
+                                                     self.satiation))
+
+    @cached_property
+    def satiation(self) -> np.ndarray:
+        """Per-slot consumption ``w/alpha`` beyond which utility is flat, (N, T)."""
+        return self.w / self.alpha
 
     def fingerprint(self) -> str:
         """Stable digest of all scenario data, used to match solver outputs."""
@@ -144,6 +146,13 @@ class Allocation:
     x: np.ndarray       # consumption, shape (N, T)
 
 
+def _nonnegative(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if np.any(values < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    return values
+
+
 def utility_value(x, w, alpha):
     """Customer utility of consumption.
 
@@ -151,17 +160,20 @@ def utility_value(x, w, alpha):
     flat at ``w**2 / (2*alpha)`` beyond it.  Continuous, nondecreasing and
     concave, with zero utility at zero consumption.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("consumption must be nonnegative")
     w = np.asarray(w, dtype=float)
+    val = _utility(_nonnegative(x, "consumption"), w, alpha, w / alpha)
+    return float(val) if val.ndim == 0 else val
+
+
+def _utility(x, w, alpha, satiation) -> np.ndarray:
+    """:func:`utility_value` of ``x >= 0``, given ``satiation = w/alpha``; unchecked."""
     val = np.asarray(w * x - 0.5 * alpha * x * x)
     # the flat value only where it is used: w*w overflows for w past ~1e154
-    flat = ~(x < w / alpha)
+    flat = ~(x < satiation)
     if flat.any():
         w_flat = np.broadcast_to(w, val.shape)[flat]
         val[flat] = w_flat * w_flat / (2.0 * np.broadcast_to(alpha, val.shape)[flat])
-    return float(val) if val.ndim == 0 else val
+    return val
 
 
 def utility_gradient(x, w, alpha):
@@ -170,12 +182,14 @@ def utility_gradient(x, w, alpha):
     The subgradient at the kink is taken on the saturated side (0) so a
     gradient step never pushes consumption past satiation.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("consumption must be nonnegative")
     w = np.asarray(w, dtype=float)
-    grad = np.where(x < w / alpha, w - alpha * x, 0.0)
+    grad = _gradient(_nonnegative(x, "consumption"), w, alpha, w / alpha)
     return float(grad) if grad.ndim == 0 else grad
+
+
+def _gradient(x, w, alpha, satiation) -> np.ndarray:
+    """:func:`utility_gradient` of ``x >= 0``, given ``satiation = w/alpha``; unchecked."""
+    return np.where(x < satiation, w - alpha * x, 0.0)
 
 
 def cost_value(demand, block_total, cost: CostParams):
@@ -247,24 +261,6 @@ def validate_scenario(doc: dict) -> Scenario:
         seen.add(cid)
         rows.append((cid, w, alpha, d_min, d_max))
 
-    ids, ws, alphas, d_mins, d_maxs = zip(*rows)
-    w, alpha, d_min = np.stack(ws), np.array(alphas)[:, None], np.array(d_mins)
-    with np.errstate(over="ignore"):  # an overflow is rejected just below
-        satiation = w / alpha
-        total_satiation = satiation.sum(axis=1)
-    overflowed = ~np.isfinite(satiation).all(axis=1)
-    bad = np.flatnonzero(overflowed | (d_min > total_satiation))
-    if bad.size:
-        idx = bad[0]
-        if overflowed[idx]:
-            raise ScenarioError(
-                f"customers[{idx}]: satiation w/alpha must be finite, overflows in "
-                f"slots {np.flatnonzero(~np.isfinite(satiation[idx])).tolist()}")
-        raise ScenarioError(
-            f"customers[{idx}]: infeasible scenario, d_min exceeds the total "
-            f"satiation energy sum(w/alpha) = {float(total_satiation[idx])!r}"
-        )
-
     blocks_doc = doc.get("blocks")
     if not isinstance(blocks_doc, dict):
         raise ScenarioError("blocks: must be an object with field b")
@@ -285,8 +281,26 @@ def validate_scenario(doc: dict) -> Scenario:
         raise ScenarioError("cost.beta2: must be at least beta1 in every slot, got "
                             f"beta2 < beta1 in slots {np.flatnonzero(beta2 < beta1).tolist()}")
 
-    return Scenario(ids=np.array(ids), w=w, alpha=alpha, d_min=d_min, d_max=np.array(d_maxs),
-                    blocks=BlockSchedule(b=b), cost=CostParams(beta1=beta1, beta2=beta2))
+    ids, ws, alphas, d_mins, d_maxs = zip(*rows)
+    scenario = Scenario(ids=np.array(ids), w=np.stack(ws), alpha=np.array(alphas)[:, None],
+                        d_min=np.array(d_mins), d_max=np.array(d_maxs),
+                        blocks=BlockSchedule(b=b), cost=CostParams(beta1=beta1, beta2=beta2))
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        satiation = scenario.satiation
+        total_satiation = satiation.sum(axis=1)
+    overflowed = ~np.isfinite(satiation).all(axis=1)
+    bad = np.flatnonzero(overflowed | (scenario.d_min > total_satiation))
+    if bad.size:
+        idx = bad[0]
+        if overflowed[idx]:
+            raise ScenarioError(
+                f"customers[{idx}]: satiation w/alpha must be finite, overflows in "
+                f"slots {np.flatnonzero(~np.isfinite(satiation[idx])).tolist()}")
+        raise ScenarioError(
+            f"customers[{idx}]: infeasible scenario, d_min exceeds the total "
+            f"satiation energy sum(w/alpha) = {float(total_satiation[idx])!r}"
+        )
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

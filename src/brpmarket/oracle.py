@@ -72,12 +72,6 @@ def _is_boundary_degenerate(alloc: Allocation, scenario: Scenario) -> bool:
     return bool(np.any(np.abs(demand - block_total) < BOUNDARY_TOL))
 
 
-def _marginal_cost_residual(scenario: Scenario, x: np.ndarray) -> float:
-    """Worst KKT residual of consumption ``x`` against the marginal costs."""
-    marginal = block_prices(x.sum(axis=0), scenario.cost)
-    return worst_kkt_residual(scenario, Allocation(x), marginal)
-
-
 def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
                               gamma: float | None = None,
                               max_iter: int = 200000,
@@ -100,22 +94,24 @@ def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
     # Stop stepping once allocation movement is well below what a
     # tol-sized residual would produce, then measure the residual itself.
     step_tol = 0.1 * gamma * tol
+    marginal = block_prices(x.sum(axis=0), scenario.cost)
     for k in range(1, max_iter + 1):
-        marginal = block_prices(x.sum(axis=0), scenario.cost)
         try:
             new_x = step_profile(x, marginal, gamma, scenario)
         except FloatingPointError:
             raise DivergenceError(k) from None
-        if not np.all(np.isfinite(new_x)):
-            raise DivergenceError(k)
+        # x is finite, so the change is finite iff the new iterate is
         change = float(np.max(np.abs(new_x - x)))
+        if not math.isfinite(change):
+            raise DivergenceError(k)
         x = new_x
+        marginal = block_prices(x.sum(axis=0), scenario.cost)
         if change < step_tol:
-            residual = _marginal_cost_residual(scenario, x)
+            residual = worst_kkt_residual(scenario, Allocation(x), marginal)
             if residual < tol:
                 break
     else:
-        residual = _marginal_cost_residual(scenario, x)
+        residual = worst_kkt_residual(scenario, Allocation(x), marginal)
 
     alloc = Allocation(x)
     return OracleSolution(
@@ -166,8 +162,7 @@ def brute_force_welfare(scenario: Scenario, grid_step: float) -> OracleSolution:
     variables = [(i, s) for i in range(n) for s in range(t)]
     # size the grid before materializing any axis; an axis is counted up to
     # one point past the budget, as its length may overflow to inf
-    satiation = scenario.w / scenario.alpha
-    stops = [satiation[i, s] + 0.5 * grid_step for i, s in variables]
+    stops = [scenario.satiation[i, s] + 0.5 * grid_step for i, s in variables]
     sizes = [math.ceil(min(float(stop) / grid_step, MAX_GRID_POINTS + 1))
              for stop in stops]
     total_points = math.prod(sizes)

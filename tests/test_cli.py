@@ -9,6 +9,7 @@ import pytest
 
 from brpmarket import cli
 from brpmarket.cli import demo_scenario_document, main
+from test_market import welfare_overflow_document
 
 
 @pytest.fixture()
@@ -102,6 +103,15 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "error: market iteration diverged at iteration 1"]
+
+    def test_welfare_only_overflow_exits_2(self, tmp_path, capsys):
+        scen = tmp_path / "welfare_overflow.json"
+        scen.write_text(json.dumps(welfare_overflow_document()))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: market iteration diverged at iteration 1"]
+        assert not out.exists()
 
     def test_byte_identical_outputs(self, demo_file, tmp_path):
         outs = []
@@ -284,6 +294,23 @@ class TestBadOptionValues:
         out = tmp_path / "out"
         self.assert_rejected(["sweep", "--scenario", str(demo_file),
                               "--gammas=0.1,-1", "--out", str(out)], out, capsys)
+
+    @pytest.mark.parametrize("command, option, name", [
+        ("run", "--gamma=nan", "gamma"), ("run", "--gamma=inf", "gamma"),
+        ("run", "--tol=nan", "tol"), ("run", "--tol=inf", "tol"),
+        ("demo", "--gamma=inf", "gamma"), ("sweep", "--gammas=nan,0.1", "gamma"),
+        ("sweep", "--tol=inf", "tol"), ("verify", "--gamma=nan", "gamma"),
+    ])
+    def test_non_finite_option(self, command, option, name, demo_file, tmp_path,
+                               capsys):
+        out = tmp_path / "out"
+        argv = [command, option, "--out", str(out)]
+        if command != "demo":
+            argv += ["--scenario", str(demo_file)]
+        if command == "sweep" and name == "tol":
+            argv.append("--gammas=0.1")
+        self.assert_rejected(argv, out, capsys,
+                             reason=f"{name} must be positive and finite")
 
     def test_verify_zero_grid_step(self, demo_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -16,7 +16,6 @@ from brpmarket import (
     RunConfig,
     brute_force_welfare,
     default_step_size,
-    detect_convergence,
     run_market,
     social_welfare,
     validate_scenario,
@@ -24,6 +23,15 @@ from brpmarket import (
 from brpmarket import cli
 from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT
 from conftest import make_scenario, single_customer_scenario
+
+
+def welfare_overflow_document():
+    """One customer whose first step at the default step size is finite,
+    as are its prices, but whose utility overflows."""
+    return {"num_slots": 1,
+            "customers": [{"id": 0, "w": [1e200], "alpha": 1e-100, "d_min": 0.0,
+                           "d_max": 1e300}],
+            "blocks": {"b": 25.0}, "cost": {"beta1": 0.5, "beta2": 0.6}}
 
 
 class TestSocialWelfare:
@@ -121,6 +129,13 @@ class TestRunMarket:
             run_market(validate_scenario(doc), RunConfig(gamma=1e307))
         assert err.value.iteration == 1
 
+    def test_welfare_only_overflow_diverges_at_iteration_1(self):
+        # the first step and its prices are finite, its utility w*x is not
+        scenario = validate_scenario(welfare_overflow_document())
+        with pytest.raises(DivergenceError) as err:
+            run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        assert err.value.iteration == 1
+
     def test_max_iter_exhaustion_reports_not_converged(self, demo_scenario):
         report, trace = run_market(demo_scenario, RunConfig(gamma=0.01, max_iter=5))
         assert not report.converged
@@ -132,6 +147,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 0.0}, {"gamma": -0.1},
         {"gamma": 0.1, "tol": 0.0}, {"gamma": 0.1, "max_iter": 0},
+        {"gamma": math.nan}, {"gamma": math.inf},
+        {"gamma": 0.1, "tol": math.nan}, {"gamma": 0.1, "tol": math.inf},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -152,33 +169,64 @@ def _record(x, p_l, p_u, welfare=0.0, change=0.0):
         welfare=welfare, max_change=change)
 
 
-class TestDetectConvergence:
-    def test_identical_iterates(self):
-        trace = IterationTrace(np.array([25.0]))
-        x = np.array([[10.0]])
-        trace.append(_record(x, [3.0], [4.0]))
-        trace.append(_record(x, [3.0], [4.0]))
-        assert detect_convergence(trace, 1e-6)
+def wide_slack_scenario():
+    """N=100, T=24 with a never-binding band: the size of the benchmark's
+    report run, about a fifth of x exactly 0 at equilibrium and the rest on
+    both sides of b."""
+    n, t = 100, 24
+    w = np.random.default_rng(1).uniform(10.0, 100.0, size=(n, t))
+    return validate_scenario({
+        "num_slots": t,
+        "customers": [{"id": i, "w": row.tolist(), "alpha": 1.0, "d_min": 0.0,
+                       "d_max": 1000.0 * t} for i, row in enumerate(w)],
+        "blocks": {"b": 25.0},
+        "cost": {"beta1": 0.5 / n, "beta2": 0.6 / n},
+    })
 
-    def test_allocation_change_of_twice_tol(self):
-        trace = IterationTrace(np.array([25.0]))
-        tol = 1e-6
-        trace.append(_record(np.array([[10.0]]), [3.0], [4.0]))
-        trace.append(_record(np.array([[10.0 + 2 * tol]]), [3.0], [4.0]))
-        assert not detect_convergence(trace, tol)
 
-    def test_price_movement_alone_blocks_convergence(self):
-        trace = IterationTrace(np.array([25.0]))
-        x = np.array([[10.0]])
-        trace.append(_record(x, [3.0], [4.0]))
-        trace.append(_record(x, [3.1], [4.0]))
-        assert not detect_convergence(trace, 1e-6)
+def _changes(trace):
+    """Max-norm allocation and price change of every iterate after the first,
+    recomputed from the trace."""
+    return [(float(np.max(np.abs(cur.allocation.x - prev.allocation.x))),
+             max(float(np.max(np.abs(cur.prices.p_l - prev.prices.p_l))),
+                 float(np.max(np.abs(cur.prices.p_u - prev.prices.p_u)))))
+            for prev, cur in zip(trace.records, trace.records[1:])]
 
-    def test_requires_two_iterates(self):
-        trace = IterationTrace(np.array([25.0]))
-        trace.append(_record(np.array([[10.0]]), [3.0], [4.0]))
-        with pytest.raises(ValueError):
-            detect_convergence(trace, 1e-6)
+
+class TestStopRule:
+    """run_market stops at the first iterate whose allocation and prices both
+    moved by less than tol."""
+
+    TOL = 1e-6
+
+    @pytest.fixture(scope="class", params=["demo", "slack", "one-customer"])
+    def run(self, request):
+        # one customer with 2*beta > 1: its price moves by twice its
+        # consumption, so prices alone keep the run going near the end
+        scenario, gamma = {
+            "demo": lambda: (validate_scenario(cli.demo_scenario_document()), None),
+            "slack": lambda: (wide_slack_scenario(), None),
+            "one-customer": lambda: (single_customer_scenario(beta=1.0), 0.05),
+        }[request.param]()
+        gamma = gamma or default_step_size(scenario)
+        return run_market(scenario, RunConfig(gamma=gamma, tol=self.TOL))
+
+    def test_last_iterate_has_both_changes_below_tol(self, run):
+        report, trace = run
+        assert report.converged and len(trace) == report.iterations + 1
+        alloc_change, price_change = _changes(trace)[-1]
+        assert alloc_change < self.TOL and price_change < self.TOL
+
+    def test_earlier_iterates_have_a_change_of_at_least_tol(self, run):
+        _, trace = run
+        for alloc_change, price_change in _changes(trace)[:-1]:
+            assert alloc_change >= self.TOL or price_change >= self.TOL
+
+    def test_price_movement_alone_continues_the_run(self):
+        scenario = single_customer_scenario(beta=1.0)
+        _, trace = run_market(scenario, RunConfig(gamma=0.05, tol=self.TOL))
+        assert any(alloc_change < self.TOL <= price_change
+                   for alloc_change, price_change in _changes(trace)[:-1])
 
 
 class TestTraceCsv:
@@ -290,17 +338,7 @@ class TestTraceCsvGolden:
                     == (tmp_path / "reference.csv").read_bytes())
 
     def test_wide_slack_run_matches_reference_writer(self, tmp_path):
-        # N=100, T=24 with a never-binding band: the size of the benchmark's
-        # report run, about a fifth of x exactly 0 and the rest on both sides of b
-        n, t = 100, 24
-        w = np.random.default_rng(1).uniform(10.0, 100.0, size=(n, t))
-        scenario = validate_scenario({
-            "num_slots": t,
-            "customers": [{"id": i, "w": row.tolist(), "alpha": 1.0, "d_min": 0.0,
-                           "d_max": 1000.0 * t} for i, row in enumerate(w)],
-            "blocks": {"b": 25.0},
-            "cost": {"beta1": 0.5 / n, "beta2": 0.6 / n},
-        })
+        scenario = wide_slack_scenario()
         report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
         x = report.allocation.x
         assert report.converged and np.any(x == 0.0) and np.any(x > 25.0)

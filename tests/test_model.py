@@ -351,6 +351,13 @@ class TestScenarioArrays:
                                           scenario.w[i] / scenario.alpha[i, 0])
         assert scenario.customers is scenario.customers  # built once
 
+    def test_satiation_is_w_over_alpha_bitwise(self):
+        scenario = self.scenario()
+        assert scenario.satiation.tobytes() == (scenario.w / scenario.alpha).tobytes()
+        assert scenario.satiation is scenario.satiation  # computed once
+        for i, customer in enumerate(scenario.customers):
+            assert customer.satiation.tobytes() == scenario.satiation[i].tobytes()
+
     def test_fingerprint_pinned_on_demo(self, demo_scenario):
         assert demo_scenario.fingerprint() == (
             "549e201e8e07b10593152910ac24ac74c0a4103c1614ca8f6b9a5dd7f06d34b1")
