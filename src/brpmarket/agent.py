@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Allocation, PriceSchedule, Scenario, _gradient, utility_gradient, utility_value
+from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
 
-# A per-slot bound (x = b, x = 0) counts as active within this margin.
-_ACTIVE_TOL = 1e-9
+# A per-slot bound (x = b, x = 0), resp. a daily bound, counts as active within this margin.
+_ACTIVE_TOL, _DAILY_ACTIVE_TOL = 1e-9, 1e-7
 
 
 @dataclass(frozen=True)
@@ -47,37 +47,91 @@ def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
     "Efficient projections onto the l1-ball for learning in high
     dimensions", ICML 2008).
     """
-    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):  # see _onto_band
+        return _onto_band(np.asarray(x, dtype=float), d_min, d_max)
+
+
+def _onto_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
+    """:func:`project_band` of a float array; the result never shares memory
+    with ``x``.  An overflow is harmless here: a row whose sum overflows to inf
+    shifts, and an entry that overflows below its row's maximum ends at 0."""
     clipped = np.maximum(x, 0.0)
     total = clipped.sum(axis=1)
     # NaN sums and bounds shift; so does every row with d_min > d_max, checked below
     shift = ~((d_min <= total) & (total <= d_max))
-    if not np.any(shift):
+    if not shift.any():
         return clipped
-    n, t = x.shape
-    d_min = np.broadcast_to(np.asarray(d_min, dtype=float), (n,))[shift]
-    d_max = np.broadcast_to(np.asarray(d_max, dtype=float), (n,))[shift]
-    if np.any(d_min > d_max):
+    every = shift.all()
+    if not every:  # only the rows that shift are sorted
+        n = len(total)
+        d_min = np.broadcast_to(np.asarray(d_min, dtype=float), (n,))[shift]
+        d_max = np.broadcast_to(np.asarray(d_max, dtype=float), (n,))[shift]
+        x, total = x[shift], total[shift]
+    if np.greater(d_min, d_max).any():
         raise ValueError("infeasible constraint set: d_min exceeds d_max")
 
     # Entries are measured from their row's maximum, so that an entry
     # dwarfing the band cannot round the radius away in the sums below.
-    rows, radius = x[shift], np.clip(total[shift], d_min, d_max)
-    desc = np.sort(rows, axis=1)[:, ::-1]
+    t = x.shape[1]
+    radius = np.clip(total, d_min, d_max)
+    desc = np.sort(x, axis=1)[:, ::-1]
     top = desc[:, :1].copy()
     desc -= top
-    rows -= top
-    excess = np.cumsum(desc, axis=1) - radius[:, None]
+    rows = x - top
+    excess = desc.cumsum(axis=1) - radius[:, None]
     # The entries still positive after the shift are a prefix of the sorted
     # row; the first always is, whatever rounding says.
     positive = desc - excess / np.arange(1, t + 1) > 0
     positive[:, 0] = True
-    count = t - np.argmax(positive[:, ::-1], axis=1)
-    tau = excess[np.arange(rows.shape[0]), count - 1] / count
-    # A zero cap leaves only zeros (tau = max(row)), which the sort formula misses.
-    clipped[shift] = np.where(radius[:, None] > 0,
-                              np.maximum(rows - tau[:, None], 0.0), 0.0)
+    count = t - positive[:, ::-1].argmax(axis=1)
+    rows -= (excess[np.arange(count.size), count - 1] / count)[:, None]
+    np.maximum(rows, 0.0, out=rows)
+    # A cap of 0 or below leaves only zeros; the sort formula would chase a negative sum.
+    if not (radius > 0).all():
+        rows[~(radius > 0)] = 0.0
+    if every:  # no scatter: the shifted rows are the result
+        return rows
+    clipped[shift] = rows
     return clipped
+
+
+class _StepKernel:
+    """:func:`step_profile` for every step of one loop, in (N, T) work buffers
+    kept for the run.  :meth:`split` computes an iterate's ``low = min(x, b)``,
+    ``high = max(x, b)`` and ``flat = ~(x < w/alpha)`` once, for its prices,
+    welfare and step.  Run it with over/invalid errors ignored: ``step`` checks."""
+
+    def __init__(self, scenario: Scenario, gamma: float):
+        self.scenario, self.gamma = scenario, gamma
+        self.low, self.high, self.grad, self.raw = (np.empty(scenario.w.shape) for _ in range(4))
+        self.flat = np.empty(scenario.w.shape, dtype=bool)
+
+    def split(self, x: np.ndarray) -> None:
+        b = self.scenario.blocks.b
+        np.minimum(x, b, out=self.low)
+        np.maximum(x, b, out=self.high)
+        np.logical_not(np.less(x, self.scenario.satiation, out=self.flat), out=self.flat)
+
+    def step(self, x: np.ndarray, prices: PriceSchedule) -> np.ndarray:
+        """:func:`step_profile` of the ``x`` that :meth:`split` last saw; a new array."""
+        s, gamma, grad = self.scenario, self.gamma, self.grad
+        b = s.blocks.b
+        np.subtract(s.w, np.multiply(s.alpha, x, out=grad), out=grad)  # U'(x), 0 where flat
+        if self.flat.any():
+            grad[self.flat] = 0.0
+        y = np.multiply(gamma, np.subtract(grad, prices.p_l, out=self.raw), out=self.raw)
+        y = np.minimum(np.add(self.low, y, out=y), b, out=y)
+        z = np.multiply(gamma, np.subtract(grad, prices.p_u, out=grad), out=grad)
+        z = np.maximum(np.add(self.high, z, out=z), b, out=z)
+        raw = np.subtract(np.add(y, z, out=y), b, out=y)
+        if not np.isfinite(raw).all():
+            raise FloatingPointError("raw consumption must be finite")
+        return _onto_band(raw, s.d_min, s.d_max)
+
+    def max_change(self, new_x: np.ndarray, x: np.ndarray) -> float:
+        """``max(abs(new_x - x))``, formed in a work buffer."""
+        diff = np.subtract(new_x, x, out=self.grad)
+        return float(np.abs(diff, out=diff).max())
 
 
 def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
@@ -93,18 +147,15 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     overflowing step raises ``FloatingPointError``, without numpy's overflow
     warnings, before the projection, which would clip a ``-inf`` entry to 0
     unnoticed.  ``x`` must be nonnegative, as every projected iterate is; unchecked.
+    The market loop and the centralized oracle take this step through
+    ``_StepKernel``, which reuses the block split their prices were computed from.
     """
     if gamma < 0:
         raise ValueError("step size must be nonnegative")
-    b = scenario.blocks.b
-    grad = _gradient(x, scenario.w, scenario.alpha, scenario.satiation)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        y = np.minimum(np.minimum(x, b) + gamma * (grad - prices.p_l), b)
-        z = np.maximum(np.maximum(x, b) + gamma * (grad - prices.p_u), b)
-        raw = y + z - b
-    if not np.all(np.isfinite(raw)):
-        raise FloatingPointError("raw consumption must be finite")
-    return project_band(raw, scenario.d_min, scenario.d_max)
+    kernel = _StepKernel(scenario, gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # the step checks its result
+        kernel.split(x)
+        return kernel.step(x, prices)
 
 
 def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.ndarray:
@@ -139,7 +190,10 @@ def kkt_residual(scenario: Scenario, alloc: Allocation, prices: PriceSchedule,
     """
     if np.any(mult.lambda1 < 0) or np.any(mult.lambda2 < 0):
         raise ValueError("multipliers must be nonnegative")
-    gap_y, gap_z, y_free, z_free = _free_gaps(scenario, alloc, prices)
+    return _residual(scenario, alloc, mult, *_free_gaps(scenario, alloc, prices))
+
+
+def _residual(scenario, alloc, mult, gap_y, gap_z, y_free, z_free) -> KktResidual:
     shift = np.reshape(mult.lambda1 - mult.lambda2, (-1, 1))
     total = alloc.x.sum(axis=1)
     return KktResidual(
@@ -151,14 +205,17 @@ def kkt_residual(scenario: Scenario, alloc: Allocation, prices: PriceSchedule,
 
 
 def recover_multipliers(scenario: Scenario, alloc: Allocation, prices: PriceSchedule,
-                        active_tol: float = 1e-7) -> KktMultipliers:
+                        active_tol: float = _DAILY_ACTIVE_TOL) -> KktMultipliers:
     """Active-set multiplier estimate for the daily energy constraints.
 
     For a customer whose d_max (resp. d_min) constraint is active, lambda1
     (resp. lambda2) is the average stationarity gap over slots with inactive
     block bounds; otherwise both of its multipliers are zero.
     """
-    gap_y, gap_z, y_free, z_free = _free_gaps(scenario, alloc, prices)
+    return _multipliers(scenario, alloc, active_tol, *_free_gaps(scenario, alloc, prices))
+
+
+def _multipliers(scenario, alloc, active_tol, gap_y, gap_z, y_free, z_free) -> KktMultipliers:
     count = np.count_nonzero(y_free, axis=1) + np.count_nonzero(z_free, axis=1)
     gap_sum = (np.sum(gap_y, axis=1, where=y_free)
                + np.sum(gap_z, axis=1, where=z_free))
@@ -172,6 +229,8 @@ def recover_multipliers(scenario: Scenario, alloc: Allocation, prices: PriceSche
 
 def worst_kkt_residual(scenario: Scenario, alloc: Allocation,
                        prices: PriceSchedule) -> float:
-    """Largest equilibrium-condition violation across all customers."""
-    mult = recover_multipliers(scenario, alloc, prices)
-    return kkt_residual(scenario, alloc, prices, mult).worst()
+    """Largest equilibrium-condition violation across all customers; the
+    stationarity gaps are computed once, for the multipliers and the residual."""
+    gaps = _free_gaps(scenario, alloc, prices)
+    mult = _multipliers(scenario, alloc, _DAILY_ACTIVE_TOL, *gaps)
+    return _residual(scenario, alloc, mult, *gaps).worst()

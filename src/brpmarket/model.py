@@ -161,15 +161,22 @@ def utility_value(x, w, alpha):
     concave, with zero utility at zero consumption.
     """
     w = np.asarray(w, dtype=float)
-    val = _utility(_nonnegative(x, "consumption"), w, alpha, w / alpha)
+    x = _nonnegative(x, "consumption")
+    val = _utility(x, w, alpha, ~(x < w / alpha))
     return float(val) if val.ndim == 0 else val
 
 
-def _utility(x, w, alpha, satiation) -> np.ndarray:
-    """:func:`utility_value` of ``x >= 0``, given ``satiation = w/alpha``; unchecked."""
-    val = np.asarray(w * x - 0.5 * alpha * x * x)
+def _utility(x, w, alpha, flat, out=None) -> np.ndarray:
+    """:func:`utility_value` of ``x >= 0``, given the satiation mask ``flat =
+    ~(x < w/alpha)``; unchecked.  Computed in the two float arrays ``out``,
+    of the result's shape, or in new ones."""
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(x), np.shape(w), np.shape(alpha))
+        out = np.empty(shape), np.empty(shape)
+    val, quad = out  # w*x - 0.5*alpha*x*x
+    np.multiply(np.multiply(0.5 * alpha, x, out=quad), x, out=quad)
+    np.subtract(np.multiply(w, x, out=val), quad, out=val)
     # the flat value only where it is used: w*w overflows for w past ~1e154
-    flat = ~(x < satiation)
     if flat.any():
         w_flat = np.broadcast_to(w, val.shape)[flat]
         val[flat] = w_flat * w_flat / (2.0 * np.broadcast_to(alpha, val.shape)[flat])
@@ -183,13 +190,9 @@ def utility_gradient(x, w, alpha):
     gradient step never pushes consumption past satiation.
     """
     w = np.asarray(w, dtype=float)
-    grad = _gradient(_nonnegative(x, "consumption"), w, alpha, w / alpha)
+    x = _nonnegative(x, "consumption")
+    grad = np.where(x < w / alpha, w - alpha * x, 0.0)
     return float(grad) if grad.ndim == 0 else grad
-
-
-def _gradient(x, w, alpha, satiation) -> np.ndarray:
-    """:func:`utility_gradient` of ``x >= 0``, given ``satiation = w/alpha``; unchecked."""
-    return np.where(x < satiation, w - alpha * x, 0.0)
 
 
 def cost_value(demand, block_total, cost: CostParams):

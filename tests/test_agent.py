@@ -154,6 +154,20 @@ class TestProjectProfile:
         # the cap of 10 must survive sums whose terms are of order 1e17 or more
         np.testing.assert_array_equal(project_row(raw, 0.0, 10.0), expected)
 
+    def test_row_summing_past_the_float_range(self):
+        # the clipped row sum overflows to inf; that row shifts onto its cap,
+        # without numpy's overflow warning
+        out = project_band([[1e308, 1e308]], 0, 10)
+        np.testing.assert_array_equal(out, [[5.0, 5.0]])
+
+    def test_input_left_unchanged(self):
+        raw = np.array([[30.0, -4.0, 30.0], [1.0, 2.0, 3.0]])
+        before = raw.copy()
+        for d_max in (40.0, [40.0, 10.0]):  # one row shifts, then both
+            out = project_band(raw, 0.0, d_max)
+            np.testing.assert_array_equal(raw, before)
+            assert not np.shares_memory(out, raw)
+
     def test_run_with_willingness_dwarfing_the_band(self):
         # the first step lands near 4e299; its projection must keep the cap
         scen = single_customer_scenario(w=1e300, alpha=1e-6, d_max=10.0, beta=0.5)
@@ -302,6 +316,96 @@ def band_rows(draw):
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=200,
                              deadline=None)
+
+
+def reference_project_row(row, d_min, d_max):
+    """The batched sort formula of project_band, as it stood before the
+    all-rows-shift path, written out for one row."""
+    t = row.size
+    clipped = np.maximum(row, 0.0)
+    total = clipped.sum()
+    if d_min <= total <= d_max:
+        return clipped
+    radius = np.clip(total, d_min, d_max)
+    desc = np.sort(row)[::-1]
+    top = desc[0]
+    desc = desc - top
+    excess = np.cumsum(desc) - radius
+    positive = desc - excess / np.arange(1, t + 1) > 0
+    positive[0] = True
+    count = t - np.argmax(positive[::-1])
+    tau = excess[count - 1] / count
+    return np.maximum((row - top) - tau, 0.0) if radius > 0 else np.zeros(t)
+
+
+ROW_KINDS = ("above", "below", "inside", "zero_cap")
+
+
+@st.composite
+def shifting_batches(draw, kinds=ROW_KINDS):
+    """A batch whose rows are each drawn above, below or inside their band,
+    or against a zero cap: (x, d_min, d_max).  With ``kinds`` limited to the
+    first, second and last, every row shifts."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 8))
+    entry = st.one_of(st.floats(-100.0, 100.0),
+                      st.sampled_from([0.0, -0.0, 1.0, 1e17, -1e17]))
+    x = np.array(draw(st.lists(st.lists(entry, min_size=t, max_size=t),
+                               min_size=n, max_size=n)))
+    d_min, d_max = np.zeros(n), np.zeros(n)
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(kinds),
+                                           min_size=n, max_size=n))):
+        if kind in ("above", "zero_cap") and not (x[i] > 0).any():
+            x[i, 0] = 1.0  # a positive row, so that a cap below its sum binds
+        total = np.maximum(x[i], 0.0).sum()
+        share = draw(st.floats(0.0, 1.0))
+        if kind == "above":
+            d_max[i] = 0.5 * share * total
+            d_min[i] = draw(st.floats(0.0, 1.0)) * d_max[i]
+        elif kind == "below":
+            d_min[i] = 2.0 * total + 1.0 + 50.0 * share
+            d_max[i] = d_min[i] + draw(st.floats(0.0, 50.0))
+        elif kind == "inside":
+            d_min[i] = share * total
+            d_max[i] = total + draw(st.floats(0.0, 50.0))
+        # zero_cap keeps d_min = d_max = 0
+    return x, d_min, d_max
+
+
+class TestProjectBandBitwise:
+    """project_band matches the sort formula row by row, to the bit, when
+    every row shifts, when shifting and in-band rows mix, and on zero caps."""
+
+    @staticmethod
+    def check(case):
+        x, d_min, d_max = case
+        out = project_band(x, d_min, d_max)
+        assert out.shape == x.shape and out.dtype == np.float64
+        for row, lo, hi, got in zip(x, d_min, d_max, out):
+            assert got.tobytes() == reference_project_row(row, lo, hi).tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(shifting_batches(kinds=("above", "below", "zero_cap")))
+    def test_every_row_shifts(self, case):
+        x, d_min, d_max = case
+        total = np.maximum(x, 0.0).sum(axis=1)
+        assert not ((d_min <= total) & (total <= d_max)).any()
+        self.check(case)
+
+    @PROPERTY_SETTINGS
+    @given(shifting_batches())
+    def test_shifting_and_in_band_rows_mix(self, case):
+        self.check(case)
+
+    @PROPERTY_SETTINGS
+    @given(shifting_batches(), st.floats(0.0, 50.0))
+    def test_scalar_bounds(self, case, width):
+        x, d_min, _ = case
+        lo = float(d_min[0])
+        self.check((x, np.full(len(x), lo), np.full(len(x), lo + width)))
+        out = project_band(x, lo, lo + width)
+        assert out.tobytes() == project_band(x, np.full(len(x), lo),
+                                             np.full(len(x), lo + width)).tobytes()
 
 
 class TestProjectBandProperties:

@@ -113,6 +113,21 @@ class TestRunCommand:
             "error: market iteration diverged at iteration 1"]
         assert not out.exists()
 
+    def test_row_sum_overflow_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # the first step's raw row sums past the float range; a numpy
+        # overflow warning would fail this test (the suite turns them into errors)
+        scen = tmp_path / "row_sum_overflow.json"
+        scen.write_text(json.dumps({
+            "num_slots": 2,
+            "customers": [{"id": 0, "w": [1e300, 1e300], "alpha": 1e-7, "d_max": 1e308}],
+            "blocks": {"b": 25.0}, "cost": {"beta1": 0.5, "beta2": 0.6}}))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scen), "--gamma", "1e8",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: market iteration diverged at iteration 1"]
+        assert not out.exists()
+
     def test_byte_identical_outputs(self, demo_file, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -14,11 +14,15 @@ from brpmarket import (
     IterationTrace,
     PriceSchedule,
     RunConfig,
+    block_prices,
     brute_force_welfare,
     default_step_size,
     run_market,
     social_welfare,
+    solve_welfare_centralized,
+    step_profile,
     validate_scenario,
+    worst_kkt_residual,
 )
 from brpmarket import cli
 from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT
@@ -295,6 +299,124 @@ def straddling_document():
         "blocks": {"b": [20, 30]},
         "cost": {"beta1": 0.15, "beta2": 0.2},
     }
+
+
+def binding_band_scenario(side, n=50, t=24, seed=5):
+    """N=50, T=24 with a daily cap (``side="cap"``) or floor (``"floor"``)
+    that binds for every customer, consumption on both sides of a per-slot b."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(40.0, 60.0, size=(n, t))
+    b = rng.uniform(20.0, 32.0, size=t)
+    band = rng.uniform(size=n)
+    if side == "cap":
+        d_min, d_max = np.zeros(n), (18.0 + 4.0 * band) * t
+    else:
+        d_min, d_max = (28.0 + 4.0 * band) * t, np.full(n, 1000.0 * t)
+    return validate_scenario({
+        "num_slots": t,
+        "customers": [{"id": i, "w": w[i].tolist(), "alpha": 1.0,
+                       "d_min": float(d_min[i]), "d_max": float(d_max[i])}
+                      for i in range(n)],
+        "blocks": {"b": b.tolist()},
+        "cost": {"beta1": 0.5 / n, "beta2": 0.6 / n},
+    })
+
+
+def reference_market(scenario, config):
+    """The distributed loop written out from public functions: every
+    (x, p_l, p_u, welfare, max_change) that run_market should record."""
+    b, t = scenario.blocks.b, scenario.num_slots
+
+    def posted(x):
+        return block_prices(np.minimum(x, b).sum(axis=0)
+                            + (np.maximum(x, b) - b).sum(axis=0), scenario.cost)
+
+    x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
+    prices = posted(x)
+    records = [(x, prices.p_l, prices.p_u,
+                social_welfare(Allocation(x), scenario), float("nan"))]
+    for _ in range(config.max_iter):
+        new_x = step_profile(x, prices, config.gamma, scenario)
+        change = float(np.max(np.abs(new_x - x)))
+        new_prices = posted(new_x)
+        records.append((new_x, new_prices.p_l, new_prices.p_u,
+                        social_welfare(Allocation(new_x), scenario), change))
+        done = (change < config.tol
+                and float(np.max(np.abs(new_prices.p_l - prices.p_l))) < config.tol
+                and float(np.max(np.abs(new_prices.p_u - prices.p_u))) < config.tol)
+        x, prices = new_x, new_prices
+        if done:
+            break
+    return records
+
+
+def reference_centralized(scenario, tol, gamma, max_iter):
+    """solve_welfare_centralized's loop written out from public functions;
+    its last iterate."""
+    t = scenario.num_slots
+    x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
+    marginal = block_prices(x.sum(axis=0), scenario.cost)
+    for _ in range(max_iter):
+        new_x = step_profile(x, marginal, gamma, scenario)
+        change = float(np.max(np.abs(new_x - x)))
+        x = new_x
+        marginal = block_prices(x.sum(axis=0), scenario.cost)
+        if (change < 0.1 * gamma * tol
+                and worst_kkt_residual(scenario, Allocation(x), marginal) < tol):
+            break
+    return x
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LOOP_SCENARIOS = {
+    "demo": lambda: validate_scenario(cli.demo_scenario_document()),
+    "straddling": lambda: validate_scenario(straddling_document()),
+    "wide-slack": wide_slack_scenario,
+    "binding-cap": lambda: binding_band_scenario("cap"),
+    "binding-floor": lambda: binding_band_scenario("floor"),
+}
+
+
+class TestLoopMatchesReference:
+    """run_market and solve_welfare_centralized take the steps that
+    step_profile, block_prices and social_welfare take, to the bit."""
+
+    @pytest.mark.parametrize("name", LOOP_SCENARIOS)
+    def test_every_market_record(self, name):
+        scenario = LOOP_SCENARIOS[name]()
+        config = RunConfig(gamma=0.3 if name == "demo" else default_step_size(scenario),
+                           tol=1e-8, max_iter=400)
+        _, trace = run_market(scenario, config)
+        expected = reference_market(scenario, config)
+        assert len(trace) == len(expected) > 2
+        for rec, (x, p_l, p_u, welfare, change) in zip(trace.records, expected):
+            assert same_bits(rec.allocation.x, x)
+            assert same_bits(rec.prices.p_l, p_l) and same_bits(rec.prices.p_u, p_u)
+            assert same_bits(rec.welfare, welfare) and same_bits(rec.max_change, change)
+
+    @pytest.mark.parametrize("name", LOOP_SCENARIOS)
+    def test_records_own_their_arrays(self, name):
+        scenario = LOOP_SCENARIOS[name]()
+        _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
+                                                  max_iter=60))
+        arrays = [a for rec in trace.records
+                  for a in (rec.allocation.x, rec.prices.p_l, rec.prices.p_u)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("name", LOOP_SCENARIOS)
+    def test_centralized_allocation(self, name):
+        scenario = LOOP_SCENARIOS[name]()
+        gamma = default_step_size(scenario)
+        # the binding bands stop at the iteration cap, the others converge
+        sol = solve_welfare_centralized(scenario, tol=1e-6, gamma=gamma, max_iter=300)
+        expected = reference_centralized(scenario, 1e-6, gamma, 300)
+        assert same_bits(sol.allocation.x, expected)
 
 
 class TestTraceCsvGolden:
