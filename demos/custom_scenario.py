@@ -41,7 +41,7 @@ def main() -> None:
               f"(band [{customer.d_min}, {customer.d_max}])")
 
     mult = recover_multipliers(scenario, report.allocation, report.prices)
-    print(f"shadow price of customer 1's daily cap: {mult.lambda1[1]:.4f}")
+    print(f"shadow price of customer 1's daily cap: {mult[1]:.4f}")
 
 
 if __name__ == "__main__":

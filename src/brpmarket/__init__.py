@@ -16,9 +16,6 @@ from .model import (
 )
 from .pricing import block_prices
 from .agent import (
-    KktMultipliers,
-    KktResidual,
-    kkt_residual,
     net_utility,
     project_band,
     recover_multipliers,
@@ -48,10 +45,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation", "BlockSchedule", "ComparisonReport", "CostParams",
     "Customer", "DivergenceError", "EquilibriumReport", "IterationRecord",
-    "IterationTrace", "KktMultipliers", "KktResidual", "OracleSolution",
-    "PriceSchedule", "RunConfig", "Scenario", "ScenarioError",
-    "block_prices", "brute_force_welfare", "compare_equilibrium",
-    "cost_value", "default_step_size", "kkt_residual",
+    "IterationTrace", "OracleSolution", "PriceSchedule", "RunConfig",
+    "Scenario", "ScenarioError", "block_prices", "brute_force_welfare",
+    "compare_equilibrium", "cost_value", "default_step_size",
     "load_scenario", "net_utility", "project_band", "recover_multipliers",
     "run_market", "social_welfare", "solve_welfare_centralized",
     "step_profile", "utility_gradient", "utility_value", "validate_scenario",

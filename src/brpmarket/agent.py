@@ -1,40 +1,12 @@
 """The customers' price response on the whole (N, T) allocation: the
 projected-gradient step, the batched daily-band projection, net utility,
-and equilibrium (KKT) residuals."""
+and the equilibrium (KKT) certificate."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
-
-# A per-slot bound (x = b, x = 0), resp. a daily bound, counts as active within this margin.
-_ACTIVE_TOL, _DAILY_ACTIVE_TOL = 1e-9, 1e-7
-
-
-@dataclass(frozen=True)
-class KktMultipliers:
-    """Per-customer multipliers, shape (N,), for the daily d_max (lambda1)
-    and d_min (lambda2) constraints."""
-
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-
-
-@dataclass(frozen=True)
-class KktResidual:
-    """Max-norm violations of the four equilibrium conditions over all customers."""
-
-    stationarity_y: float
-    stationarity_z: float
-    comp_slack_1: float
-    comp_slack_2: float
-
-    def worst(self) -> float:
-        return max(self.stationarity_y, self.stationarity_z,
-                   self.comp_slack_1, self.comp_slack_2)
 
 
 def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
@@ -167,70 +139,69 @@ def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.
     return np.sum(util - payment, axis=1)
 
 
-def _free_gaps(scenario: Scenario, alloc: Allocation, prices: PriceSchedule):
-    """Stationarity gaps ``U' - p_l`` and ``U' - p_u`` with the slots where
-    consumption is positive and below (resp. above) ``b``, so that the first
-    (resp. second) block variable is off its bound."""
+def _onto_blocks(a: np.ndarray, c: np.ndarray, b: np.ndarray, d_min, d_max):
+    """The lifted block-band projection: ``clip(a - s, 0, b) + max(c - s, 0)``
+    with one shift ``s`` per row that puts the row sum in ``[d_min, d_max]``,
+    the least in size.  Returns the (N, T) projection and the shifts, shape (N,).
+
+    Only rows whose unshifted sum leaves the band shift.  Their sum is piecewise
+    linear in ``s`` with knots ``c``, ``a - b`` and ``a``; the 3T knots are sorted and
+    the sum walked down from the largest (Kiwiel, "Breakpoint searching algorithms
+    for the continuous quadratic knapsack problem", Math. Programming 2008).
+    """
+    proj = np.clip(a, 0.0, b) + np.maximum(c, 0.0)
+    total = proj.sum(axis=1)
+    shift = np.zeros(len(total))
+    cap = total > d_max
+    moves = cap | (total < d_min)
+    if not moves.any():
+        return proj, shift
+    target = np.where(cap, d_max, d_min)
+    a, c, cap, target = a[moves], c[moves], cap[moves], target[moves]  # only these are sorted
+    # measured from the row maximum, an entry dwarfing the band cannot round the target away
+    top = np.maximum(a, c).max(axis=1, keepdims=True)
+    a, c = a - top, c - top
+    knots = np.concatenate([c, a - b, a], axis=1)
+    # below a knot of c or a one more piece slopes, below one of a - b one fewer;
+    # tied knots bound no segment, so their order does not matter
+    order = np.argsort(knots, axis=1)[:, ::-1]
+    desc = np.take_along_axis(knots, order, axis=1)
+    slope = np.repeat([1.0, -1.0, 1.0], a.shape[1])[order].cumsum(axis=1)
+    level = np.zeros_like(desc)  # the row sum at each knot
+    np.cumsum(slope[:, :-1] * (desc[:, :-1] - desc[:, 1:]), axis=1, out=level[:, 1:])
+    # the segment holding the least shift: a cap's last knot with sum <= d_max,
+    # a floor's last knot with sum < d_min
+    target = target[:, None]
+    j = np.where(cap[:, None], level <= target, level < target).sum(axis=1, keepdims=True) - 1
+    knot, level, slope = (np.take_along_axis(v, j, axis=1) for v in (desc, level, slope))
+    s = knot - (target - level) / slope
+    rows = np.clip(a - s, 0.0, b) + np.maximum(c - s, 0.0)
+    proj[moves], shift[moves] = rows, (s + top)[:, 0]
+    return proj, shift
+
+
+def _natural_map(scenario: Scenario, alloc: Allocation, prices: PriceSchedule):
+    """``P(x + U'(x))`` and its band shifts: ``P`` projects the lifted pair ``(x + U' - p_l,
+    x + U' - p_u - b)`` onto ``0 <= y <= b``, ``z >= 0`` and the daily band of ``y + z``."""
     x, b = alloc.x, scenario.blocks.b
-    grad = utility_gradient(x, scenario.w, scenario.alpha)
-    positive = x > _ACTIVE_TOL
-    y_free = positive & (x < b - _ACTIVE_TOL)
-    z_free = positive & (x > b + _ACTIVE_TOL)
-    return grad - prices.p_l, grad - prices.p_u, y_free, z_free
+    ahead = x + utility_gradient(x, scenario.w, scenario.alpha)
+    return _onto_blocks(ahead - prices.p_l, ahead - prices.p_u - b, b,
+                        scenario.d_min, scenario.d_max)
 
 
-def kkt_residual(scenario: Scenario, alloc: Allocation, prices: PriceSchedule,
-                 mult: KktMultipliers) -> KktResidual:
-    """Equilibrium-condition violations, worst over all customers.
-
-    Stationarity in the first block is checked on slots with positive
-    consumption below ``b``, and in the second block on slots above ``b``.
-    Slots at an active bound are absorbed by bound multipliers that are not
-    modeled explicitly.
-    """
-    if np.any(mult.lambda1 < 0) or np.any(mult.lambda2 < 0):
-        raise ValueError("multipliers must be nonnegative")
-    return _residual(scenario, alloc, mult, *_free_gaps(scenario, alloc, prices))
-
-
-def _residual(scenario, alloc, mult, gap_y, gap_z, y_free, z_free) -> KktResidual:
-    shift = np.reshape(mult.lambda1 - mult.lambda2, (-1, 1))
-    total = alloc.x.sum(axis=1)
-    return KktResidual(
-        stationarity_y=float(np.max(np.abs(gap_y - shift), where=y_free, initial=0.0)),
-        stationarity_z=float(np.max(np.abs(gap_z - shift), where=z_free, initial=0.0)),
-        comp_slack_1=float(np.max(np.abs(mult.lambda1 * (total - scenario.d_max)))),
-        comp_slack_2=float(np.max(np.abs(mult.lambda2 * (scenario.d_min - total)))),
-    )
-
-
-def recover_multipliers(scenario: Scenario, alloc: Allocation, prices: PriceSchedule,
-                        active_tol: float = _DAILY_ACTIVE_TOL) -> KktMultipliers:
-    """Active-set multiplier estimate for the daily energy constraints.
-
-    For a customer whose d_max (resp. d_min) constraint is active, lambda1
-    (resp. lambda2) is the average stationarity gap over slots with inactive
-    block bounds; otherwise both of its multipliers are zero.
-    """
-    return _multipliers(scenario, alloc, active_tol, *_free_gaps(scenario, alloc, prices))
-
-
-def _multipliers(scenario, alloc, active_tol, gap_y, gap_z, y_free, z_free) -> KktMultipliers:
-    count = np.count_nonzero(y_free, axis=1) + np.count_nonzero(z_free, axis=1)
-    gap_sum = (np.sum(gap_y, axis=1, where=y_free)
-               + np.sum(gap_z, axis=1, where=z_free))
-    mean_gap = np.divide(gap_sum, count, out=np.zeros_like(gap_sum), where=count > 0)
-    total = alloc.x.sum(axis=1)
-    at_cap = (total >= scenario.d_max - active_tol) & (mean_gap > 0)
-    at_floor = (total <= scenario.d_min + active_tol) & (mean_gap < 0)
-    return KktMultipliers(lambda1=np.where(at_cap, mean_gap, 0.0),
-                          lambda2=np.where(at_floor, -mean_gap, 0.0))
+def recover_multipliers(scenario: Scenario, alloc: Allocation,
+                        prices: PriceSchedule) -> np.ndarray:
+    """Each customer's daily-band multiplier, shape (N,): the shift of the projection
+    in :func:`worst_kkt_residual`, positive at a binding cap, negative at a binding
+    floor, else 0.  At an equilibrium it is the band's exact shadow price."""
+    return _natural_map(scenario, alloc, prices)[1]
 
 
 def worst_kkt_residual(scenario: Scenario, alloc: Allocation,
                        prices: PriceSchedule) -> float:
-    """Largest equilibrium-condition violation across all customers; the
-    stationarity gaps are computed once, for the multipliers and the residual."""
-    gaps = _free_gaps(scenario, alloc, prices)
-    mult = _multipliers(scenario, alloc, _DAILY_ACTIVE_TOL, *gaps)
-    return _residual(scenario, alloc, mult, *gaps).worst()
+    """The natural-map residual ``max|x - P(x + U'(x))|`` at the posted prices, with
+    ``P`` the lifted block-band projection of :func:`_natural_map`.  It is 0 exactly
+    when ``x`` meets every customer's equilibrium (KKT) conditions at these prices
+    (Facchinei & Pang, "Finite-Dimensional Variational Inequalities and
+    Complementarity Problems", 2003, sec. 1.5)."""
+    return float(np.abs(alloc.x - _natural_map(scenario, alloc, prices)[0]).max())

@@ -65,7 +65,7 @@ def _summary(report) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -138,6 +138,9 @@ def cmd_sweep(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if not args.grid_step > 0:
         return _bad_input(f"--grid-step must be positive, got {args.grid_step!r}")
+    if not math.isfinite(args.inject_perturbation):
+        return _bad_input("--inject-perturbation must be finite, "
+                          f"got {args.inject_perturbation!r}")
     try:
         scenario = _load(args)
         gamma = args.gamma if args.gamma is not None else default_step_size(scenario)

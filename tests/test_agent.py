@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from brpmarket import (
     Allocation,
-    KktMultipliers,
     PriceSchedule,
-    kkt_residual,
     net_utility,
     project_band,
     recover_multipliers,
@@ -16,7 +14,9 @@ from brpmarket import (
     step_profile,
     utility_gradient,
     validate_scenario,
+    worst_kkt_residual,
 )
+from brpmarket.agent import _onto_blocks
 from conftest import single_customer_scenario
 
 
@@ -175,6 +175,8 @@ class TestProjectProfile:
         assert report.converged
         assert report.allocation.x.tolist() == [[10.0]]
         assert report.welfare == 1e301
+        # the certificate's projection measures from the row maximum too
+        assert report.worst_kkt_residual == 0.0
 
     def test_infeasible_band_rejected(self):
         with pytest.raises(ValueError, match="d_min exceeds d_max"):
@@ -250,36 +252,38 @@ class TestConvergedPointConditions:
                     assert p_l - 1e-4 <= grad[t] <= p_u + 1e-4
 
 
-def multipliers(lambda1, lambda2):
-    return KktMultipliers(lambda1=np.array([lambda1]), lambda2=np.array([lambda2]))
+class TestNaturalMapResidual:
+    """The natural-map residual ``max|x - P(x + U'(x))|`` on one slot, with
+    w = 40, alpha = 1 and b = 25 unless given: 0 exactly at an equilibrium,
+    the distance one projected unit step moves ``x`` elsewhere."""
 
-
-class TestKktResidual:
-    def test_exact_interior_stationarity(self):
-        scen = scenario()
-        res = kkt_residual(scen, alloc([10.0]), prices(30.0, 35.0),
-                           multipliers(0.0, 0.0))
-        assert res.stationarity_y == 0.0
-        # z = b is an active bound: excluded
-        assert res.stationarity_z == 0.0
-
-    def test_slack_with_positive_multiplier_violates(self):
-        scen = scenario(d_max=100.0)
-        res = kkt_residual(scen, alloc([10.0]), prices(30.0, 35.0),
-                           multipliers(1.0, 0.0))
-        assert res.comp_slack_1 > 0
-
-    def test_negative_multiplier_rejected(self):
-        scen = scenario()
-        with pytest.raises(ValueError):
-            kkt_residual(scen, alloc([10.0]), prices(30.0, 35.0),
-                         multipliers(-1.0, 0.0))
+    @pytest.mark.parametrize("x, p_l, p_u, extra, residual, multiplier", [
+        # non-equilibria, each with a slot at a bound
+        pytest.param(0.0, 30.0, 35.0, {}, 10.0, 0.0, id="nothing-bought-below-p_l"),
+        pytest.param(25.0, 10.0, 12.0, {}, 3.0, 0.0, id="at-b-above-p_u"),
+        pytest.param(25.0, 20.0, 30.0, {}, 5.0, 0.0, id="at-b-below-p_l"),
+        # closed-form equilibria
+        pytest.param(10.0, 30.0, 35.0, {}, 0.0, 0.0, id="first-block"),
+        pytest.param(10.0, 30.0, 30.0, {}, 0.0, 0.0, id="both-prices"),
+        pytest.param(25.0, 10.0, 20.0, {}, 0.0, 0.0, id="at-b"),
+        pytest.param(30.0, 5.0, 10.0, {}, 0.0, 0.0, id="second-block"),
+        pytest.param(0.0, 45.0, 50.0, {}, 0.0, 0.0, id="nothing-bought"),
+        pytest.param(10.0, 10.0, 12.0, {"w": 80.0, "b": 60.0, "d_max": 10.0}, 0.0, 60.0,
+                     id="binding-cap"),
+        pytest.param(30.0, 5.0, 20.0, {"d_min": 30.0}, 0.0, -10.0, id="binding-floor"),
+    ])
+    def test_natural_map_residual(self, x, p_l, p_u, extra, residual, multiplier):
+        scen, at = scenario(**extra), prices(p_l, p_u)
+        assert worst_kkt_residual(scen, alloc([x]), at) == pytest.approx(residual, abs=1e-12)
+        assert recover_multipliers(scen, alloc([x]), at).tolist() == \
+            [pytest.approx(multiplier, abs=1e-12)]
 
     def test_equilibrium_with_recovered_multipliers(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
+        assert report.worst_kkt_residual < 1e-5
+        # the demo's daily bands are slack
         mult = recover_multipliers(demo_scenario, report.allocation, report.prices)
-        res = kkt_residual(demo_scenario, report.allocation, report.prices, mult)
-        assert res.worst() < 1e-5
+        np.testing.assert_array_equal(mult, np.zeros(2))
 
 
 class TestMultiplierRecovery:
@@ -296,9 +300,9 @@ class TestMultiplierRecovery:
         mult = recover_multipliers(scen, report.allocation, report.prices)
         # demand capped at 10 while U'(10) = 70 > p_l = 10: scarcity rent
         assert report.allocation.x[0, 0] == pytest.approx(10.0, abs=1e-6)
-        assert mult.lambda1[0] == pytest.approx(70.0 - 10.0, abs=1e-4)
-        res = kkt_residual(scen, report.allocation, report.prices, mult)
-        assert res.worst() < 1e-5
+        assert mult.shape == (1,)
+        assert mult[0] == pytest.approx(70.0 - 10.0, abs=1e-4)
+        assert report.worst_kkt_residual < 1e-5
 
 
 @st.composite
@@ -446,3 +450,125 @@ class TestProjectBandProperties:
         q = weights * (daily / weights.sum(axis=1))[:, None]
         inner = np.sum((x - p) * (q - p), axis=1)
         assert np.all(inner <= 1e-9 * (1 + np.abs(x).max()) ** 2)
+
+
+LIFTED_KINDS = ("above", "below", "inside", "zero_cap", "equal")
+
+
+@st.composite
+def lifted_rows(draw):
+    """Inputs of the lifted block-band projection, (a, c, b, d_min, d_max):
+    a per-slot ``b`` and one band per row, drawn above, below or around the
+    unshifted row sum, a zero cap or ``d_min == d_max``."""
+    n = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 6))
+    entry = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, 1e17, -1e17]))
+    a, c = (np.array(draw(st.lists(st.lists(entry, min_size=t, max_size=t),
+                                   min_size=n, max_size=n))) for _ in range(2))
+    b = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=t, max_size=t)))
+    total = (np.clip(a, 0.0, b) + np.maximum(c, 0.0)).sum(axis=1)
+    d_min, d_max = np.zeros(n), np.zeros(n)
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(LIFTED_KINDS),
+                                           min_size=n, max_size=n))):
+        share, width = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 50.0))
+        if kind == "above":
+            d_max[i] = 0.5 * share * total[i]
+            d_min[i] = draw(st.floats(0.0, 1.0)) * d_max[i]
+        elif kind == "below":
+            d_min[i] = total[i] + 1.0 + 50.0 * share
+            d_max[i] = d_min[i] + width
+        elif kind == "inside":
+            d_min[i], d_max[i] = share * total[i], total[i] + width
+        elif kind == "equal":
+            d_min[i] = d_max[i] = 100.0 * share
+        # zero_cap keeps d_min = d_max = 0
+    return a, c, b, d_min, d_max
+
+
+def bisect_lifted_row(a, c, b, target, cap):
+    """One shifting row of the lifted projection by bisection on its shift:
+    the least shift in size that brings ``sum(clip(a - s, 0, b) + max(c - s, 0))``
+    down to a cap or up to a floor ``target``.  Returns (projection,
+    shift - top, top) with ``top`` the row maximum that shifts are measured from."""
+    top = max(a.max(), c.max())
+    a, c = a - top, c - top
+
+    def at(s):
+        return np.clip(a - s, 0.0, b) + np.maximum(c - s, 0.0)
+
+    # the row sum is above target at lo and 0 at hi; a cap takes the least s
+    # whose sum is at most target, a floor the greatest whose sum is at least target
+    lo, hi = min(c.min(), (a - b).min()) - target - 1.0, 0.0
+    while hi - lo > 1e-13 * max(1.0, -lo):
+        mid = 0.5 * (lo + hi)
+        total = at(mid).sum()
+        lo, hi = (lo, mid) if (total <= target if cap else total < target) else (mid, hi)
+    s = hi if cap else lo
+    return at(s), s, top
+
+
+class TestLiftedProjectionProperties:
+    """``agent._onto_blocks``, the projection of the lifted pair (y, z) onto
+    ``0 <= y <= b``, ``z >= 0``, ``d_min <= sum(y + z) <= d_max``."""
+
+    @PROPERTY_SETTINGS
+    @given(lifted_rows(), st.data())
+    def test_against_bisection(self, case, data):
+        a, c, b, d_min, d_max = case
+        proj, shift = _onto_blocks(a, c, b, d_min, d_max)
+        assert proj.shape == a.shape and shift.shape == (len(a),)
+        unshifted = np.clip(a, 0.0, b) + np.maximum(c, 0.0)
+        for i in range(len(a)):
+            if d_min[i] <= unshifted[i].sum() <= d_max[i]:
+                # in band: no shift, the clipped entries
+                assert shift[i] == 0.0
+                assert proj[i].tobytes() == unshifted[i].tobytes()
+                continue
+            cap = unshifted[i].sum() > d_max[i]
+            target = d_max[i] if cap else d_min[i]
+            want, s_rel, top = bisect_lifted_row(a[i], c[i], b, target, cap)
+            scale = 1.0 + abs(s_rel) + d_max[i]
+            np.testing.assert_allclose(proj[i], want, rtol=0, atol=1e-9 * scale)
+            assert shift[i] == pytest.approx(s_rel + top, rel=1e-9, abs=1e-9 * scale)
+            # feasible, with the shift's sign that of the bound that binds
+            assert np.all(proj[i] >= 0.0)
+            daily = proj[i].sum()
+            assert d_min[i] - 1e-9 * scale <= daily <= d_max[i] + 1e-9 * scale
+            assert (shift[i] if cap else -shift[i]) >= -1e-9 * scale
+            # optimal: (v - p) . (q - p) <= 0 for every feasible lifted q, with
+            # v = (a, c) and p = (y, z) rebuilt from the kernel's shift, which
+            # is exact only to the rounding of its row maximum
+            s, slack = shift[i] - top, 1e-9 * (scale + abs(top))
+            rel_a, rel_c = a[i] - top, c[i] - top
+            y = np.clip(rel_a - s, 0.0, b)
+            z = np.maximum(rel_c - s, 0.0)
+            np.testing.assert_allclose(y + z, proj[i], rtol=0, atol=slack)
+            t = len(b)
+            reach = 1.0 + max(np.abs(rel_a - s - y).max(), np.abs(rel_c - s - z).max())
+            for _ in range(3):
+                day = d_min[i] + data.draw(st.floats(0.0, 1.0)) * (d_max[i] - d_min[i])
+                q_y = b * np.array(data.draw(st.lists(st.floats(0.0, 1.0),
+                                                      min_size=t, max_size=t)))
+                if q_y.sum() > day:
+                    q_y *= day / q_y.sum()
+                q_z = np.full(t, (day - q_y.sum()) / t)
+                inner = (np.dot(rel_a - s - y, q_y - y) + np.dot(rel_c - s - z, q_z - z))
+                assert inner <= slack * reach * t
+
+    @pytest.mark.parametrize("a, c, d_min, d_max, shift", [
+        (35.0, 5.0, 0.0, 25.0, 5.0),  # sum 25 for s in [5, 10]
+        (20.0, -10.0, 25.0, 100.0, -5.0),  # sum 25 for s in [-10, -5]
+    ])
+    def test_least_shift_on_a_flat_sum(self, a, c, d_min, d_max, shift):
+        # the band edge is a flat stretch of the row sum: every shift on it
+        # projects alike, and the multiplier is the one least in size
+        proj, got = _onto_blocks(np.array([[a]]), np.array([[c]]), np.array([25.0]),
+                                 d_min, d_max)
+        assert proj.tolist() == [[25.0]] and got.tolist() == [shift]
+
+    def test_entry_dwarfing_the_band(self):
+        # knots of order 1e17 must not round the cap of 10 away
+        proj, shift = _onto_blocks(np.array([[1e17]]), np.array([[1e17 - 25.0]]),
+                                   np.array([25.0]), 0.0, 10.0)
+        assert proj.tolist() == [[10.0]]
+        assert shift.tolist() == [1e17 - 10.0]
