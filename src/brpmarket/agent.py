@@ -1,6 +1,6 @@
 """The customers' price response on the whole (N, T) allocation: the
 projected-gradient step, the batched daily-band projection, net utility,
-and the equilibrium (KKT) certificate."""
+and the equilibrium (KKT) certificate, all through one lifted projection."""
 
 from __future__ import annotations
 
@@ -8,75 +8,36 @@ import numpy as np
 
 from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
 
+_NEWTON_STEPS = 4  # evaluations from a warm shift before a row falls back to the sort
+_NEWTON_RTOL = 2.0 ** -46  # a row settles when |sum - bound| <= this * (|bound| + sum(b))
+
 
 def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
-    """Euclidean projection of each row of ``x`` onto ``{x >= 0, d_min <= sum(x) <= d_max}``.
-
-    ``x`` has shape (N, T); the bounds are scalars or shape (N,).  A row
-    whose clipped sum lies in its band is only clipped.  Any other row
-    becomes ``max(x - tau, 0)`` with the exact shift ``tau`` that puts its
-    sum on the violated edge, found by sorting the row (Duchi et al.,
-    "Efficient projections onto the l1-ball for learning in high
-    dimensions", ICML 2008).
-    """
-    with np.errstate(over="ignore"):  # see _onto_band
-        return _onto_band(np.asarray(x, dtype=float), d_min, d_max)
-
-
-def _onto_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
-    """:func:`project_band` of a float array; the result never shares memory
-    with ``x``.  An overflow is harmless here: a row whose sum overflows to inf
-    shifts, and an entry that overflows below its row's maximum ends at 0."""
-    clipped = np.maximum(x, 0.0)
-    total = clipped.sum(axis=1)
-    # NaN sums and bounds shift; so does every row with d_min > d_max, checked below
-    shift = ~((d_min <= total) & (total <= d_max))
-    if not shift.any():
-        return clipped
-    every = shift.all()
-    if not every:  # only the rows that shift are sorted
-        n = len(total)
-        d_min = np.broadcast_to(np.asarray(d_min, dtype=float), (n,))[shift]
-        d_max = np.broadcast_to(np.asarray(d_max, dtype=float), (n,))[shift]
-        x, total = x[shift], total[shift]
+    """Euclidean projection of each row of ``x`` (N, T) onto ``{x >= 0, d_min <= sum(x)
+    <= d_max}``, bounds scalar or (N,): :func:`_onto_blocks` with no first block.  A
+    row whose clipped sum is in its band is only clipped; any other (an overflowing
+    one too) becomes ``max(x - s, 0)``, ``s`` the shift onto the violated edge."""
     if np.greater(d_min, d_max).any():
         raise ValueError("infeasible constraint set: d_min exceeds d_max")
-
-    # Entries are measured from their row's maximum, so that an entry
-    # dwarfing the band cannot round the radius away in the sums below.
-    t = x.shape[1]
-    radius = np.clip(total, d_min, d_max)
-    desc = np.sort(x, axis=1)[:, ::-1]
-    top = desc[:, :1].copy()
-    desc -= top
-    rows = x - top
-    excess = desc.cumsum(axis=1) - radius[:, None]
-    # The entries still positive after the shift are a prefix of the sorted
-    # row; the first always is, whatever rounding says.
-    positive = desc - excess / np.arange(1, t + 1) > 0
-    positive[:, 0] = True
-    count = t - positive[:, ::-1].argmax(axis=1)
-    rows -= (excess[np.arange(count.size), count - 1] / count)[:, None]
-    np.maximum(rows, 0.0, out=rows)
-    # A cap of 0 or below leaves only zeros; the sort formula would chase a negative sum.
-    if not (radius > 0).all():
-        rows[~(radius > 0)] = 0.0
-    if every:  # no scatter: the shifted rows are the result
-        return rows
-    clipped[shift] = rows
-    return clipped
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        return _onto_blocks(x, x, 0.0, d_min, d_max)[0]
 
 
 class _StepKernel:
-    """:func:`step_profile` for every step of one loop, in (N, T) work buffers
-    kept for the run.  :meth:`split` computes an iterate's ``low = min(x, b)``,
-    ``high = max(x, b)`` and ``flat = ~(x < w/alpha)`` once, for its prices,
-    welfare and step.  Run it with over/invalid errors ignored: ``step`` checks."""
+    """:func:`step_profile` for every step of one loop, in (N, T) work buffers kept
+    for the run.  :meth:`split` computes an iterate's ``low = min(x, b)``, ``high =
+    max(x, b)`` and ``flat = ~(x < w/alpha)`` once, for its prices, welfare and step.
+    Its projections start from each row's last band ``shift``, with the pair's tiled
+    ``bounds`` and, in ``sides``, what depends only on which edges bind."""
 
     def __init__(self, scenario: Scenario, gamma: float):
         self.scenario, self.gamma = scenario, gamma
         self.low, self.high, self.grad, self.raw = (np.empty(scenario.w.shape) for _ in range(4))
         self.flat = np.empty(scenario.w.shape, dtype=bool)
+        (n, t), b = scenario.w.shape, scenario.blocks.b  # bounds: one shape is the fastest
+        lo_hi = np.concatenate([np.zeros(t), b, b, np.full(t, np.inf)]).reshape(2, 1, 2 * t)
+        self.shift, self.bounds, self.sides = np.zeros(n), np.repeat(lo_hi, n, axis=1), None
 
     def split(self, x: np.ndarray) -> None:
         b = self.scenario.blocks.b
@@ -87,18 +48,17 @@ class _StepKernel:
     def step(self, x: np.ndarray, prices: PriceSchedule) -> np.ndarray:
         """:func:`step_profile` of the ``x`` that :meth:`split` last saw; a new array."""
         s, gamma, grad = self.scenario, self.gamma, self.grad
-        b = s.blocks.b
         np.subtract(s.w, np.multiply(s.alpha, x, out=grad), out=grad)  # U'(x), 0 where flat
         if self.flat.any():
             grad[self.flat] = 0.0
-        y = np.multiply(gamma, np.subtract(grad, prices.p_l, out=self.raw), out=self.raw)
-        y = np.minimum(np.add(self.low, y, out=y), b, out=y)
-        z = np.multiply(gamma, np.subtract(grad, prices.p_u, out=grad), out=grad)
-        z = np.maximum(np.add(self.high, z, out=z), b, out=z)
-        raw = np.subtract(np.add(y, z, out=y), b, out=y)
-        if not np.isfinite(raw).all():
-            raise FloatingPointError("raw consumption must be finite")
-        return _onto_band(raw, s.d_min, s.d_max)
+        a = np.multiply(gamma, np.subtract(grad, prices.p_l, out=self.raw), out=self.raw)
+        a = np.add(self.low, a, out=a)
+        c = np.multiply(gamma, np.subtract(grad, prices.p_u, out=grad), out=grad)
+        c = np.add(self.high, c, out=c)
+        if not (np.isfinite(a.min()) and np.isfinite(c.max())):  # y at -inf, z at +inf, NaN
+            raise FloatingPointError("the block updates must be finite")
+        new_x, self.shift = _onto_blocks(a, c, s.blocks.b, s.d_min, s.d_max, warm=self)
+        return new_x
 
     def max_change(self, new_x: np.ndarray, x: np.ndarray) -> float:
         """``max(abs(new_x - x))``, formed in a work buffer."""
@@ -110,18 +70,13 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
                  scenario: Scenario) -> np.ndarray:
     """One projected-gradient update of every customer's daily profile.
 
-    Per slot the block variables ``y = min(x, b)`` and ``z = max(x, b)``
-    step by ``gamma*(U'(x) - p_l)`` and ``gamma*(U'(x) - p_u)`` and are then
-    clipped to their block bounds (``y <= b``, ``z >= b``), so that a block
-    variable sitting at its bound cannot drag consumption through the other
-    block's price.  The rebuilt consumption ``y + z - b`` is projected onto
-    each customer's daily band.  Returns the new (N, T) consumption.  An
-    overflowing step raises ``FloatingPointError``, without numpy's overflow
-    warnings, before the projection, which would clip a ``-inf`` entry to 0
-    unnoticed.  ``x`` must be nonnegative, as every projected iterate is; unchecked.
-    The market loop and the centralized oracle take this step through
-    ``_StepKernel``, which reuses the block split their prices were computed from.
-    """
+    Per slot ``y = min(x, b)`` and ``z = max(x, b)`` step by ``gamma*(U'(x) - p_l)``
+    and ``gamma*(U'(x) - p_u)``; the pair is projected at once onto ``0 <= y <= b``,
+    ``z >= b`` and the daily band of ``x = y + z - b`` (:func:`_onto_blocks`), so the
+    fixed points are exactly the equilibria (KKT points) at these prices, for every
+    ``gamma > 0``.  Returns the new (N, T) consumption; ``x >= 0`` is unchecked.  An
+    overflowing step raises ``FloatingPointError``, without numpy's warnings.  The
+    loops step through a warm-started ``_StepKernel``; this function starts cold."""
     if gamma < 0:
         raise ValueError("step size must be nonnegative")
     kernel = _StepKernel(scenario, gamma)
@@ -139,53 +94,97 @@ def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.
     return np.sum(util - payment, axis=1)
 
 
-def _onto_blocks(a: np.ndarray, c: np.ndarray, b: np.ndarray, d_min, d_max):
-    """The lifted block-band projection: ``clip(a - s, 0, b) + max(c - s, 0)``
-    with one shift ``s`` per row that puts the row sum in ``[d_min, d_max]``,
-    the least in size.  Returns the (N, T) projection and the shifts, shape (N,).
+def _onto_blocks(a: np.ndarray, c: np.ndarray, b, d_min, d_max, warm=None):
+    """The lifted block-band projection ``x = clip(a - s, 0, b) + max(c - s, b) - b``
+    of the pair ``(y, z) = (a, c)`` onto ``0 <= y <= b``, ``z >= b`` and the daily band
+    of ``x``: the least shift ``s`` per row that puts its sum in ``[d_min, d_max]``, 0
+    inside.  Returns x (N, T) and the shifts (N,).
 
-    Only rows whose unshifted sum leaves the band shift.  Their sum is piecewise
-    linear in ``s`` with knots ``c``, ``a - b`` and ``a``; the 3T knots are sorted and
-    the sum walked down from the largest (Kiwiel, "Breakpoint searching algorithms
-    for the continuous quadratic knapsack problem", Math. Programming 2008).
-    """
-    proj = np.clip(a, 0.0, b) + np.maximum(c, 0.0)
-    total = proj.sum(axis=1)
-    shift = np.zeros(len(total))
+    A row's sum falls piecewise linearly in ``s``, by the count of cells with ``0 <
+    y < b`` or ``z > b``.  With a ``warm`` start (a ``_StepKernel``) a row shifted
+    there takes Newton steps (Cominetti et al., Math. Prog. Comp. 2014); any other,
+    and one that does not settle, is checked unshifted, and one outside its band
+    sorts its 3T knots ``c - b``, ``a - b``, ``a`` (Kiwiel, Math. Prog. 2008)."""
+    n, t = a.shape
+    if warm is not None and np.count_nonzero(warm.shift):
+        pair, shift, settled = _newton_rows(np.concatenate([a, c], axis=1), d_min, d_max, warm)
+        x = pair[:, :t] + pair[:, t:] - b
+        if np.count_nonzero(settled) < n:
+            rest = ~settled
+            x[rest], shift[rest] = _onto_blocks(a[rest], c[rest], b, *(
+                np.broadcast_to(d, (n,))[rest] for d in (d_min, d_max)))
+        return x, shift
+    x = np.maximum(c, b)
+    x += np.maximum(np.minimum(a, b), 0.0)
+    x -= b
+    shift = np.zeros(n)
+    total = x.sum(axis=1)
     cap = total > d_max
     moves = cap | (total < d_min)
-    if not moves.any():
-        return proj, shift
-    target = np.where(cap, d_max, d_min)
-    a, c, cap, target = a[moves], c[moves], cap[moves], target[moves]  # only these are sorted
+    if np.count_nonzero(moves):
+        x[moves], shift[moves] = _sorted_rows(a[moves], c[moves], b,
+                                              np.where(cap, d_max, d_min)[moves], cap[moves])
+    return x, shift
+
+
+def _newton_rows(pair, d_min, d_max, warm):
+    """Newton steps on ``pair``, (a, c) side by side, from the shifts of ``warm`` to the
+    band edge of each one's sign.  Returns the clipped pair, the shifts and which rows
+    settled: at a shift of the warm sign whose sum meets the bound to ``tol``, with a cell
+    sloping ``tol`` either side so no flat stretch hides a lesser shift; else unshifted."""
+    s, (lo, hi) = warm.shift, warm.bounds
+    cap, cold = s > 0, s == 0
+    if warm.sides is None or warm.sides[0] != cap.tobytes():  # first use, or an edge changed
+        bsum = hi[0, :pair.shape[1] // 2].sum()  # the pair sums to x's sum plus sum(b)
+        tol = _NEWTON_RTOL * np.abs(target := np.where(cap, d_max, d_min) + bsum)
+        warm.sides = cap.tobytes(), bsum, target, tol, lo + tol.max(), hi - tol.max()
+    _, bsum, target, tol, inner_lo, inner_hi = warm.sides
+    ones, some_cold = np.ones(pair.shape[1]), np.count_nonzero(cold) > 0
+    for k in range(_NEWTON_STEPS):
+        clipped = pair - s[:, None]
+        np.maximum(np.minimum(clipped, hi, out=clipped), lo, out=clipped)
+        total = np.dot(clipped, ones)
+        if not k and some_cold:
+            target = np.where(cold, np.clip(total, d_min + bsum, d_max + bsum), target)
+        excess = total - target
+        slope = np.dot((inner_lo < clipped) & (clipped < inner_hi), ones)
+        settled = np.abs(excess) <= tol  # a flat one fails the slope test at the end
+        if np.count_nonzero(settled) == len(s):
+            break
+        excess[settled | cold if some_cold else settled] = 0.0
+        s = s + excess / np.maximum(slope, 1.0)
+    return clipped, s, settled & ((slope > 0) | cold) & ((s > 0) == cap)
+
+
+def _sorted_rows(a, c, b, target, cap):
+    """The rows of :func:`_onto_blocks` that leave their band, solved exactly;
+    ``target`` is the violated edge, a cap where ``cap``.  Returns x and shifts."""
     # measured from the row maximum, an entry dwarfing the band cannot round the target away
     top = np.maximum(a, c).max(axis=1, keepdims=True)
     a, c = a - top, c - top
-    knots = np.concatenate([c, a - b, a], axis=1)
-    # below a knot of c or a one more piece slopes, below one of a - b one fewer;
-    # tied knots bound no segment, so their order does not matter
-    order = np.argsort(knots, axis=1)[:, ::-1]
-    desc = np.take_along_axis(knots, order, axis=1)
+    # the knots c - b, a - b, a, negated to sort down from the largest; below one of c - b
+    # or a one more piece slopes, below a - b one fewer; ties bound no segment
+    knots = np.concatenate([b - c, b - a, -a], axis=1)
+    order = np.argsort(knots, axis=1)
+    rows = np.arange(len(a))[:, None]
+    desc = -knots[rows, order]
     slope = np.repeat([1.0, -1.0, 1.0], a.shape[1])[order].cumsum(axis=1)
     level = np.zeros_like(desc)  # the row sum at each knot
     np.cumsum(slope[:, :-1] * (desc[:, :-1] - desc[:, 1:]), axis=1, out=level[:, 1:])
-    # the segment holding the least shift: a cap's last knot with sum <= d_max,
-    # a floor's last knot with sum < d_min
+    # the segment of the least shift: a cap's last knot with sum <= d_max, a floor's < d_min
     target = target[:, None]
     j = np.where(cap[:, None], level <= target, level < target).sum(axis=1, keepdims=True) - 1
-    knot, level, slope = (np.take_along_axis(v, j, axis=1) for v in (desc, level, slope))
-    s = knot - (target - level) / slope
-    rows = np.clip(a - s, 0.0, b) + np.maximum(c - s, 0.0)
-    proj[moves], shift[moves] = rows, (s + top)[:, 0]
-    return proj, shift
+    s = desc[rows, j] - (target - level[rows, j]) / slope[rows, j]
+    x = np.maximum(np.minimum(a - s, b), 0.0) + np.maximum(c - s, b) - b
+    return x, (s + top)[:, 0]
 
 
 def _natural_map(scenario: Scenario, alloc: Allocation, prices: PriceSchedule):
-    """``P(x + U'(x))`` and its band shifts: ``P`` projects the lifted pair ``(x + U' - p_l,
-    x + U' - p_u - b)`` onto ``0 <= y <= b``, ``z >= 0`` and the daily band of ``y + z``."""
+    """``P(x + U'(x))`` and its band shifts, ``P`` the lifted projection of the pair
+    ``(x + U' - p_l, x + U' - p_u)``: :func:`_onto_blocks` at step 1, started cold."""
     x, b = alloc.x, scenario.blocks.b
     ahead = x + utility_gradient(x, scenario.w, scenario.alpha)
-    return _onto_blocks(ahead - prices.p_l, ahead - prices.p_u - b, b,
+    return _onto_blocks(ahead - prices.p_l, ahead - prices.p_u, b,
                         scenario.d_min, scenario.d_max)
 
 

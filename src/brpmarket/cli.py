@@ -136,8 +136,8 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if not args.grid_step > 0:
-        return _bad_input(f"--grid-step must be positive, got {args.grid_step!r}")
+    if not 0 < args.grid_step < math.inf:  # false for NaN too
+        return _bad_input(f"--grid-step must be positive and finite, got {args.grid_step!r}")
     if not math.isfinite(args.inject_perturbation):
         return _bad_input("--inject-perturbation must be finite, "
                           f"got {args.inject_perturbation!r}")

@@ -31,24 +31,23 @@ def single_customer_scenario(w=40.0, alpha=1.0, beta=1.0, b=25.0,
 def random_scenario(rng: np.random.Generator) -> Scenario:
     """A scenario with parameters in the ranges of the worked example.
 
-    Daily energy bands either stay slack or bind; when they may bind the
-    block threshold is raised so no slot can sit exactly at the block kink
-    (the kink + binding-band combination is outside the certified regime).
+    Daily energy bands either stay slack or bind; willingness is drawn per
+    slot around the block threshold b = 25, so a binding band meets customers
+    whose slots lie on both sides of b.
     """
     n = int(rng.integers(1, 6))
     t = int(rng.integers(1, 5))
     beta1 = float(rng.uniform(0.2, 0.8))
     beta2 = beta1 * float(rng.uniform(1.05, 1.5))
     band_mode = rng.choice(["slack", "d_max", "d_min"])
-    b = 60.0 if band_mode != "slack" else 25.0
     customers = []
     for i in range(n):
-        w = float(rng.uniform(10.0, 100.0))
+        w = rng.uniform(10.0, 100.0, size=t).tolist()
         d_min, d_max = 0.0, 1000.0
         if band_mode == "d_max":
-            d_max = float(rng.uniform(2.0, 10.0)) * t
+            d_max = float(rng.uniform(2.0, 40.0)) * t
         elif band_mode == "d_min":
-            d_min = float(rng.uniform(0.5, 3.0)) * t
+            d_min = float(rng.uniform(0.005, 0.9)) * sum(w)
         customers.append({"id": i, "w": w, "alpha": 1.0,
                           "d_min": d_min, "d_max": d_max})
-    return make_scenario(t, customers, b=b, beta1=beta1, beta2=beta2)
+    return make_scenario(t, customers, b=25.0, beta1=beta1, beta2=beta2)

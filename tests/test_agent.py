@@ -16,8 +16,8 @@ from brpmarket import (
     validate_scenario,
     worst_kkt_residual,
 )
-from brpmarket.agent import _onto_blocks
-from conftest import single_customer_scenario
+from brpmarket.agent import _onto_blocks, _StepKernel
+from conftest import make_scenario, single_customer_scenario
 
 
 def scenario(w=40.0, alpha=1.0, d_min=0.0, d_max=100.0, num_slots=1, b=25.0):
@@ -323,8 +323,8 @@ PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=200,
 
 
 def reference_project_row(row, d_min, d_max):
-    """The batched sort formula of project_band, as it stood before the
-    all-rows-shift path, written out for one row."""
+    """The sort formula of project_band before it became the lifted projection
+    with no first block (Duchi et al., ICML 2008), written out for one row."""
     t = row.size
     clipped = np.maximum(row, 0.0)
     total = clipped.sum()
@@ -377,16 +377,20 @@ def shifting_batches(draw, kinds=ROW_KINDS):
 
 
 class TestProjectBandBitwise:
-    """project_band matches the sort formula row by row, to the bit, when
-    every row shifts, when shifting and in-band rows mix, and on zero caps."""
+    """project_band matches the former sort formula row by row, to 1e-14 of the
+    row's largest entry before or after the projection (the two round
+    differently), when every row shifts, when shifting and in-band rows mix,
+    and on zero caps."""
 
     @staticmethod
     def check(case):
         x, d_min, d_max = case
         out = project_band(x, d_min, d_max)
         assert out.shape == x.shape and out.dtype == np.float64
-        for row, lo, hi, got in zip(x, d_min, d_max, out):
-            assert got.tobytes() == reference_project_row(row, lo, hi).tobytes()
+        want = np.array([reference_project_row(row, lo, hi)
+                         for row, lo, hi in zip(x, d_min, d_max)])
+        scale = np.maximum(np.abs(x).max(axis=1), np.abs(want).max(axis=1))
+        assert np.all(np.abs(out - want).max(axis=1) <= 1e-14 * scale)
 
     @PROPERTY_SETTINGS
     @given(shifting_batches(kinds=("above", "below", "zero_cap")))
@@ -455,6 +459,11 @@ class TestProjectBandProperties:
 LIFTED_KINDS = ("above", "below", "inside", "zero_cap", "equal")
 
 
+def unshifted_rows(a, c, b):
+    """The lifted projection at shift 0: ``clip(a, 0, b) + max(c, b) - b``."""
+    return np.maximum(c, b) + np.clip(a, 0.0, b) - b
+
+
 @st.composite
 def lifted_rows(draw):
     """Inputs of the lifted block-band projection, (a, c, b, d_min, d_max):
@@ -466,7 +475,7 @@ def lifted_rows(draw):
     a, c = (np.array(draw(st.lists(st.lists(entry, min_size=t, max_size=t),
                                    min_size=n, max_size=n))) for _ in range(2))
     b = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=t, max_size=t)))
-    total = (np.clip(a, 0.0, b) + np.maximum(c, 0.0)).sum(axis=1)
+    total = unshifted_rows(a, c, b).sum(axis=1)
     d_min, d_max = np.zeros(n), np.zeros(n)
     for i, kind in enumerate(draw(st.lists(st.sampled_from(LIFTED_KINDS),
                                            min_size=n, max_size=n))):
@@ -487,18 +496,18 @@ def lifted_rows(draw):
 
 def bisect_lifted_row(a, c, b, target, cap):
     """One shifting row of the lifted projection by bisection on its shift:
-    the least shift in size that brings ``sum(clip(a - s, 0, b) + max(c - s, 0))``
+    the least shift in size that brings ``sum(clip(a - s, 0, b) + max(c - s, b) - b)``
     down to a cap or up to a floor ``target``.  Returns (projection,
     shift - top, top) with ``top`` the row maximum that shifts are measured from."""
     top = max(a.max(), c.max())
     a, c = a - top, c - top
 
     def at(s):
-        return np.clip(a - s, 0.0, b) + np.maximum(c - s, 0.0)
+        return np.clip(a - s, 0.0, b) + np.maximum(c - s, b) - b
 
     # the row sum is above target at lo and 0 at hi; a cap takes the least s
     # whose sum is at most target, a floor the greatest whose sum is at least target
-    lo, hi = min(c.min(), (a - b).min()) - target - 1.0, 0.0
+    lo, hi = min((c - b).min(), (a - b).min()) - target - 1.0, 0.0
     while hi - lo > 1e-13 * max(1.0, -lo):
         mid = 0.5 * (lo + hi)
         total = at(mid).sum()
@@ -508,8 +517,8 @@ def bisect_lifted_row(a, c, b, target, cap):
 
 
 class TestLiftedProjectionProperties:
-    """``agent._onto_blocks``, the projection of the lifted pair (y, z) onto
-    ``0 <= y <= b``, ``z >= 0``, ``d_min <= sum(y + z) <= d_max``."""
+    """``agent._onto_blocks``, the projection of the pair (y, z) onto
+    ``0 <= y <= b``, ``z >= b``, ``d_min <= sum(y + z - b) <= d_max``."""
 
     @PROPERTY_SETTINGS
     @given(lifted_rows(), st.data())
@@ -517,7 +526,7 @@ class TestLiftedProjectionProperties:
         a, c, b, d_min, d_max = case
         proj, shift = _onto_blocks(a, c, b, d_min, d_max)
         assert proj.shape == a.shape and shift.shape == (len(a),)
-        unshifted = np.clip(a, 0.0, b) + np.maximum(c, 0.0)
+        unshifted = unshifted_rows(a, c, b)
         for i in range(len(a)):
             if d_min[i] <= unshifted[i].sum() <= d_max[i]:
                 # in band: no shift, the clipped entries
@@ -535,14 +544,14 @@ class TestLiftedProjectionProperties:
             daily = proj[i].sum()
             assert d_min[i] - 1e-9 * scale <= daily <= d_max[i] + 1e-9 * scale
             assert (shift[i] if cap else -shift[i]) >= -1e-9 * scale
-            # optimal: (v - p) . (q - p) <= 0 for every feasible lifted q, with
+            # optimal: (v - p) . (q - p) <= 0 for every feasible pair q, with
             # v = (a, c) and p = (y, z) rebuilt from the kernel's shift, which
             # is exact only to the rounding of its row maximum
             s, slack = shift[i] - top, 1e-9 * (scale + abs(top))
             rel_a, rel_c = a[i] - top, c[i] - top
             y = np.clip(rel_a - s, 0.0, b)
-            z = np.maximum(rel_c - s, 0.0)
-            np.testing.assert_allclose(y + z, proj[i], rtol=0, atol=slack)
+            z = np.maximum(rel_c - s, b)
+            np.testing.assert_allclose(y + z - b, proj[i], rtol=0, atol=slack)
             t = len(b)
             reach = 1.0 + max(np.abs(rel_a - s - y).max(), np.abs(rel_c - s - z).max())
             for _ in range(3):
@@ -551,24 +560,110 @@ class TestLiftedProjectionProperties:
                                                       min_size=t, max_size=t)))
                 if q_y.sum() > day:
                     q_y *= day / q_y.sum()
-                q_z = np.full(t, (day - q_y.sum()) / t)
+                q_z = b + (day - q_y.sum()) / t
                 inner = (np.dot(rel_a - s - y, q_y - y) + np.dot(rel_c - s - z, q_z - z))
                 assert inner <= slack * reach * t
 
-    @pytest.mark.parametrize("a, c, d_min, d_max, shift", [
+    @pytest.mark.parametrize("a, c_above_b, d_min, d_max, shift", [
         (35.0, 5.0, 0.0, 25.0, 5.0),  # sum 25 for s in [5, 10]
         (20.0, -10.0, 25.0, 100.0, -5.0),  # sum 25 for s in [-10, -5]
     ])
-    def test_least_shift_on_a_flat_sum(self, a, c, d_min, d_max, shift):
+    def test_least_shift_on_a_flat_sum(self, a, c_above_b, d_min, d_max, shift):
         # the band edge is a flat stretch of the row sum: every shift on it
         # projects alike, and the multiplier is the one least in size
-        proj, got = _onto_blocks(np.array([[a]]), np.array([[c]]), np.array([25.0]),
-                                 d_min, d_max)
+        proj, got = _onto_blocks(np.array([[a]]), np.array([[c_above_b + 25.0]]),
+                                 np.array([25.0]), d_min, d_max)
         assert proj.tolist() == [[25.0]] and got.tolist() == [shift]
 
     def test_entry_dwarfing_the_band(self):
         # knots of order 1e17 must not round the cap of 10 away
-        proj, shift = _onto_blocks(np.array([[1e17]]), np.array([[1e17 - 25.0]]),
+        proj, shift = _onto_blocks(np.array([[1e17]]), np.array([[1e17]]),
                                    np.array([25.0]), 0.0, 10.0)
         assert proj.tolist() == [[10.0]]
         assert shift.tolist() == [1e17 - 10.0]
+
+
+WARM_KINDS = ("zero", "exact", "nearly", "beyond", "wrong_sign", "huge", "any")
+
+
+def warm_kernel(b, shift):
+    """A step kernel whose warm start is ``shift``, for rows of per-slot ``b``;
+    the projection reads only its ``shift`` and ``bounds``."""
+    customers = [{"id": i, "w": 1.0, "alpha": 1.0, "d_min": 0.0, "d_max": 1.0}
+                 for i in range(len(shift))]
+    kernel = _StepKernel(make_scenario(len(b), customers, b=b.tolist(), beta1=1.0,
+                                       beta2=1.0), 1.0)
+    kernel.shift = shift
+    return kernel
+
+
+def draw_warm_shift(data, exact):
+    """A warm shift for a row whose cold shift is ``exact``: 0, exact, nearly
+    right, further out (past a flat stretch, say), of the wrong sign, huge or
+    arbitrary."""
+    kind = data.draw(st.sampled_from(WARM_KINDS))
+    if kind == "exact":
+        return exact
+    if kind == "nearly":
+        return exact * (1.0 + data.draw(st.floats(-1e-9, 1e-9))) + 1e-9
+    if kind == "beyond":
+        return exact + np.sign(exact) * data.draw(st.floats(0.0, 100.0))
+    if kind == "wrong_sign":
+        return -exact if exact else data.draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "huge":
+        return data.draw(st.sampled_from([-1e30, 1e30]))
+    if kind == "any":
+        return data.draw(st.floats(-100.0, 100.0))
+    return 0.0
+
+
+@st.composite
+def flat_stretch_rows(draw):
+    """Rows whose violated band edge is a flat stretch of the row sum: for
+    shifts from ``max(c - b)`` to ``min(a - b)`` every y and z sits at b, so
+    the sum is ``sum(b)``, the cap or floor of the row."""
+    n = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 6))
+    b = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=t, max_size=t)))
+    a, c = np.empty((n, t)), np.empty((n, t))
+    d_min, d_max = np.zeros(n), np.full(n, b.sum())
+    for i in range(n):
+        cap = draw(st.booleans())
+        start, width = draw(st.floats(0.5, 50.0)), draw(st.floats(0.5, 50.0))
+        lo, hi = (start, start + width) if cap else (-start - width, -start)
+        below = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=t, max_size=t)))
+        above = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=t, max_size=t)))
+        below[0] = above[-1] = 0.0  # the stretch is exactly [lo, hi]
+        a[i], c[i] = b + hi + above, b + lo - below
+        if not cap:
+            d_min[i], d_max[i] = b.sum(), b.sum() + draw(st.floats(0.0, 50.0))
+    return a, c, b, d_min, d_max
+
+
+WARM_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+class TestWarmStartedProjection:
+    """``_onto_blocks`` with a warm start, whatever its shifts, gives the cold
+    sort's projection and least shifts to rounding."""
+
+    @staticmethod
+    def check(case, data):
+        a, c, b, d_min, d_max = case
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the step kernel
+            x_cold, s_cold = _onto_blocks(a, c, b, d_min, d_max)
+            warm = np.array([draw_warm_shift(data, s) for s in s_cold])
+            x_warm, s_warm = _onto_blocks(a, c, b, d_min, d_max, warm=warm_kernel(b, warm))
+        bound = 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(c)).max(axis=1))
+        assert np.all(np.abs(x_warm - x_cold).max(axis=1) <= bound)
+        assert np.all(np.abs(s_warm - s_cold) <= bound)
+
+    @WARM_SETTINGS
+    @given(lifted_rows(), st.data())
+    def test_matches_the_sort(self, case, data):
+        self.check(case, data)
+
+    @WARM_SETTINGS
+    @given(flat_stretch_rows(), st.data())
+    def test_least_shift_on_flat_stretches(self, case, data):
+        self.check(case, data)

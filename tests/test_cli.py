@@ -332,6 +332,13 @@ class TestBadOptionValues:
         self.assert_rejected(["verify", "--scenario", str(demo_file),
                               "--grid-step", "0", "--out", str(out)], out, capsys)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_verify_non_finite_grid_step(self, value, demo_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.assert_rejected(["verify", "--scenario", str(demo_file),
+                              f"--grid-step={value}", "--out", str(out)], out, capsys,
+                             reason="--grid-step must be positive and finite")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_verify_non_finite_perturbation(self, value, demo_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -372,6 +372,26 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_close(a, b, scale):
+    """Equal to 1e-12 of ``scale``, NaN to NaN: the loop's warm-started projection
+    and step_profile's cold sort may round differently."""
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * scale)
+
+
+def clip_then_project_step(x, prices, gamma, scenario):
+    """The step before the lifted projection: y and z clipped to their block
+    bounds, then ``y + z - b`` projected onto the daily band.  Written out for
+    slack bands only, where that projection only clips at 0."""
+    b = scenario.blocks.b
+    grad = np.where(x < scenario.satiation, scenario.w - scenario.alpha * x, 0.0)
+    y = np.minimum(np.minimum(x, b) + gamma * (grad - prices.p_l), b)
+    z = np.maximum(np.maximum(x, b) + gamma * (grad - prices.p_u), b)
+    new_x = np.maximum(y + z - b, 0.0)
+    daily = new_x.sum(axis=1)
+    assert np.all((scenario.d_min <= daily) & (daily <= scenario.d_max))
+    return new_x
+
+
 LOOP_SCENARIOS = {
     "demo": lambda: validate_scenario(cli.demo_scenario_document()),
     "straddling": lambda: validate_scenario(straddling_document()),
@@ -379,11 +399,14 @@ LOOP_SCENARIOS = {
     "binding-cap": lambda: binding_band_scenario("cap"),
     "binding-floor": lambda: binding_band_scenario("floor"),
 }
+BINDING = {"binding-cap", "binding-floor"}
 
 
 class TestLoopMatchesReference:
     """run_market and solve_welfare_centralized take the steps that
-    step_profile, block_prices and social_welfare take, to the bit."""
+    step_profile, block_prices and social_welfare take: to the bit on slack
+    bands, where every record is also the clip-then-project step's to the bit,
+    and to 1e-12 relative on binding ones."""
 
     @pytest.mark.parametrize("name", LOOP_SCENARIOS)
     def test_every_market_record(self, name):
@@ -393,10 +416,22 @@ class TestLoopMatchesReference:
         _, trace = run_market(scenario, config)
         expected = reference_market(scenario, config)
         assert len(trace) == len(expected) > 2
-        for rec, (x, p_l, p_u, welfare, change) in zip(trace.records, expected):
+        for k, (rec, (x, p_l, p_u, welfare, change)) in enumerate(zip(trace.records, expected)):
+            if name in BINDING:
+                scale = max(1.0, float(np.abs(x).max()))
+                assert_close(rec.allocation.x, x, scale)
+                assert_close(rec.max_change, change, scale)
+                assert_close(rec.prices.p_l, p_l, float(np.abs(p_l).max()))
+                assert_close(rec.prices.p_u, p_u, float(np.abs(p_u).max()))
+                assert_close(rec.welfare, welfare, abs(welfare))
+                continue
             assert same_bits(rec.allocation.x, x)
             assert same_bits(rec.prices.p_l, p_l) and same_bits(rec.prices.p_u, p_u)
             assert same_bits(rec.welfare, welfare) and same_bits(rec.max_change, change)
+            if k:
+                before = trace.records[k - 1]
+                assert same_bits(x, clip_then_project_step(
+                    before.allocation.x, before.prices, config.gamma, scenario))
 
     @pytest.mark.parametrize("name", LOOP_SCENARIOS)
     def test_records_own_their_arrays(self, name):
@@ -413,10 +448,34 @@ class TestLoopMatchesReference:
     def test_centralized_allocation(self, name):
         scenario = LOOP_SCENARIOS[name]()
         gamma = default_step_size(scenario)
-        # the binding bands stop at the iteration cap, the others converge
         sol = solve_welfare_centralized(scenario, tol=1e-6, gamma=gamma, max_iter=300)
         expected = reference_centralized(scenario, 1e-6, gamma, 300)
-        assert same_bits(sol.allocation.x, expected)
+        if name in BINDING:
+            assert_close(sol.allocation.x, expected, float(np.abs(expected).max()))
+        else:
+            assert same_bits(sol.allocation.x, expected)
+
+
+class TestStepSizeInvariance:
+    """The market's answer does not depend on the step size: its fixed points
+    are equilibria at every gamma."""
+
+    def test_straddling_cap(self):
+        # 20 customers against a daily cap of 30, each with slots on both sides of b = 1
+        w = np.random.default_rng(0).uniform(10.0, 60.0, size=(20, 24))
+        scenario = make_scenario(24, [{"id": i, "w": w[i].tolist(), "alpha": 1.0,
+                                       "d_min": 0.0, "d_max": 30.0} for i in range(20)],
+                                 b=1.0, beta1=0.05, beta2=0.08)
+        gamma = default_step_size(scenario)
+        runs = [run_market(scenario, RunConfig(gamma=g, tol=1e-10))[0]
+                for g in (gamma, gamma / 2, gamma / 10)]
+        x = runs[0].allocation.x
+        assert np.all((x < 1.0).any(axis=1) & (x > 1.0).any(axis=1))
+        np.testing.assert_allclose(x.sum(axis=1), 30.0, rtol=1e-12)
+        for report in runs:
+            assert report.converged
+            assert round(report.welfare, 6) == 30440.558258
+            assert np.abs(report.allocation.x - x).max() < 5e-8
 
 
 class TestTraceCsvGolden:
