@@ -4,6 +4,8 @@ and the equilibrium (KKT) certificate, all through one lifted projection."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
@@ -16,10 +18,12 @@ def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
     """Euclidean projection of each row of ``x`` (N, T) onto ``{x >= 0, d_min <= sum(x)
     <= d_max}``, bounds scalar or (N,): :func:`_onto_blocks` with no first block.  A
     row whose clipped sum is in its band is only clipped; any other (an overflowing
-    one too) becomes ``max(x - s, 0)``, ``s`` the shift onto the violated edge."""
-    if np.greater(d_min, d_max).any():
-        raise ValueError("infeasible constraint set: d_min exceeds d_max")
-    x = np.asarray(x, dtype=float)
+    one too) becomes ``max(x - s, 0)``, ``s`` the shift onto the violated edge.  No
+    entry of ``x`` may be NaN or inf, nor a bound NaN; ``d_max`` may be inf."""
+    if not np.less_equal(d_min, d_max).all():  # false for a NaN bound too
+        raise ValueError("infeasible constraint set: d_min exceeds d_max, or a bound is NaN")
+    if not np.isfinite(x := np.asarray(x, dtype=float)).all():
+        raise ValueError("x must be finite (no NaN or inf)")
     with np.errstate(over="ignore"):
         return _onto_blocks(x, x, 0.0, d_min, d_max)[0]
 
@@ -27,37 +31,43 @@ def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
 class _StepKernel:
     """:func:`step_profile` for every step of one loop, in (N, T) work buffers kept
     for the run.  :meth:`split` computes an iterate's ``low = min(x, b)``, ``high =
-    max(x, b)`` and ``flat = ~(x < w/alpha)`` once, for its prices, welfare and step.
-    Its projections start from each row's last band ``shift``, with the pair's tiled
-    ``bounds`` and, in ``sides``, what depends only on which edges bind."""
+    max(x, b)`` and ``sated = x >= w/alpha`` (None if it holds nowhere) once, for its
+    prices, welfare and step, with the run's ``2*beta``, ``b*N`` and, tiled to (N, T),
+    ``b``, ``alpha`` and ``alpha/2``.  Its projections start from each row's last band
+    ``shift``, with the pair's tiled ``bounds``, in ``sides`` what depends only on which
+    edges bind, and Newton's buffers."""
 
     def __init__(self, scenario: Scenario, gamma: float):
         self.scenario, self.gamma = scenario, gamma
         self.low, self.high, self.grad, self.raw = (np.empty(scenario.w.shape) for _ in range(4))
-        self.flat = np.empty(scenario.w.shape, dtype=bool)
-        (n, t), b = scenario.w.shape, scenario.blocks.b  # bounds: one shape is the fastest
+        self.flat, self.sated = np.empty(scenario.w.shape, dtype=bool), None
+        (n, t), b = scenario.w.shape, scenario.blocks.b  # tiled: one shape is the fastest
         lo_hi = np.concatenate([np.zeros(t), b, b, np.full(t, np.inf)]).reshape(2, 1, 2 * t)
         self.shift, self.bounds, self.sides = np.zeros(n), np.repeat(lo_hi, n, axis=1), None
+        self.ones, self.clipped = np.ones(2 * t), np.empty((n, 2 * t))
+        self.two_beta = 2.0 * scenario.cost.beta1, 2.0 * scenario.cost.beta2
+        self.b, self.alpha = np.tile(b, (n, 1)), np.repeat(scenario.alpha, t, axis=1)
+        self.block_total, self.half_alpha = b * n, 0.5 * self.alpha
 
     def split(self, x: np.ndarray) -> None:
-        b = self.scenario.blocks.b
-        np.minimum(x, b, out=self.low)
-        np.maximum(x, b, out=self.high)
-        np.logical_not(np.less(x, self.scenario.satiation, out=self.flat), out=self.flat)
+        np.minimum(x, self.b, out=self.low)
+        np.maximum(x, self.b, out=self.high)
+        flat = np.greater_equal(x, self.scenario.satiation, out=self.flat)
+        self.sated = flat if flat.any() else None
 
     def step(self, x: np.ndarray, prices: PriceSchedule) -> np.ndarray:
         """:func:`step_profile` of the ``x`` that :meth:`split` last saw; a new array."""
         s, gamma, grad = self.scenario, self.gamma, self.grad
-        np.subtract(s.w, np.multiply(s.alpha, x, out=grad), out=grad)  # U'(x), 0 where flat
-        if self.flat.any():
-            grad[self.flat] = 0.0
+        np.subtract(s.w, np.multiply(self.alpha, x, out=grad), out=grad)  # U'(x), 0 where sated
+        if self.sated is not None:
+            grad[self.sated] = 0.0
         a = np.multiply(gamma, np.subtract(grad, prices.p_l, out=self.raw), out=self.raw)
         a = np.add(self.low, a, out=a)
         c = np.multiply(gamma, np.subtract(grad, prices.p_u, out=grad), out=grad)
         c = np.add(self.high, c, out=c)
-        if not (np.isfinite(a.min()) and np.isfinite(c.max())):  # y at -inf, z at +inf, NaN
+        if not (math.isfinite(a.min()) and math.isfinite(c.max())):  # y at -inf, z at +inf, NaN
             raise FloatingPointError("the block updates must be finite")
-        new_x, self.shift = _onto_blocks(a, c, s.blocks.b, s.d_min, s.d_max, warm=self)
+        new_x, self.shift = _onto_blocks(a, c, self.b, s.d_min, s.d_max, warm=self)
         return new_x
 
     def max_change(self, new_x: np.ndarray, x: np.ndarray) -> float:
@@ -77,10 +87,10 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     ``gamma > 0``.  Returns the new (N, T) consumption; ``x >= 0`` is unchecked.  An
     overflowing step raises ``FloatingPointError``, without numpy's warnings.  The
     loops step through a warm-started ``_StepKernel``; this function starts cold."""
-    if gamma < 0:
-        raise ValueError("step size must be nonnegative")
-    kernel = _StepKernel(scenario, gamma)
+    if not 0 <= gamma < math.inf:  # false for NaN too
+        raise ValueError(f"step size must be nonnegative and finite, got {gamma!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # the step checks its result
+        kernel = _StepKernel(scenario, gamma)
         kernel.split(x)
         return kernel.step(x, prices)
 
@@ -98,7 +108,7 @@ def _onto_blocks(a: np.ndarray, c: np.ndarray, b, d_min, d_max, warm=None):
     """The lifted block-band projection ``x = clip(a - s, 0, b) + max(c - s, b) - b``
     of the pair ``(y, z) = (a, c)`` onto ``0 <= y <= b``, ``z >= b`` and the daily band
     of ``x``: the least shift ``s`` per row that puts its sum in ``[d_min, d_max]``, 0
-    inside.  Returns x (N, T) and the shifts (N,).
+    inside; ``b`` is scalar, (T,) or (N, T).  Returns x (N, T) and the shifts (N,).
 
     A row's sum falls piecewise linearly in ``s``, by the count of cells with ``0 <
     y < b`` or ``z > b``.  With a ``warm`` start (a ``_StepKernel``) a row shifted
@@ -111,8 +121,8 @@ def _onto_blocks(a: np.ndarray, c: np.ndarray, b, d_min, d_max, warm=None):
         x = pair[:, :t] + pair[:, t:] - b
         if np.count_nonzero(settled) < n:
             rest = ~settled
-            x[rest], shift[rest] = _onto_blocks(a[rest], c[rest], b, *(
-                np.broadcast_to(d, (n,))[rest] for d in (d_min, d_max)))
+            x[rest], shift[rest] = _onto_blocks(a[rest], c[rest], *(np.broadcast_to(
+                v, shape)[rest] for v, shape in ((b, a.shape), (d_min, n), (d_max, n))))
         return x, shift
     x = np.maximum(c, b)
     x += np.maximum(np.minimum(a, b), 0.0)
@@ -122,6 +132,7 @@ def _onto_blocks(a: np.ndarray, c: np.ndarray, b, d_min, d_max, warm=None):
     cap = total > d_max
     moves = cap | (total < d_min)
     if np.count_nonzero(moves):
+        b = np.broadcast_to(b, a.shape)[moves]
         x[moves], shift[moves] = _sorted_rows(a[moves], c[moves], b,
                                               np.where(cap, d_max, d_min)[moves], cap[moves])
     return x, shift
@@ -139,9 +150,9 @@ def _newton_rows(pair, d_min, d_max, warm):
         tol = _NEWTON_RTOL * np.abs(target := np.where(cap, d_max, d_min) + bsum)
         warm.sides = cap.tobytes(), bsum, target, tol, lo + tol.max(), hi - tol.max()
     _, bsum, target, tol, inner_lo, inner_hi = warm.sides
-    ones, some_cold = np.ones(pair.shape[1]), np.count_nonzero(cold) > 0
+    ones, clipped, some_cold = warm.ones, warm.clipped, np.count_nonzero(cold) > 0
     for k in range(_NEWTON_STEPS):
-        clipped = pair - s[:, None]
+        np.subtract(pair, s[:, None], out=clipped)
         np.maximum(np.minimum(clipped, hi, out=clipped), lo, out=clipped)
         total = np.dot(clipped, ones)
         if not k and some_cold:

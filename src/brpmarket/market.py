@@ -15,8 +15,8 @@ import numpy as np
 
 # step_profile is unused here; the benchmark's tracer wraps it in this namespace
 from .agent import _StepKernel, step_profile, worst_kkt_residual  # noqa: F401
-from .model import Allocation, PriceSchedule, Scenario, _nonnegative, _utility, cost_value
-from .pricing import block_prices
+from .model import Allocation, Scenario, _cost, _nonnegative, _utility
+from .pricing import _prices
 
 TRACE_COMMENT = (
     "# welfare and max_change are per-iteration summary values repeated on "
@@ -143,16 +143,15 @@ class EquilibriumReport:
 def social_welfare(alloc: Allocation, scenario: Scenario) -> float:
     """Total customer utility minus total production cost."""
     x = _nonnegative(alloc.x, "consumption")
-    return _welfare(x, ~(x < scenario.satiation), scenario)
+    return _welfare(x, x >= scenario.satiation, scenario, 0.5 * scenario.alpha,
+                    scenario.blocks.b * scenario.num_customers)
 
 
-def _welfare(x: np.ndarray, flat: np.ndarray, scenario: Scenario, out=None) -> float:
-    """:func:`social_welfare` of consumption ``x >= 0``, given its satiation
-    mask ``flat = ~(x < w/alpha)``, with the utilities in ``out``; unchecked."""
-    total = float(_utility(x, scenario.w, scenario.alpha, flat, out).sum())
-    block_total = scenario.blocks.b * scenario.num_customers
-    total -= float(cost_value(x.sum(axis=0), block_total, scenario.cost).sum())
-    return total
+def _welfare(x, sated, scenario: Scenario, half_alpha, block_total, out=None) -> float:
+    """:func:`social_welfare` of ``x >= 0`` given ``sated``, as :func:`model._utility`
+    takes it, ``alpha/2`` and ``b*N``, with the utilities in ``out``; unchecked."""
+    total = float(_utility(x, scenario.w, scenario.alpha, half_alpha, sated, out).sum())
+    return total - float(_cost(x.sum(axis=0), block_total, scenario.cost).sum())
 
 
 def default_step_size(scenario: Scenario) -> float:
@@ -167,12 +166,11 @@ def default_step_size(scenario: Scenario) -> float:
     return 0.5 / (alpha_max + 2.0 * beta_max * scenario.num_customers)
 
 
-def _posted_prices(low, high, scenario: Scenario, out: np.ndarray) -> PriceSchedule:
-    """Block prices at the demand the supplier sells: first-block energy
-    ``low = min(x, b)`` plus second-block energy ``high - b`` (formed in
-    ``out``), with ``high = max(x, b)``, summed over customers per slot."""
-    demand = low.sum(axis=0) + np.subtract(high, scenario.blocks.b, out=out).sum(axis=0)
-    return block_prices(demand, scenario.cost)
+def _posted_prices(kernel: _StepKernel):
+    """Block prices at the demand the supplier sells: first-block energy ``min(x, b)``
+    plus second-block energy ``max(x, b) - b`` (formed in ``raw``), summed per slot."""
+    second = np.subtract(kernel.high, kernel.b, out=kernel.raw)
+    return _prices(kernel.low.sum(axis=0) + second.sum(axis=0), *kernel.two_beta)
 
 
 def run_market(scenario: Scenario, config: RunConfig):
@@ -181,21 +179,20 @@ def run_market(scenario: Scenario, config: RunConfig):
     Returns ``(EquilibriumReport, IterationTrace)``.  Raises
     :class:`DivergenceError` if any iterate turns non-finite.  Each iterate's
     block split and satiation mask serve its prices, welfare and step
-    (``agent._StepKernel``, with work buffers kept for the run); every trace
-    record owns its arrays.
+    (``agent._StepKernel``, with the run's constants and work buffers); every
+    trace record owns its arrays.
     """
     t = scenario.num_slots
     x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
-    kernel = _StepKernel(scenario, config.gamma)
-    work = np.empty(x.shape), np.empty(x.shape)  # for prices and welfare
-
     trace = IterationTrace(scenario.blocks.b)
     converged, iterations = False, 0
     with np.errstate(over="ignore", invalid="ignore"):  # every iterate is checked finite
+        kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
+        work = kernel.grad, kernel.raw  # the step's buffers, free until the next step
         kernel.split(x)
-        prices = _posted_prices(kernel.low, kernel.high, scenario, work[0])
-        trace.append(IterationRecord(Allocation(x), prices,
-                                     _welfare(x, kernel.flat, scenario, work), float("nan")))
+        prices = _posted_prices(kernel)
+        welfare = _welfare(x, kernel.sated, scenario, kernel.half_alpha, kernel.block_total, work)
+        trace.append(IterationRecord(Allocation(x), prices, welfare, float("nan")))
         for k in range(1, config.max_iter + 1):
             try:
                 new_x = kernel.step(x, prices)
@@ -206,10 +203,11 @@ def run_market(scenario: Scenario, config: RunConfig):
             if not math.isfinite(max_change):
                 raise DivergenceError(k)
             kernel.split(new_x)
-            new_prices = _posted_prices(kernel.low, kernel.high, scenario, work[0])
-            welfare = _welfare(new_x, kernel.flat, scenario, work)
-            if not (np.isfinite(new_prices.p_l).all() and np.isfinite(new_prices.p_u).all()
-                    and math.isfinite(welfare)):
+            new_prices = _posted_prices(kernel)
+            welfare = _welfare(new_x, kernel.sated, scenario, kernel.half_alpha,
+                               kernel.block_total, work)
+            # a finite p_u has a finite p_l: demand >= 0 and the validated beta1 <= beta2
+            if not (math.isfinite(new_prices.p_u.max()) and math.isfinite(welfare)):
                 raise DivergenceError(k)
 
             trace.append(IterationRecord(Allocation(new_x), new_prices, welfare, max_change))

@@ -147,8 +147,7 @@ class Allocation:
 
 
 def _nonnegative(values, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
+    if not np.all((values := np.asarray(values, dtype=float)) >= 0):  # NaN too
         raise ValueError(f"{name} must be nonnegative")
     return values
 
@@ -162,24 +161,24 @@ def utility_value(x, w, alpha):
     """
     w = np.asarray(w, dtype=float)
     x = _nonnegative(x, "consumption")
-    val = _utility(x, w, alpha, ~(x < w / alpha))
+    val = _utility(x, w, alpha, 0.5 * alpha, x >= w / alpha)
     return float(val) if val.ndim == 0 else val
 
 
-def _utility(x, w, alpha, flat, out=None) -> np.ndarray:
-    """:func:`utility_value` of ``x >= 0``, given the satiation mask ``flat =
-    ~(x < w/alpha)``; unchecked.  Computed in the two float arrays ``out``,
-    of the result's shape, or in new ones."""
+def _utility(x, w, alpha, half_alpha, sated, out=None) -> np.ndarray:
+    """:func:`utility_value` of ``x >= 0`` given ``half_alpha = 0.5*alpha`` and the mask
+    ``sated = x >= w/alpha``, or None if it holds nowhere; unchecked.  Computed in the
+    two float arrays ``out``, of the result's shape, or in new ones."""
     if out is None:
         shape = np.broadcast_shapes(np.shape(x), np.shape(w), np.shape(alpha))
         out = np.empty(shape), np.empty(shape)
     val, quad = out  # w*x - 0.5*alpha*x*x
-    np.multiply(np.multiply(0.5 * alpha, x, out=quad), x, out=quad)
+    np.multiply(np.multiply(half_alpha, x, out=quad), x, out=quad)
     np.subtract(np.multiply(w, x, out=val), quad, out=val)
     # the flat value only where it is used: w*w overflows for w past ~1e154
-    if flat.any():
-        w_flat = np.broadcast_to(w, val.shape)[flat]
-        val[flat] = w_flat * w_flat / (2.0 * np.broadcast_to(alpha, val.shape)[flat])
+    if sated is not None:
+        w_flat = np.broadcast_to(w, val.shape)[sated]
+        val[sated] = w_flat * w_flat / (2.0 * np.broadcast_to(alpha, val.shape)[sated])
     return val
 
 
@@ -202,14 +201,13 @@ def cost_value(demand, block_total, cost: CostParams):
     threshold ``block_total`` (= b * N), ``beta2 * D**2`` above it.  Note the
     cost itself jumps at the threshold whenever beta1 != beta2.
     """
-    demand = np.asarray(demand, dtype=float)
-    if np.any(demand < 0):
-        raise ValueError("demand must be nonnegative")
-    beta = np.where(demand <= np.asarray(block_total, dtype=float),
-                    np.asarray(cost.beta1, dtype=float),
-                    np.asarray(cost.beta2, dtype=float))
-    val = beta * demand * demand
+    val = _cost(_nonnegative(demand, "demand"), block_total, cost)
     return float(val) if val.ndim == 0 else val
+
+
+def _cost(demand, block_total, cost: CostParams) -> np.ndarray:
+    """:func:`cost_value` of ``demand >= 0``; unchecked."""
+    return np.where(demand <= block_total, cost.beta1, cost.beta2) * demand * demand
 
 
 def validate_scenario(doc: dict) -> Scenario:

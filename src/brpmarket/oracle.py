@@ -25,7 +25,7 @@ from .market import (
     social_welfare,
 )
 from .model import Allocation, CostParams, Scenario, cost_value, utility_value
-from .pricing import block_prices
+from .pricing import _prices
 
 BOUNDARY_TOL = 1e-6
 MAX_GRID_POINTS = 10**8
@@ -95,9 +95,9 @@ def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
     # Stop stepping once allocation movement is well below what a
     # tol-sized residual would produce, then measure the residual itself.
     step_tol = 0.1 * gamma * tol
-    kernel = _StepKernel(scenario, gamma)
-    marginal = block_prices(x.sum(axis=0), scenario.cost)
     with np.errstate(over="ignore", invalid="ignore"):  # every iterate is checked finite
+        kernel = _StepKernel(scenario, gamma)
+        marginal = _prices(x.sum(axis=0), *kernel.two_beta)
         for k in range(1, max_iter + 1):
             kernel.split(x)
             try:
@@ -109,7 +109,7 @@ def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
             if not math.isfinite(change):
                 raise DivergenceError(k)
             x = new_x
-            marginal = block_prices(x.sum(axis=0), scenario.cost)
+            marginal = _prices(x.sum(axis=0), *kernel.two_beta)
             if change < step_tol:
                 residual = worst_kkt_residual(scenario, Allocation(x), marginal)
                 if residual < tol:

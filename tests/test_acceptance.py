@@ -64,6 +64,9 @@ def certified_random_cases():
             scenario, RunConfig(gamma=gamma, tol=1e-9, max_iter=500000))
         if not report.converged:
             continue
+        # before any filter below: a converged run is an equilibrium, whether
+        # or not the oracle can certify this draw
+        assert report.worst_kkt_residual < 1e-6 * float(scenario.w.max())
         central = solve_welfare_centralized(scenario, tol=1e-6, gamma=gamma)
         block_total = scenario.blocks.b * scenario.num_customers
         demand = report.allocation.x.sum(axis=0)

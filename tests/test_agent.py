@@ -66,6 +66,12 @@ class TestGradientStep:
         out = step_profile(x, prices(5.0, 9.0), 0.0, scenario())
         np.testing.assert_array_equal(out, x)
 
+    @pytest.mark.parametrize("gamma", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_step_size_rejected(self, gamma):
+        # not the step's FloatingPointError: the step size itself is named
+        with pytest.raises(ValueError, match="step size must be nonnegative and finite"):
+            step_profile(np.array([[17.0]]), prices(5.0, 9.0), gamma, scenario())
+
     def test_overflow_to_minus_inf_raises(self):
         # y steps to -inf; the band projection alone would clip it to 0
         x = np.array([[30.0]])
@@ -184,6 +190,23 @@ class TestProjectProfile:
         with pytest.raises(ValueError, match="d_min exceeds d_max"):
             project_band(np.ones((2, 3)), [0.0, 5.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("d_min, d_max", [(np.nan, 10.0), (0.0, np.nan),
+                                              (0.0, [10.0, np.nan])])
+    def test_nan_bound_rejected(self, d_min, d_max):
+        # it used to be ignored: [[1, 2]] came back unchanged under a NaN floor
+        with pytest.raises(ValueError, match="a bound is NaN"):
+            project_band([[1.0, 2.0], [3.0, 4.0]], d_min, d_max)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        # an inf entry used to become a NaN row, with three RuntimeWarnings
+        with pytest.raises(ValueError, match="x must be finite"):
+            project_band([[bad, 1.0]], 0.0, 10.0)
+
+    def test_infinite_cap_accepted(self):
+        out = project_band([[3.0, -1.0]], 1.0, np.inf)
+        np.testing.assert_array_equal(out, [[3.0, 0.0]])
+
     def test_idempotent(self):
         rng = np.random.default_rng(21)
         for _ in range(1000):
@@ -277,6 +300,12 @@ class TestNaturalMapResidual:
         assert worst_kkt_residual(scen, alloc([x]), at) == pytest.approx(residual, abs=1e-12)
         assert recover_multipliers(scen, alloc([x]), at).tolist() == \
             [pytest.approx(multiplier, abs=1e-12)]
+
+    def test_nan_consumption_rejected(self):
+        # NaN used to pass the x >= 0 check and give a NaN residual
+        with pytest.raises(ValueError, match="consumption must be nonnegative"):
+            worst_kkt_residual(scenario(num_slots=2), alloc([[1.0, np.nan]]), prices(
+                [1.0, 1.0], [2.0, 2.0]))
 
     def test_equilibrium_with_recovered_multipliers(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))

@@ -43,6 +43,11 @@ class TestSocialWelfare:
         alloc = Allocation(np.zeros((2, 1)))
         assert social_welfare(alloc, demo_scenario) == 0.0
 
+    def test_nan_consumption_rejected(self, demo_scenario):
+        # NaN used to pass the x >= 0 check and give a NaN welfare
+        with pytest.raises(ValueError, match="consumption must be nonnegative"):
+            social_welfare(Allocation(np.array([[1.0], [np.nan]])), demo_scenario)
+
     def test_direct_evaluation(self):
         scenario = make_scenario(
             1,
@@ -138,6 +143,19 @@ class TestRunMarket:
         scenario = validate_scenario(welfare_overflow_document())
         with pytest.raises(DivergenceError) as err:
             run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("beta1, beta2, d_min, d_max", [
+        (1e308, 1e308, 1.0, 1.0), (5e307, 5e307, 0.0, 1.85), (0.5, 5e307, 0.0, 1.85)])
+    def test_price_only_overflow_diverges_at_iteration_1(self, beta1, beta2, d_min, d_max):
+        # 2*beta2*D overflows while beta2*D**2 does not.  From x = 1 the first step
+        # meets infinite prices; from x = 0 it lands on the cap of 1.85, whose posted
+        # p_u is infinite, which the loop's check of p_u alone must catch, p_l finite
+        # or not
+        scenario = make_scenario(1, [{"id": 0, "w": 10.0, "alpha": 1.0, "d_min": d_min,
+                                      "d_max": d_max}], b=25.0, beta1=beta1, beta2=beta2)
+        with pytest.raises(DivergenceError) as err:
+            run_market(scenario, RunConfig(gamma=1.0))
         assert err.value.iteration == 1
 
     def test_max_iter_exhaustion_reports_not_converged(self, demo_scenario):
@@ -322,23 +340,39 @@ def binding_band_scenario(side, n=50, t=24, seed=5):
     })
 
 
+def satiated_floor_scenario():
+    """N=3, T=4 with every daily floor at 0.98 of the customer's satiation
+    energy sum(w/alpha): over its run, 285 cells sit at or past satiation."""
+    w = np.random.default_rng(0).uniform(5.0, 10.0, size=(3, 4))
+    return validate_scenario({
+        "num_slots": 4,
+        "customers": [{"id": i, "w": row.tolist(), "alpha": 1.0,
+                       "d_min": 0.98 * float(row.sum()), "d_max": 1000.0}
+                      for i, row in enumerate(w)],
+        "blocks": {"b": 7.0},
+        "cost": {"beta1": 0.01, "beta2": 0.02},
+    })
+
+
+def posted_prices(x, scenario):
+    """block_prices at the posted demand: first-block plus second-block energy."""
+    b = scenario.blocks.b
+    return block_prices(np.minimum(x, b).sum(axis=0) + (np.maximum(x, b) - b).sum(axis=0),
+                        scenario.cost)
+
+
 def reference_market(scenario, config):
     """The distributed loop written out from public functions: every
     (x, p_l, p_u, welfare, max_change) that run_market should record."""
-    b, t = scenario.blocks.b, scenario.num_slots
-
-    def posted(x):
-        return block_prices(np.minimum(x, b).sum(axis=0)
-                            + (np.maximum(x, b) - b).sum(axis=0), scenario.cost)
-
+    t = scenario.num_slots
     x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
-    prices = posted(x)
+    prices = posted_prices(x, scenario)
     records = [(x, prices.p_l, prices.p_u,
                 social_welfare(Allocation(x), scenario), float("nan"))]
     for _ in range(config.max_iter):
         new_x = step_profile(x, prices, config.gamma, scenario)
         change = float(np.max(np.abs(new_x - x)))
-        new_prices = posted(new_x)
+        new_prices = posted_prices(new_x, scenario)
         records.append((new_x, new_prices.p_l, new_prices.p_u,
                         social_welfare(Allocation(new_x), scenario), change))
         done = (change < config.tol
@@ -398,8 +432,9 @@ LOOP_SCENARIOS = {
     "wide-slack": wide_slack_scenario,
     "binding-cap": lambda: binding_band_scenario("cap"),
     "binding-floor": lambda: binding_band_scenario("floor"),
+    "satiated-floor": satiated_floor_scenario,
 }
-BINDING = {"binding-cap", "binding-floor"}
+BINDING = {"binding-cap", "binding-floor", "satiated-floor"}
 
 
 class TestLoopMatchesReference:
@@ -432,6 +467,21 @@ class TestLoopMatchesReference:
                 before = trace.records[k - 1]
                 assert same_bits(x, clip_then_project_step(
                     before.allocation.x, before.prices, config.gamma, scenario))
+
+    @pytest.mark.parametrize("name", LOOP_SCENARIOS)
+    def test_records_price_and_welfare_their_own_x(self, name):
+        # the loop's unchecked price and welfare kernels, to the bit
+        scenario = LOOP_SCENARIOS[name]()
+        _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
+                                                  tol=1e-8, max_iter=400))
+        for rec in trace.records:
+            expected = posted_prices(rec.allocation.x, scenario)
+            assert same_bits(rec.prices.p_l, expected.p_l)
+            assert same_bits(rec.prices.p_u, expected.p_u)
+            assert same_bits(rec.welfare, social_welfare(rec.allocation, scenario))
+        sated = sum(int(np.count_nonzero(rec.allocation.x >= scenario.satiation))
+                    for rec in trace.records)
+        assert (sated > 0) == (name == "satiated-floor")
 
     @pytest.mark.parametrize("name", LOOP_SCENARIOS)
     def test_records_own_their_arrays(self, name):

@@ -37,6 +37,11 @@ class TestUtilityValue:
         with pytest.raises(ValueError):
             utility_value(-1.0, 40.0, 1.0)
 
+    def test_nan_consumption_rejected(self):
+        # NaN is not below 0; it used to pass as satiated, worth w*w/(2*alpha)
+        with pytest.raises(ValueError, match="consumption must be nonnegative"):
+            utility_value(np.array([1.0, np.nan]), 10.0, 1.0)
+
     def test_no_overflow_warning_below_satiation(self):
         # the flat value w*w/(2*alpha) overflows for w = 1e300, but no cell
         # here reaches satiation w/alpha = 1e306, so nothing overflows
@@ -84,6 +89,10 @@ class TestUtilityGradient:
         with pytest.raises(ValueError):
             utility_gradient(-0.5, 40.0, 1.0)
 
+    def test_nan_consumption_rejected(self):
+        with pytest.raises(ValueError, match="consumption must be nonnegative"):
+            utility_gradient(np.nan, 10.0, 1.0)
+
     def test_matches_central_finite_difference(self):
         rng = np.random.default_rng(11)
         h = 1e-3
@@ -121,6 +130,10 @@ class TestCostValue:
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
             cost_value(-1.0, 50.0, CostParams(0.5, 0.6))
+
+    def test_nan_demand_rejected(self):
+        with pytest.raises(ValueError, match="demand must be nonnegative"):
+            cost_value([10.0, np.nan], 50.0, CostParams(0.5, 0.6))
 
     def test_nondecreasing_per_segment_and_jump(self):
         cost = CostParams(0.5, 0.6)

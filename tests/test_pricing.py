@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brpmarket import CostParams, block_prices
 
@@ -40,6 +42,20 @@ class TestBlockPrices:
         p2 = block_prices(demand([24.0], [6.0]), cost)
         assert p2.p_l[0] == pytest.approx(2 * p1.p_l[0])
         assert p2.p_u[0] == pytest.approx(2 * p1.p_u[0])
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.floats(5e-324, 1.7976931348623157e308), st.floats(0.0, 1.0),
+           st.lists(st.floats(0.0, np.inf), min_size=1, max_size=4))
+    def test_finite_second_block_price_bounds_the_first(self, beta2, share, demands):
+        # run_market checks p_u alone: with 0 < beta1 <= beta2, as the validator
+        # enforces, and demand >= 0 (inf too), p_l <= p_u, so a finite p_u (its
+        # max is NaN if any entry is) makes p_l finite
+        beta1 = max(beta2 * share, 5e-324)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prices = block_prices(demands, CostParams(np.full(len(demands), beta1),
+                                                      np.full(len(demands), beta2)))
+        if np.isfinite(prices.p_u.max()):
+            assert np.isfinite(prices.p_l).all() and np.all(prices.p_l <= prices.p_u)
 
 
 class TestAggregateDemand:
