@@ -19,9 +19,11 @@ def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
     <= d_max}``, bounds scalar or (N,): :func:`_onto_blocks` with no first block.  A
     row whose clipped sum is in its band is only clipped; any other (an overflowing
     one too) becomes ``max(x - s, 0)``, ``s`` the shift onto the violated edge.  No
-    entry of ``x`` may be NaN or inf, nor a bound NaN; ``d_max`` may be inf."""
+    entry of ``x`` may be NaN or inf, nor a bound NaN, ``d_min`` inf or ``d_max`` < 0."""
     if not np.less_equal(d_min, d_max).all():  # false for a NaN bound too
         raise ValueError("infeasible constraint set: d_min exceeds d_max, or a bound is NaN")
+    if not (np.less(d_min, math.inf) & np.greater_equal(d_max, 0)).all():
+        raise ValueError("the band has no finite point: d_min is inf or d_max negative")
     if not np.isfinite(x := np.asarray(x, dtype=float)).all():
         raise ValueError("x must be finite (no NaN or inf)")
     with np.errstate(over="ignore"):

@@ -3,8 +3,8 @@
 Subcommands: run (market to equilibrium), sweep (step-size study),
 verify (oracle certification), demo (built-in two-customer scenario).
 
-Exit codes: 0 success, 1 bad scenario, bad option value or I/O error,
-checked before any solve; 2 no convergence (max-iter exhaustion or
+Exit codes: 0 success, 1 bad scenario, bad option value, bad --out (all checked
+before any solve) or I/O error; 2 no convergence (max-iter exhaustion or
 divergence), 3 oracle non-convergence, 4 verification failure.
 """
 
@@ -249,7 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        # before any solve: --out, or else its nearest existing ancestor, is a directory
+        if args.out and not next(p for p in (Path(args.out), *Path(args.out).parents)
+                                 if p.exists()).is_dir():
+            return _bad_input(f"--out {args.out!r} is not a directory and cannot become one")
+        return args.func(args, parser)
+    except OSError as exc:  # an output that could not be written
+        return _bad_input(exc)
 
 
 if __name__ == "__main__":

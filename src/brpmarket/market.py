@@ -89,42 +89,43 @@ class IterationTrace:
         as the ``repr`` of its Python ``float``, so it round-trips exactly.
         The block split ``y = min(x, b)``, ``z = max(x, b)`` is derived here.
 
-        Each iterate is written with one ``write``.  Its x, y and z hold few
-        distinct values (one of y and z is x, the other is the slot's ``b``),
-        so ``repr`` runs once per distinct float64 bit pattern, not per cell.
+        Each iterate is one array of pieces joined once: its number, cached row prefixes
+        and commas, the texts of :func:`_cell_texts` (one ``repr`` per distinct bit
+        pattern of x and of b) and each slot's ``,p_l,p_u,welfare,max_change`` line end.
         """
-        prefixes, shape = [], None
+        shape = None
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_COMMENT + "\n")
             fh.write(",".join(TRACE_COLUMNS) + "\r\n")
             for k, rec in enumerate(self.records):
                 if np.shape(rec.allocation.x) != shape:
-                    shape = np.shape(rec.allocation.x)
-                    prefixes = [[f",{slot},{cust}," for cust in range(shape[0])]
-                                for slot in range(shape[1])]
-                texts = iter(_cell_texts(rec.allocation.x, self.b))
+                    n, t = shape = np.shape(rec.allocation.x)
+                    pieces = np.full((t, n, 8), ",", dtype=object)  # k ,slot,cust, x , y , z end
+                    pieces[..., 1] = [[f",{s},{c}," for c in range(n)] for s in range(t)]
                 tail = f",{float(rec.welfare)!r},{float(rec.max_change)!r}\r\n"
-                suffixes = [f",{p_l!r},{p_u!r}{tail}" for p_l, p_u in zip(
+                pieces[..., 0] = str(k)
+                pieces[..., 2::2] = _cell_texts(rec.allocation.x, self.b)
+                pieces[..., 7] = np.array([f",{p_l!r},{p_u!r}{tail}" for p_l, p_u in zip(
                     np.asarray(rec.prices.p_l, dtype=float).tolist(),
-                    np.asarray(rec.prices.p_u, dtype=float).tolist())]
-                fh.write("".join(
-                    f"{k}{prefix}{xs},{ys},{zs}{suffix}"
-                    for slot_prefixes, suffix in zip(prefixes, suffixes)
-                    for prefix, xs, ys, zs in zip(slot_prefixes, texts, texts, texts)))
+                    np.asarray(rec.prices.p_u, dtype=float).tolist())], dtype=object)[:, None]
+                fh.write("".join(pieces.ravel().tolist()))
 
 
-def _cell_texts(x, b) -> list[str]:
-    """The ``repr`` of x, ``min(x, b)`` and ``max(x, b)`` of every cell,
-    slot-major, then customer.
-
-    ``repr`` runs once per distinct float64 bit pattern; keying on bits, not
-    on ``==``, keeps -0.0 apart from 0.0.
-    """
+def _cell_texts(x, b) -> np.ndarray:
+    """The ``repr`` of x, ``min(x, b)`` and ``max(x, b)`` of every cell, (slot, customer, 3):
+    one per distinct float64 bit pattern of x and b (bits, not ``==``, keep -0.0 apart
+    from 0.0).  Each y and z is, bit for bit, its x or its b; one that is neither (a NaN
+    the comparison quietened) gets its own ``repr``."""
     x, b = np.asarray(x, dtype=float).T, np.asarray(b, dtype=float)[:, None]
+    bits, index = np.unique(np.append(x, b).view(np.int64), return_inverse=True)
+    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     cells = np.stack([x, np.minimum(x, b), np.maximum(x, b)], axis=-1)
-    bits, index = np.unique(cells.view(np.int64), return_inverse=True)
-    table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return table[index.ravel()].tolist()
+    from_x = (cell_bits := cells.view(np.int64)) == cell_bits[..., :1]
+    texts = table[np.where(from_x, index[:x.size].reshape(*x.shape, 1),
+                           index[x.size:, None, None])]
+    odd = ~from_x & (cell_bits != b.view(np.int64)[..., None])
+    texts[odd] = list(map(repr, cells[odd].tolist()))
+    return texts
 
 
 @dataclass(frozen=True)

@@ -203,9 +203,22 @@ class TestProjectProfile:
         with pytest.raises(ValueError, match="x must be finite"):
             project_band([[bad, 1.0]], 0.0, 10.0)
 
+    @pytest.mark.parametrize("d_min, d_max", [
+        (np.inf, np.inf), (-np.inf, -np.inf), (-5.0, -1.0), ([0.0, np.inf], np.inf)])
+    def test_band_without_finite_point_rejected(self, d_min, d_max):
+        # [[1, 2]] used to come back as [[inf, inf]] under an inf floor, and as
+        # [[0, 0]], above the cap, under a -inf one
+        with pytest.raises(ValueError, match="band has no finite point"):
+            project_band([[1.0, 2.0], [3.0, 4.0]], d_min, d_max)
+
     def test_infinite_cap_accepted(self):
         out = project_band([[3.0, -1.0]], 1.0, np.inf)
         np.testing.assert_array_equal(out, [[3.0, 0.0]])
+
+    @pytest.mark.parametrize("d_max, expected", [(np.inf, [[3.0, 0.0]]), (2.0, [[2.0, 0.0]])])
+    def test_minus_inf_floor_accepted(self, d_max, expected):
+        out = project_band([[3.0, -1.0]], -np.inf, d_max)
+        np.testing.assert_array_equal(out, expected)
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)

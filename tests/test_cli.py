@@ -364,6 +364,43 @@ class TestBadOptionValues:
                              out, capsys, reason="no feasible grid point")
 
 
+class TestOutPath:
+    """An --out that cannot be written exits 1 with one error line: a file in
+    the way is found before any solve, a failed write after it."""
+
+    EXTRA = {"run": [], "sweep": ["--gammas", "0.3"], "verify": []}
+
+    def argv(self, command, demo_file, out):
+        return [command, "--scenario", str(demo_file), *self.EXTRA[command], "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+    def test_file_in_the_way_rejected_before_any_solve(self, command, demo_file, tmp_path,
+                                                       capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver called despite an unusable --out")
+        monkeypatch.setattr(cli, "run_market", refuse)
+        monkeypatch.setattr(cli, "solve_welfare_centralized", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        for out in (taken, taken / "sub"):
+            assert main(self.argv(command, demo_file, out)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: --out {str(out)!r} is not a directory and cannot become one"]
+        assert taken.read_text() == "a file"
+
+    @pytest.mark.parametrize("command, name", [
+        ("run", "trace.csv"), ("sweep", "sweep.csv"), ("verify", "comparison.json")])
+    def test_failed_write_exits_1(self, command, name, demo_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)  # a directory where the output file goes
+        assert main(self.argv(command, demo_file, out)) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("notice:")]
+        assert len(errors) == 1 and errors[0].startswith("error: ") and name in errors[0]
+
+
 class TestDemoCommand:
     def test_demo_runs_and_prints_summary(self, tmp_path, capsys):
         out = tmp_path / "demo_out"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -576,6 +577,84 @@ class TestTraceCsvGolden:
         trace.to_csv(tmp_path / "fast.csv")
         reference_trace_csv(trace, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+_SNAN = 0x7FF0000000000001  # the bits of a signalling NaN
+
+
+def _signalling(x) -> np.ndarray:
+    """``x`` as float64, each NaN replaced by the signalling NaN ``_SNAN``."""
+    x = np.array(x, dtype=float)
+    x.view(np.int64)[np.isnan(x)] = _SNAN
+    return x
+
+
+class TestTraceCsvEdges:
+    """The writer against the reference on the cases its bit-keyed split
+    handles apart: NaN and signed-zero cells, a NaN b, a changing N and an
+    empty trace; and the bytes of two runs, pinned."""
+
+    @pytest.mark.parametrize("b, xs", [
+        pytest.param([25.0, 1.0], [_signalling([[math.nan, 30.0], [1.0, math.nan]])],
+                     id="signalling-nan-x"),
+        pytest.param([0.0, -0.0], [np.array([[-0.0, 0.0], [-0.0, 0.0]])],
+                     id="signed-zero-x-against-b"),
+        pytest.param([math.nan, 2.0], [np.array([[1.0, 3.0], [-0.0, math.nan]])], id="nan-b"),
+        pytest.param([2.0, 5.0], [np.array([[1.0, 6.0]]),
+                                  np.array([[1.0, 6.0], [3.0, 4.0], [2.0, 5.0]]),
+                                  np.array([[7.0, 0.0], [0.5, 5.0]])], id="changing-n"),
+        pytest.param([2.0, 5.0], [], id="no-records"),
+    ])
+    def test_matches_reference_writer(self, b, xs, tmp_path):
+        trace = IterationTrace(np.array(b))
+        for k, x in enumerate(xs):
+            trace.append(_record(x, [1.0, -0.0], [math.nan, 4.0], welfare=k, change=0.5))
+        trace.to_csv(tmp_path / "fast.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        data = (tmp_path / "fast.csv").read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        assert data.count(b"\n") == 2 + sum(x.size for x in xs)
+        assert all(same_bits(rec.allocation.x, x) for rec, x in zip(trace.records, xs))
+
+    def test_split_matching_neither_operand_gets_its_own_repr(self, monkeypatch, tmp_path):
+        # np.minimum and np.maximum return one operand bit for bit; were they to
+        # quieten a signalling NaN, its y and z would match neither x nor b
+        def quietening(ufunc):
+            def call(a, b):
+                out = np.array(ufunc(a, b), dtype=float)
+                out[np.isnan(out)] = math.nan
+                return out
+            return call
+
+        monkeypatch.setattr(np, "minimum", quietening(np.minimum))
+        monkeypatch.setattr(np, "maximum", quietening(np.maximum))
+        x = _signalling([[math.nan, 30.0], [math.nan, math.nan]])
+        trace = IterationTrace(np.array([25.0, 1.0]), [_record(x, [1.0, 2.0], [3.0, 4.0])])
+        trace.to_csv(tmp_path / "fast.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        data = (tmp_path / "fast.csv").read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        assert b"0,0,0,nan,nan,nan," in data
+
+    # sha256 of trace.csv as the csv.writer loop wrote it
+    DEMO_RUN_SHA256 = "1b50005acfddc4104180580a664c2fda8fb9f8925f65e6795b4d651b6ff19460"
+    WIDE_SLACK_SHA256 = "f1f6757632db3075ccdc89402da8ebea897510759df5aad47e3dc58a1cddc75e"
+
+    def test_demo_run_bytes_pinned(self, tmp_path):
+        scenario_path = tmp_path / "demo.json"
+        scenario_path.write_text(json.dumps(cli.demo_scenario_document()))
+        assert cli.main(["run", "--scenario", str(scenario_path),
+                         "--out", str(tmp_path / "out")]) == 0
+        data = (tmp_path / "out" / "trace.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.DEMO_RUN_SHA256
+
+    def test_wide_slack_bytes_pinned(self, tmp_path):
+        scenario = wide_slack_scenario()
+        _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        trace.to_csv(tmp_path / "trace.csv")
+        data = (tmp_path / "trace.csv").read_bytes()
+        assert len(trace) == 63
+        assert hashlib.sha256(data).hexdigest() == self.WIDE_SLACK_SHA256
 
 
 class TestTraceSplit:
