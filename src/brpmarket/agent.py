@@ -1,6 +1,7 @@
 """The customers' price response on the whole (N, T) allocation: the
 projected-gradient step, the batched daily-band projection, net utility,
-and the equilibrium (KKT) certificate, all through one lifted projection."""
+and the equilibrium (KKT) certificate, all through one lifted projection of
+each slot's first block ``y = min(x, b)`` and excess ``z' = max(x - b, 0)``."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
 
 _NEWTON_STEPS = 4  # evaluations from a warm shift before a row falls back to the sort
-_NEWTON_RTOL = 2.0 ** -46  # a row settles when |sum - bound| <= this * (|bound| + sum(b))
+_NEWTON_RTOL = 2.0 ** -46  # a row settles when |sum - bound| <= this * |bound|
 
 
 def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
@@ -33,19 +34,19 @@ def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
 class _StepKernel:
     """:func:`step_profile` for every step of one loop, in (N, T) work buffers kept
     for the run.  :meth:`split` computes an iterate's ``low = min(x, b)``, ``high =
-    max(x, b)`` and ``sated = x >= w/alpha`` (None if it holds nowhere) once, for its
-    prices, welfare and step, with the run's ``2*beta``, ``b*N`` and, tiled to (N, T),
+    max(x - b, 0)`` and ``sated = x >= w/alpha`` (None if it holds nowhere) once, for
+    its welfare and step, with the run's ``2*beta``, ``b*N`` and, tiled to (N, T),
     ``b``, ``alpha`` and ``alpha/2``.  Its projections start from each row's last band
-    ``shift``, with the pair's tiled ``bounds``, in ``sides`` what depends only on which
-    edges bind, and Newton's buffers."""
+    ``shift``, with the pair's ``upper`` bounds ``[b, inf)`` tiled to (N, 2T), in
+    ``sides`` what depends only on which edges bind, and Newton's buffers."""
 
     def __init__(self, scenario: Scenario, gamma: float):
         self.scenario, self.gamma = scenario, gamma
         self.low, self.high, self.grad, self.raw = (np.empty(scenario.w.shape) for _ in range(4))
         self.flat, self.sated = np.empty(scenario.w.shape, dtype=bool), None
         (n, t), b = scenario.w.shape, scenario.blocks.b  # tiled: one shape is the fastest
-        lo_hi = np.concatenate([np.zeros(t), b, b, np.full(t, np.inf)]).reshape(2, 1, 2 * t)
-        self.shift, self.bounds, self.sides = np.zeros(n), np.repeat(lo_hi, n, axis=1), None
+        upper = np.concatenate([b, np.full(t, np.inf)])
+        self.shift, self.upper, self.sides = np.zeros(n), np.tile(upper, (n, 1)), None
         self.ones, self.clipped = np.ones(2 * t), np.empty((n, 2 * t))
         self.two_beta = 2.0 * scenario.cost.beta1, 2.0 * scenario.cost.beta2
         self.b, self.alpha = np.tile(b, (n, 1)), np.repeat(scenario.alpha, t, axis=1)
@@ -53,7 +54,7 @@ class _StepKernel:
 
     def split(self, x: np.ndarray) -> None:
         np.minimum(x, self.b, out=self.low)
-        np.maximum(x, self.b, out=self.high)
+        np.maximum(np.subtract(x, self.b, out=self.high), 0.0, out=self.high)
         flat = np.greater_equal(x, self.scenario.satiation, out=self.flat)
         self.sated = flat if flat.any() else None
 
@@ -82,9 +83,9 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
                  scenario: Scenario) -> np.ndarray:
     """One projected-gradient update of every customer's daily profile.
 
-    Per slot ``y = min(x, b)`` and ``z = max(x, b)`` step by ``gamma*(U'(x) - p_l)``
+    Per slot ``y = min(x, b)`` and ``z' = max(x - b, 0)`` step by ``gamma*(U'(x) - p_l)``
     and ``gamma*(U'(x) - p_u)``; the pair is projected at once onto ``0 <= y <= b``,
-    ``z >= b`` and the daily band of ``x = y + z - b`` (:func:`_onto_blocks`), so the
+    ``z' >= 0`` and the daily band of ``x = y + z'`` (:func:`_onto_blocks`), so the
     fixed points are exactly the equilibria (KKT points) at these prices, for every
     ``gamma > 0``.  Returns the new (N, T) consumption; ``x >= 0`` is unchecked.  An
     overflowing step raises ``FloatingPointError``, without numpy's warnings.  The
@@ -99,36 +100,35 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
 
 def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.ndarray:
     """Each customer's utility minus block payments, shape (N,):
-    ``sum_t U(x) - p_l*min(x, b) - p_u*(max(x, b) - b)``."""
+    ``sum_t U(x) - p_l*min(x, b) - p_u*max(x - b, 0)``."""
     b = scenario.blocks.b
     util = utility_value(x, scenario.w, scenario.alpha)
-    payment = prices.p_l * np.minimum(x, b) + prices.p_u * (np.maximum(x, b) - b)
+    payment = prices.p_l * np.minimum(x, b) + prices.p_u * np.maximum(x - b, 0.0)
     return np.sum(util - payment, axis=1)
 
 
 def _onto_blocks(a: np.ndarray, c: np.ndarray, b, d_min, d_max, warm=None):
-    """The lifted block-band projection ``x = clip(a - s, 0, b) + max(c - s, b) - b``
-    of the pair ``(y, z) = (a, c)`` onto ``0 <= y <= b``, ``z >= b`` and the daily band
-    of ``x``: the least shift ``s`` per row that puts its sum in ``[d_min, d_max]``, 0
-    inside; ``b`` is scalar, (T,) or (N, T).  Returns x (N, T) and the shifts (N,).
+    """The lifted block-band projection ``x = clip(a - s, 0, b) + max(c - s, 0)`` of the
+    pair ``(y, z') = (a, c)`` onto ``0 <= y <= b``, ``z' >= 0`` and the daily band of
+    ``x = y + z'``: the least shift ``s`` per row that puts its sum in ``[d_min, d_max]``,
+    0 inside; ``b`` is scalar, (T,) or (N, T).  Returns x (N, T) and the shifts (N,).
 
     A row's sum falls piecewise linearly in ``s``, by the count of cells with ``0 <
-    y < b`` or ``z > b``.  With a ``warm`` start (a ``_StepKernel``) a row shifted
+    y < b`` or ``z' > 0``.  With a ``warm`` start (a ``_StepKernel``) a row shifted
     there takes Newton steps (Cominetti et al., Math. Prog. Comp. 2014); any other,
     and one that does not settle, is checked unshifted, and one outside its band
-    sorts its 3T knots ``c - b``, ``a - b``, ``a`` (Kiwiel, Math. Prog. 2008)."""
+    sorts its 3T knots ``c``, ``a - b``, ``a`` (Kiwiel, Math. Prog. 2008)."""
     n, t = a.shape
     if warm is not None and np.count_nonzero(warm.shift):
         pair, shift, settled = _newton_rows(np.concatenate([a, c], axis=1), d_min, d_max, warm)
-        x = pair[:, :t] + pair[:, t:] - b
+        x = pair[:, :t] + pair[:, t:]
         if np.count_nonzero(settled) < n:
             rest = ~settled
             x[rest], shift[rest] = _onto_blocks(a[rest], c[rest], *(np.broadcast_to(
                 v, shape)[rest] for v, shape in ((b, a.shape), (d_min, n), (d_max, n))))
         return x, shift
-    x = np.maximum(c, b)
+    x = np.maximum(c, 0.0)
     x += np.maximum(np.minimum(a, b), 0.0)
-    x -= b
     shift = np.zeros(n)
     total = x.sum(axis=1)
     cap = total > d_max
@@ -143,22 +143,21 @@ def _onto_blocks(a: np.ndarray, c: np.ndarray, b, d_min, d_max, warm=None):
 def _newton_rows(pair, d_min, d_max, warm):
     """Newton steps on ``pair``, (a, c) side by side, from the shifts of ``warm`` to the
     band edge of each one's sign.  Returns the clipped pair, the shifts and which rows
-    settled: at a shift of the warm sign whose sum meets the bound to ``tol``, with a cell
+    settled: at a shift of the warm sign whose sum meets the edge to ``tol``, with a cell
     sloping ``tol`` either side so no flat stretch hides a lesser shift; else unshifted."""
-    s, (lo, hi) = warm.shift, warm.bounds
+    s, upper = warm.shift, warm.upper
     cap, cold = s > 0, s == 0
     if warm.sides is None or warm.sides[0] != cap.tobytes():  # first use, or an edge changed
-        bsum = hi[0, :pair.shape[1] // 2].sum()  # the pair sums to x's sum plus sum(b)
-        tol = _NEWTON_RTOL * np.abs(target := np.where(cap, d_max, d_min) + bsum)
-        warm.sides = cap.tobytes(), bsum, target, tol, lo + tol.max(), hi - tol.max()
-    _, bsum, target, tol, inner_lo, inner_hi = warm.sides
+        tol = _NEWTON_RTOL * np.abs(target := np.where(cap, d_max, d_min))
+        warm.sides = cap.tobytes(), target, tol, tol.max(), upper - tol.max()
+    _, target, tol, inner_lo, inner_hi = warm.sides
     ones, clipped, some_cold = warm.ones, warm.clipped, np.count_nonzero(cold) > 0
     for k in range(_NEWTON_STEPS):
         np.subtract(pair, s[:, None], out=clipped)
-        np.maximum(np.minimum(clipped, hi, out=clipped), lo, out=clipped)
+        np.maximum(np.minimum(clipped, upper, out=clipped), 0.0, out=clipped)
         total = np.dot(clipped, ones)
         if not k and some_cold:
-            target = np.where(cold, np.clip(total, d_min + bsum, d_max + bsum), target)
+            target = np.where(cold, np.clip(total, d_min, d_max), target)
         excess = total - target
         slope = np.dot((inner_lo < clipped) & (clipped < inner_hi), ones)
         settled = np.abs(excess) <= tol  # a flat one fails the slope test at the end
@@ -175,29 +174,30 @@ def _sorted_rows(a, c, b, target, cap):
     # measured from the row maximum, an entry dwarfing the band cannot round the target away
     top = np.maximum(a, c).max(axis=1, keepdims=True)
     a, c = a - top, c - top
-    # the knots c - b, a - b, a, negated to sort down from the largest; below one of c - b
-    # or a one more piece slopes, below a - b one fewer; ties bound no segment
-    knots = np.concatenate([b - c, b - a, -a], axis=1)
+    # the knots c, a - b, a, negated to sort down from the largest; below c or a one
+    # more piece slopes, below a - b one fewer; ties bound no segment
+    knots = np.concatenate([-c, b - a, -a], axis=1)
     order = np.argsort(knots, axis=1)
     rows = np.arange(len(a))[:, None]
     desc = -knots[rows, order]
     slope = np.repeat([1.0, -1.0, 1.0], a.shape[1])[order].cumsum(axis=1)
     level = np.zeros_like(desc)  # the row sum at each knot
-    np.cumsum(slope[:, :-1] * (desc[:, :-1] - desc[:, 1:]), axis=1, out=level[:, 1:])
+    with np.errstate(over="ignore"):  # past a knot near a huge b: inf, above every target
+        np.cumsum(slope[:, :-1] * (desc[:, :-1] - desc[:, 1:]), axis=1, out=level[:, 1:])
     # the segment of the least shift: a cap's last knot with sum <= d_max, a floor's < d_min
     target = target[:, None]
     j = np.where(cap[:, None], level <= target, level < target).sum(axis=1, keepdims=True) - 1
     s = desc[rows, j] - (target - level[rows, j]) / slope[rows, j]
-    x = np.maximum(np.minimum(a - s, b), 0.0) + np.maximum(c - s, b) - b
+    x = np.maximum(np.minimum(a - s, b), 0.0) + np.maximum(c - s, 0.0)
     return x, (s + top)[:, 0]
 
 
 def _natural_map(scenario: Scenario, alloc: Allocation, prices: PriceSchedule):
     """``P(x + U'(x))`` and its band shifts, ``P`` the lifted projection of the pair
-    ``(x + U' - p_l, x + U' - p_u)``: :func:`_onto_blocks` at step 1, started cold."""
+    ``(x + U' - p_l, x + U' - b - p_u)``: :func:`_onto_blocks` at step 1, started cold."""
     x, b = alloc.x, scenario.blocks.b
     ahead = x + utility_gradient(x, scenario.w, scenario.alpha)
-    return _onto_blocks(ahead - prices.p_l, ahead - prices.p_u, b,
+    return _onto_blocks(ahead - prices.p_l, ahead - b - prices.p_u, b,
                         scenario.d_min, scenario.d_max)
 
 

@@ -4,8 +4,9 @@ Subcommands: run (market to equilibrium), sweep (step-size study),
 verify (oracle certification), demo (built-in two-customer scenario).
 
 Exit codes: 0 success, 1 bad scenario, bad option value, bad --out (all checked
-before any solve) or I/O error; 2 no convergence (max-iter exhaustion or
-divergence), 3 oracle non-convergence, 4 verification failure.
+before any solve) or I/O error; 2 no convergence of the market run (max-iter
+exhaustion or divergence; verify then compares nothing), 3 oracle
+non-convergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -154,7 +155,12 @@ def cmd_verify(args, parser) -> int:
 
     try:
         report, _ = run_market(scenario, config)
-        centralized = solve_welfare_centralized(scenario, tol=1e-6, gamma=gamma)
+        if not report.converged:
+            print(f"error: market run did not converge in {report.iterations} iterations",
+                  file=sys.stderr)
+            return EXIT_NOT_CONVERGED
+        centralized = solve_welfare_centralized(scenario, tol=1e-6, gamma=gamma,
+                                                max_iter=args.max_iter)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED

@@ -167,21 +167,14 @@ def default_step_size(scenario: Scenario) -> float:
     return 0.5 / (alpha_max + 2.0 * beta_max * scenario.num_customers)
 
 
-def _posted_prices(kernel: _StepKernel):
-    """Block prices at the demand the supplier sells: first-block energy ``min(x, b)``
-    plus second-block energy ``max(x, b) - b`` (formed in ``raw``), summed per slot."""
-    second = np.subtract(kernel.high, kernel.b, out=kernel.raw)
-    return _prices(kernel.low.sum(axis=0) + second.sum(axis=0), *kernel.two_beta)
-
-
 def run_market(scenario: Scenario, config: RunConfig):
     """Iterate the distributed price/demand loop to equilibrium.
 
     Returns ``(EquilibriumReport, IterationTrace)``.  Raises
-    :class:`DivergenceError` if any iterate turns non-finite.  Each iterate's
-    block split and satiation mask serve its prices, welfare and step
-    (``agent._StepKernel``, with the run's constants and work buffers); every
-    trace record owns its arrays.
+    :class:`DivergenceError` if any iterate turns non-finite.  Prices are set at
+    each iterate's total demand per slot; its block split and satiation mask
+    serve its welfare and step (``agent._StepKernel``, with the run's constants
+    and work buffers); every trace record owns its arrays.
     """
     t = scenario.num_slots
     x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
@@ -191,7 +184,7 @@ def run_market(scenario: Scenario, config: RunConfig):
         kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
         work = kernel.grad, kernel.raw  # the step's buffers, free until the next step
         kernel.split(x)
-        prices = _posted_prices(kernel)
+        prices = _prices(x.sum(axis=0), *kernel.two_beta)
         welfare = _welfare(x, kernel.sated, scenario, kernel.half_alpha, kernel.block_total, work)
         trace.append(IterationRecord(Allocation(x), prices, welfare, float("nan")))
         for k in range(1, config.max_iter + 1):
@@ -204,7 +197,7 @@ def run_market(scenario: Scenario, config: RunConfig):
             if not math.isfinite(max_change):
                 raise DivergenceError(k)
             kernel.split(new_x)
-            new_prices = _posted_prices(kernel)
+            new_prices = _prices(new_x.sum(axis=0), *kernel.two_beta)
             welfare = _welfare(new_x, kernel.sated, scenario, kernel.half_alpha,
                                kernel.block_total, work)
             # a finite p_u has a finite p_l: demand >= 0 and the validated beta1 <= beta2

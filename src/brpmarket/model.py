@@ -3,7 +3,7 @@
 Customers have a quadratic-then-flat utility of consumption; the supplier
 has a two-segment quadratic cost that switches at an aggregate threshold.
 Consumption at each slot is billed in two blocks around a per-slot
-threshold ``b``: ``min(x, b)`` in the first, ``max(x, b) - b`` in the second.
+threshold ``b``: ``min(x, b)`` in the first, ``max(x - b, 0)`` in the second.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class Scenario:
 @dataclass(frozen=True)
 class Allocation:
     """Per-(customer, slot) consumption.  Its block split ``min(x, b)``,
-    ``max(x, b)`` is derived where it is read, never stored."""
+    ``max(x - b, 0)`` is derived where it is read, never stored."""
 
     x: np.ndarray       # consumption, shape (N, T)
 

@@ -57,7 +57,7 @@ class TestGradientStep:
         np.testing.assert_allclose(step_profile(x, prices(30.0, 30.0), 0.1, scen), x)
 
     def test_worked_update_from_zero(self):
-        # y: 0 + 0.1*(40 - 20) = 2; z: 25 + 0.1*(40 - 30) = 26; x = y + z - b
+        # y: 0 + 0.1*(40 - 20) = 2; z': 0 + 0.1*(40 - 30) = 1; x = y + z'
         out = step_profile(np.array([[0.0]]), prices(20.0, 30.0), 0.1, scenario())
         assert out[0, 0] == pytest.approx(3.0)
 
@@ -307,6 +307,9 @@ class TestNaturalMapResidual:
         pytest.param(10.0, 10.0, 12.0, {"w": 80.0, "b": 60.0, "d_max": 10.0}, 0.0, 60.0,
                      id="binding-cap"),
         pytest.param(30.0, 5.0, 20.0, {"d_min": 30.0}, 0.0, -10.0, id="binding-floor"),
+        # a b that dwarfs x must not round the first block away
+        pytest.param(0.0, 0.0, 0.0, {"w": 10.0, "b": 1e17, "d_max": 5.0}, 5.0, 5.0,
+                     id="huge-b-below-cap"),
     ])
     def test_natural_map_residual(self, x, p_l, p_u, extra, residual, multiplier):
         scen, at = scenario(**extra), prices(p_l, p_u)
@@ -502,25 +505,31 @@ LIFTED_KINDS = ("above", "below", "inside", "zero_cap", "equal")
 
 
 def unshifted_rows(a, c, b):
-    """The lifted projection at shift 0: ``clip(a, 0, b) + max(c, b) - b``."""
-    return np.maximum(c, b) + np.clip(a, 0.0, b) - b
+    """The lifted projection at shift 0: ``clip(a, 0, b) + max(c, 0)``."""
+    return np.maximum(c, 0.0) + np.clip(a, 0.0, b)
 
 
 @st.composite
-def lifted_rows(draw):
+def lifted_rows(draw, huge_b=False):
     """Inputs of the lifted block-band projection, (a, c, b, d_min, d_max):
-    a per-slot ``b`` and one band per row, drawn above, below or around the
-    unshifted row sum, a zero cap or ``d_min == d_max``."""
+    the pair (a, c) drawn around a per-slot ``b`` and passed as the excess
+    form (a, c - b), and one band per row, drawn above, below or around the
+    unshifted row sum, a zero cap or ``d_min == d_max``.  With ``huge_b``,
+    ``b`` is then 1e17, far past every entry but those of order 1e17, and the
+    first row's band is a zero cap."""
     n = draw(st.integers(1, 4))
     t = draw(st.integers(1, 6))
     entry = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, 1e17, -1e17]))
     a, c = (np.array(draw(st.lists(st.lists(entry, min_size=t, max_size=t),
                                    min_size=n, max_size=n))) for _ in range(2))
     b = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=t, max_size=t)))
+    c = c - b
+    if huge_b:
+        b = np.full(t, 1e17)
     total = unshifted_rows(a, c, b).sum(axis=1)
     d_min, d_max = np.zeros(n), np.zeros(n)
-    for i, kind in enumerate(draw(st.lists(st.sampled_from(LIFTED_KINDS),
-                                           min_size=n, max_size=n))):
+    kinds = draw(st.lists(st.sampled_from(LIFTED_KINDS), min_size=n, max_size=n))
+    for i, kind in enumerate(["zero_cap", *kinds[1:]] if huge_b else kinds):
         share, width = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 50.0))
         if kind == "above":
             d_max[i] = 0.5 * share * total[i]
@@ -538,18 +547,18 @@ def lifted_rows(draw):
 
 def bisect_lifted_row(a, c, b, target, cap):
     """One shifting row of the lifted projection by bisection on its shift:
-    the least shift in size that brings ``sum(clip(a - s, 0, b) + max(c - s, b) - b)``
+    the least shift in size that brings ``sum(clip(a - s, 0, b) + max(c - s, 0))``
     down to a cap or up to a floor ``target``.  Returns (projection,
     shift - top, top) with ``top`` the row maximum that shifts are measured from."""
     top = max(a.max(), c.max())
     a, c = a - top, c - top
 
     def at(s):
-        return np.clip(a - s, 0.0, b) + np.maximum(c - s, b) - b
+        return np.clip(a - s, 0.0, b) + np.maximum(c - s, 0.0)
 
     # the row sum is above target at lo and 0 at hi; a cap takes the least s
     # whose sum is at most target, a floor the greatest whose sum is at least target
-    lo, hi = min((c - b).min(), (a - b).min()) - target - 1.0, 0.0
+    lo, hi = min(c.min(), (a - b).min()) - target - 1.0, 0.0
     while hi - lo > 1e-13 * max(1.0, -lo):
         mid = 0.5 * (lo + hi)
         total = at(mid).sum()
@@ -559,8 +568,8 @@ def bisect_lifted_row(a, c, b, target, cap):
 
 
 class TestLiftedProjectionProperties:
-    """``agent._onto_blocks``, the projection of the pair (y, z) onto
-    ``0 <= y <= b``, ``z >= b``, ``d_min <= sum(y + z - b) <= d_max``."""
+    """``agent._onto_blocks``, the projection of the pair (y, z') onto
+    ``0 <= y <= b``, ``z' >= 0``, ``d_min <= sum(y + z') <= d_max``."""
 
     @PROPERTY_SETTINGS
     @given(lifted_rows(), st.data())
@@ -592,8 +601,8 @@ class TestLiftedProjectionProperties:
             s, slack = shift[i] - top, 1e-9 * (scale + abs(top))
             rel_a, rel_c = a[i] - top, c[i] - top
             y = np.clip(rel_a - s, 0.0, b)
-            z = np.maximum(rel_c - s, b)
-            np.testing.assert_allclose(y + z - b, proj[i], rtol=0, atol=slack)
+            z = np.maximum(rel_c - s, 0.0)
+            np.testing.assert_allclose(y + z, proj[i], rtol=0, atol=slack)
             t = len(b)
             reach = 1.0 + max(np.abs(rel_a - s - y).max(), np.abs(rel_c - s - z).max())
             for _ in range(3):
@@ -602,7 +611,7 @@ class TestLiftedProjectionProperties:
                                                       min_size=t, max_size=t)))
                 if q_y.sum() > day:
                     q_y *= day / q_y.sum()
-                q_z = b + (day - q_y.sum()) / t
+                q_z = np.full(t, (day - q_y.sum()) / t)
                 inner = (np.dot(rel_a - s - y, q_y - y) + np.dot(rel_c - s - z, q_z - z))
                 assert inner <= slack * reach * t
 
@@ -613,13 +622,13 @@ class TestLiftedProjectionProperties:
     def test_least_shift_on_a_flat_sum(self, a, c_above_b, d_min, d_max, shift):
         # the band edge is a flat stretch of the row sum: every shift on it
         # projects alike, and the multiplier is the one least in size
-        proj, got = _onto_blocks(np.array([[a]]), np.array([[c_above_b + 25.0]]),
+        proj, got = _onto_blocks(np.array([[a]]), np.array([[c_above_b]]),
                                  np.array([25.0]), d_min, d_max)
         assert proj.tolist() == [[25.0]] and got.tolist() == [shift]
 
     def test_entry_dwarfing_the_band(self):
         # knots of order 1e17 must not round the cap of 10 away
-        proj, shift = _onto_blocks(np.array([[1e17]]), np.array([[1e17]]),
+        proj, shift = _onto_blocks(np.array([[1e17]]), np.array([[1e17 - 25.0]]),
                                    np.array([25.0]), 0.0, 10.0)
         assert proj.tolist() == [[10.0]]
         assert shift.tolist() == [1e17 - 10.0]
@@ -630,7 +639,7 @@ WARM_KINDS = ("zero", "exact", "nearly", "beyond", "wrong_sign", "huge", "any")
 
 def warm_kernel(b, shift):
     """A step kernel whose warm start is ``shift``, for rows of per-slot ``b``;
-    the projection reads only its ``shift`` and ``bounds``."""
+    the projection reads only its ``shift`` and ``upper``."""
     customers = [{"id": i, "w": 1.0, "alpha": 1.0, "d_min": 0.0, "d_max": 1.0}
                  for i in range(len(shift))]
     kernel = _StepKernel(make_scenario(len(b), customers, b=b.tolist(), beta1=1.0,
@@ -662,8 +671,8 @@ def draw_warm_shift(data, exact):
 @st.composite
 def flat_stretch_rows(draw):
     """Rows whose violated band edge is a flat stretch of the row sum: for
-    shifts from ``max(c - b)`` to ``min(a - b)`` every y and z sits at b, so
-    the sum is ``sum(b)``, the cap or floor of the row."""
+    shifts from ``max(c)`` to ``min(a - b)`` every y sits at b and every z' at
+    0, so the sum is ``sum(b)``, the cap or floor of the row."""
     n = draw(st.integers(1, 4))
     t = draw(st.integers(1, 6))
     b = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=t, max_size=t)))
@@ -676,7 +685,7 @@ def flat_stretch_rows(draw):
         below = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=t, max_size=t)))
         above = np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=t, max_size=t)))
         below[0] = above[-1] = 0.0  # the stretch is exactly [lo, hi]
-        a[i], c[i] = b + hi + above, b + lo - below
+        a[i], c[i] = b + hi + above, lo - below
         if not cap:
             d_min[i], d_max[i] = b.sum(), b.sum() + draw(st.floats(0.0, 50.0))
     return a, c, b, d_min, d_max
@@ -701,7 +710,7 @@ class TestWarmStartedProjection:
         assert np.all(np.abs(s_warm - s_cold) <= bound)
 
     @WARM_SETTINGS
-    @given(lifted_rows(), st.data())
+    @given(st.one_of(lifted_rows(), lifted_rows(huge_b=True)), st.data())
     def test_matches_the_sort(self, case, data):
         self.check(case, data)
 

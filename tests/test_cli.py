@@ -9,6 +9,7 @@ import pytest
 
 from brpmarket import cli
 from brpmarket.cli import demo_scenario_document, main
+from brpmarket.oracle import solve_welfare_centralized
 from test_market import welfare_overflow_document
 
 
@@ -203,9 +204,30 @@ class TestVerifyCommand:
         out = tmp_path / "verify"
         assert main(["verify", "--scenario", str(demo_file), "--out", str(out)]) == 0
         payload = json.loads((out / "comparison.json").read_text())
-        assert payload["grid"] == {"allocation_gap": 6.250000000555708,
+        assert payload["grid"] == {"allocation_gap": 6.2500000005557155,
                                    "boundary_degenerate": True, "pass": False,
-                                   "welfare_gap": 29.296875005209586}
+                                   "welfare_gap": 29.296875005210495}
+
+    def test_max_iter_exhaustion_exits_2(self, demo_file, tmp_path, capsys):
+        # a market run stopped by --max-iter is not compared with the oracles
+        out = tmp_path / "verify"
+        code = main(["verify", "--scenario", str(demo_file), "--max-iter", "3",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: market run did not converge in 3 iterations\n"
+        assert not out.exists()
+
+    def test_max_iter_bounds_the_centralized_oracle(self, demo_file, monkeypatch):
+        limits = []
+
+        def centralized(*args, **kwargs):
+            limits.append(kwargs["max_iter"])
+            return solve_welfare_centralized(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_welfare_centralized", centralized)
+        assert main(["verify", "--scenario", str(demo_file), "--grid-step", "0.05",
+                     "--max-iter", "400"]) == 0
+        assert limits == [400]
 
     def test_perturbation_injection_fails(self, demo_file, tmp_path):
         code = main(["verify", "--scenario", str(demo_file),

@@ -355,25 +355,18 @@ def satiated_floor_scenario():
     })
 
 
-def posted_prices(x, scenario):
-    """block_prices at the posted demand: first-block plus second-block energy."""
-    b = scenario.blocks.b
-    return block_prices(np.minimum(x, b).sum(axis=0) + (np.maximum(x, b) - b).sum(axis=0),
-                        scenario.cost)
-
-
 def reference_market(scenario, config):
     """The distributed loop written out from public functions: every
     (x, p_l, p_u, welfare, max_change) that run_market should record."""
     t = scenario.num_slots
     x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
-    prices = posted_prices(x, scenario)
+    prices = block_prices(x.sum(axis=0), scenario.cost)
     records = [(x, prices.p_l, prices.p_u,
                 social_welfare(Allocation(x), scenario), float("nan"))]
     for _ in range(config.max_iter):
         new_x = step_profile(x, prices, config.gamma, scenario)
         change = float(np.max(np.abs(new_x - x)))
-        new_prices = posted_prices(new_x, scenario)
+        new_prices = block_prices(new_x.sum(axis=0), scenario.cost)
         records.append((new_x, new_prices.p_l, new_prices.p_u,
                         social_welfare(Allocation(new_x), scenario), change))
         done = (change < config.tol
@@ -414,14 +407,14 @@ def assert_close(a, b, scale):
 
 
 def clip_then_project_step(x, prices, gamma, scenario):
-    """The step before the lifted projection: y and z clipped to their block
-    bounds, then ``y + z - b`` projected onto the daily band.  Written out for
+    """The step before the lifted projection: y and z' clipped to their block
+    bounds, then ``y + z'`` projected onto the daily band.  Written out for
     slack bands only, where that projection only clips at 0."""
     b = scenario.blocks.b
     grad = np.where(x < scenario.satiation, scenario.w - scenario.alpha * x, 0.0)
     y = np.minimum(np.minimum(x, b) + gamma * (grad - prices.p_l), b)
-    z = np.maximum(np.maximum(x, b) + gamma * (grad - prices.p_u), b)
-    new_x = np.maximum(y + z - b, 0.0)
+    z = np.maximum(np.maximum(x - b, 0.0) + gamma * (grad - prices.p_u), 0.0)
+    new_x = np.maximum(y + z, 0.0)
     daily = new_x.sum(axis=1)
     assert np.all((scenario.d_min <= daily) & (daily <= scenario.d_max))
     return new_x
@@ -476,7 +469,7 @@ class TestLoopMatchesReference:
         _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
                                                   tol=1e-8, max_iter=400))
         for rec in trace.records:
-            expected = posted_prices(rec.allocation.x, scenario)
+            expected = block_prices(rec.allocation.x.sum(axis=0), scenario.cost)
             assert same_bits(rec.prices.p_l, expected.p_l)
             assert same_bits(rec.prices.p_u, expected.p_u)
             assert same_bits(rec.welfare, social_welfare(rec.allocation, scenario))
@@ -507,16 +500,21 @@ class TestLoopMatchesReference:
             assert same_bits(sol.allocation.x, expected)
 
 
+def straddle_cap_scenario(b=1.0):
+    """20 customers against a daily cap of 30, w ~ U[10, 60]: at b = 1 each has
+    slots on both sides of b."""
+    w = np.random.default_rng(0).uniform(10.0, 60.0, size=(20, 24))
+    return make_scenario(24, [{"id": i, "w": w[i].tolist(), "alpha": 1.0,
+                               "d_min": 0.0, "d_max": 30.0} for i in range(20)],
+                         b=b, beta1=0.05, beta2=0.08)
+
+
 class TestStepSizeInvariance:
     """The market's answer does not depend on the step size: its fixed points
     are equilibria at every gamma."""
 
     def test_straddling_cap(self):
-        # 20 customers against a daily cap of 30, each with slots on both sides of b = 1
-        w = np.random.default_rng(0).uniform(10.0, 60.0, size=(20, 24))
-        scenario = make_scenario(24, [{"id": i, "w": w[i].tolist(), "alpha": 1.0,
-                                       "d_min": 0.0, "d_max": 30.0} for i in range(20)],
-                                 b=1.0, beta1=0.05, beta2=0.08)
+        scenario = straddle_cap_scenario()
         gamma = default_step_size(scenario)
         runs = [run_market(scenario, RunConfig(gamma=g, tol=1e-10))[0]
                 for g in (gamma, gamma / 2, gamma / 10)]
@@ -527,6 +525,31 @@ class TestStepSizeInvariance:
             assert report.converged
             assert round(report.welfare, 6) == 30440.558258
             assert np.abs(report.allocation.x - x).max() < 5e-8
+
+
+class TestLargeBlockThreshold:
+    """A block threshold ``b`` that dwarfs consumption switches the second block
+    off: x is its first block plus its excess ``max(x - b, 0)``, so no rounding
+    of ``b`` loses the first block."""
+
+    @pytest.mark.parametrize("b", [1e3, 1e15, 1e17])
+    def test_one_customer_reaches_the_same_point(self, b):
+        scenario = make_scenario(1, [{"id": 0, "w": 10.0, "alpha": 1.0, "d_max": 5.0}],
+                                 b=b, beta1=0.5, beta2=0.6)
+        report, _ = run_market(scenario, RunConfig(gamma=0.1, tol=1e-10))
+        # the stop rule, a step moving less than tol, leaves the natural-map
+        # residual (a unit step's move) below tol/gamma
+        assert report.converged and report.worst_kkt_residual < 1e-10 / 0.1
+        assert abs(report.allocation.x[0, 0] - 5.0) < 1e-9
+
+    @pytest.mark.parametrize("b", [1e15, 1e17, 1.7e308])
+    def test_straddle_cap_certified(self, b):
+        scenario = straddle_cap_scenario(b)
+        report, _ = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        assert report.converged
+        assert report.worst_kkt_residual < 1e-6 * scenario.w.max()
+        np.testing.assert_allclose(report.allocation.x.sum(axis=1), 30.0, rtol=1e-12)
+        assert round(report.welfare, 6) == 30888.723404
 
 
 class TestTraceCsvGolden:
@@ -636,9 +659,9 @@ class TestTraceCsvEdges:
         assert data == (tmp_path / "reference.csv").read_bytes()
         assert b"0,0,0,nan,nan,nan," in data
 
-    # sha256 of trace.csv as the csv.writer loop wrote it
-    DEMO_RUN_SHA256 = "1b50005acfddc4104180580a664c2fda8fb9f8925f65e6795b4d651b6ff19460"
-    WIDE_SLACK_SHA256 = "f1f6757632db3075ccdc89402da8ebea897510759df5aad47e3dc58a1cddc75e"
+    # sha256 of trace.csv as the csv.writer loop writes it
+    DEMO_RUN_SHA256 = "075a7f1022ceb6cf2a6c25b4a681d2304def20891401af123e4dd30c07be1e1d"
+    WIDE_SLACK_SHA256 = "fffb5901bcbcbbdc6e8d2e8d7f273c890ef94b897f8b025a666f70c4c49d6b39"
 
     def test_demo_run_bytes_pinned(self, tmp_path):
         scenario_path = tmp_path / "demo.json"
@@ -673,8 +696,8 @@ class TestTraceSplit:
         assert (float(row["y"]), float(row["z"])) == expected
 
     def test_round_trip_exact(self, tmp_path):
-        # exact on this run: each iterate's x is the step's y + z - b, and the
-        # band never binds, so adding b back and taking it away again is exact
+        # exact on this run: each iterate's x is the step's y + z', the band
+        # never binds, and no x reaches 2b, so z' = z - b is exact (Sterbenz)
         scenario = validate_scenario(straddling_document())
         _, trace = run_market(scenario, RunConfig(gamma=0.3))
         trace.to_csv(tmp_path / "trace.csv")
@@ -683,7 +706,7 @@ class TestTraceSplit:
         for row in rows:
             x, y, z = float(row["x"]), float(row["y"]), float(row["z"])
             b = float(scenario.blocks.b[int(row["slot"])])
-            assert y == min(x, b) and z == max(x, b) and y + z - b == x
+            assert y == min(x, b) and z == max(x, b) and y + (z - b) == x
 
 
 # Values that a writer caching one repr per value could mix up: both zeros,

@@ -63,9 +63,9 @@ class TestAggregateDemand:
         rng = np.random.default_rng(9)
         b = rng.uniform(5, 40, size=4)
         x = rng.uniform(0, 80, size=(3, 4))
-        # the posted demand: first-block plus second-block energy per slot
+        # first-block plus second-block energy per slot is the total demand
         first_block = np.minimum(x, b).sum(axis=0)
-        second_block = (np.maximum(x, b) - b).sum(axis=0)
+        second_block = np.maximum(x - b, 0.0).sum(axis=0)
         assert np.all(first_block >= -1e-12)
         assert np.all(second_block >= -1e-12)
         np.testing.assert_allclose(first_block + second_block, x.sum(axis=0),
