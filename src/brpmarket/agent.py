@@ -89,7 +89,7 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     fixed points are exactly the equilibria (KKT points) at these prices, for every
     ``gamma > 0``.  Returns the new (N, T) consumption; ``x >= 0`` is unchecked.  An
     overflowing step raises ``FloatingPointError``, without numpy's warnings.  The
-    loops step through a warm-started ``_StepKernel``; this function starts cold."""
+    market iteration steps a warm-started ``_StepKernel``; this function starts cold."""
     if not 0 <= gamma < math.inf:  # false for NaN too
         raise ValueError(f"step size must be nonnegative and finite, got {gamma!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # the step checks its result

@@ -15,7 +15,7 @@ import numpy as np
 
 # step_profile is unused here; the benchmark's tracer wraps it in this namespace
 from .agent import _StepKernel, step_profile, worst_kkt_residual  # noqa: F401
-from .model import Allocation, Scenario, _cost, _nonnegative, _utility
+from .model import Allocation, PriceSchedule, Scenario, _cost, _nonnegative, _utility
 from .pricing import _prices
 
 TRACE_COMMENT = (
@@ -37,8 +37,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Step size, convergence tolerance and iteration cap for a market run,
-    which stops once allocation and prices both move by less than ``tol``."""
+    """Step size, tolerance and iteration cap of the market iteration: ``run_market`` stops
+    once allocation and prices both move by less than ``tol``, the centralized oracle once
+    a step moves less than ``0.1*gamma*tol`` and its KKT residual is below ``tol``."""
 
     gamma: float
     tol: float = 1e-6
@@ -167,26 +168,20 @@ def default_step_size(scenario: Scenario) -> float:
     return 0.5 / (alpha_max + 2.0 * beta_max * scenario.num_customers)
 
 
-def run_market(scenario: Scenario, config: RunConfig):
-    """Iterate the distributed price/demand loop to equilibrium.
-
-    Returns ``(EquilibriumReport, IterationTrace)``.  Raises
-    :class:`DivergenceError` if any iterate turns non-finite.  Prices are set at
-    each iterate's total demand per slot; its block split and satiation mask
-    serve its welfare and step (``agent._StepKernel``, with the run's constants
-    and work buffers); every trace record owns its arrays.
-    """
-    t = scenario.num_slots
-    x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
-    trace = IterationTrace(scenario.blocks.b)
-    converged, iterations = False, 0
+def _iterates(scenario: Scenario, config: RunConfig, x: np.ndarray | None = None):
+    """The market iteration from ``x`` (default ``d_min/T``): ``(k, x, prices, max_change,
+    kernel)`` for iterate 0 (change nan) and each step to ``config.max_iter``, priced at
+    total demand; ``kernel`` (``agent._StepKernel``) holds x's block split and satiation
+    mask, and its buffers ``grad`` and ``raw`` are free until the next step.  Raises
+    :class:`DivergenceError` at a non-finite step.  Loop over it in a ``for`` statement,
+    whose break or raise drops the generator, ending its numpy errstate, at once."""
+    if x is None:
+        x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # every iterate is checked finite
         kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
-        work = kernel.grad, kernel.raw  # the step's buffers, free until the next step
         kernel.split(x)
         prices = _prices(x.sum(axis=0), *kernel.two_beta)
-        welfare = _welfare(x, kernel.sated, scenario, kernel.half_alpha, kernel.block_total, work)
-        trace.append(IterationRecord(Allocation(x), prices, welfare, float("nan")))
+        yield 0, x, prices, math.nan, kernel
         for k in range(1, config.max_iter + 1):
             try:
                 new_x = kernel.step(x, prices)
@@ -196,28 +191,41 @@ def run_market(scenario: Scenario, config: RunConfig):
             max_change = kernel.max_change(new_x, x)
             if not math.isfinite(max_change):
                 raise DivergenceError(k)
-            kernel.split(new_x)
-            new_prices = _prices(new_x.sum(axis=0), *kernel.two_beta)
-            welfare = _welfare(new_x, kernel.sated, scenario, kernel.half_alpha,
-                               kernel.block_total, work)
-            # a finite p_u has a finite p_l: demand >= 0 and the validated beta1 <= beta2
-            if not (math.isfinite(new_prices.p_u.max()) and math.isfinite(welfare)):
-                raise DivergenceError(k)
+            x = new_x
+            kernel.split(x)
+            prices = _prices(x.sum(axis=0), *kernel.two_beta)
+            yield k, x, prices, max_change, kernel
 
-            trace.append(IterationRecord(Allocation(new_x), new_prices, welfare, max_change))
-            converged = (max_change < config.tol
-                         and float(np.abs(new_prices.p_l - prices.p_l).max()) < config.tol
-                         and float(np.abs(new_prices.p_u - prices.p_u).max()) < config.tol)
-            x, prices, iterations = new_x, new_prices, k
-            if converged:
-                break
+
+def run_market(scenario: Scenario, config: RunConfig):
+    """Iterate the distributed price/demand loop to equilibrium.
+
+    Returns ``(EquilibriumReport, IterationTrace)``; raises :class:`DivergenceError` if
+    an iterate turns non-finite.  Each iterate of :func:`_iterates` gets its welfare in
+    the step kernel's buffers, and every trace record owns its arrays.
+    """
+    trace = IterationTrace(scenario.blocks.b)
+    for k, x, prices, max_change, kernel in _iterates(scenario, config):
+        welfare = _welfare(x, kernel.sated, scenario, kernel.half_alpha, kernel.block_total,
+                           (kernel.grad, kernel.raw))
+        # iterate 0 is left to the first step; a finite p_u has a finite p_l, as
+        # demand >= 0 and the validated beta1 <= beta2
+        if k and not (math.isfinite(prices.p_u.max()) and math.isfinite(welfare)):
+            raise DivergenceError(k)
+        trace.append(IterationRecord(Allocation(x), prices, welfare, max_change))
+        # max_change is nan at k = 0, so no earlier prices are read there
+        converged = (max_change < config.tol
+                     and float(np.abs(prices.p_l - trace[-2].prices.p_l).max()) < config.tol
+                     and float(np.abs(prices.p_u - trace[-2].prices.p_u).max()) < config.tol)
+        if converged:
+            break
 
     report = EquilibriumReport(
         converged=converged,
-        iterations=iterations,
+        iterations=k,
         allocation=trace[-1].allocation,
         prices=prices,
-        welfare=trace[-1].welfare,
+        welfare=welfare,
         worst_kkt_residual=worst_kkt_residual(scenario, trace[-1].allocation, prices),
         scenario_fingerprint=scenario.fingerprint(),
     )

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 # step_profile is unused here; the benchmark's tracer wraps it in this namespace
-from .agent import _StepKernel, project_band, step_profile, worst_kkt_residual  # noqa: F401
+from .agent import project_band, step_profile, worst_kkt_residual  # noqa: F401
 from .market import (
-    DivergenceError,
     EquilibriumReport,
+    RunConfig,
+    _iterates,
     default_step_size,
     social_welfare,
 )
 from .model import Allocation, CostParams, Scenario, cost_value, utility_value
-from .pricing import _prices
 
 BOUNDARY_TOL = 1e-6
 MAX_GRID_POINTS = 10**8
@@ -77,45 +77,22 @@ def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
                               gamma: float | None = None,
                               max_iter: int = 200000,
                               x0: np.ndarray | None = None) -> OracleSolution:
-    """Projected-gradient ascent on the joint welfare objective.
-
-    Uses the same array step as the market loop but drives it with the
-    segment-wise marginal costs directly instead of broadcast prices.  Stops
-    once the stationarity residuals drop below ``tol``; if the iteration cap
-    is hit first the solution is returned with ``converged=False``.
-    """
-    t = scenario.num_slots
-    if gamma is None:
-        gamma = default_step_size(scenario)
-    if x0 is None:
-        x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
-    else:
-        x = project_band(x0, scenario.d_min, scenario.d_max)
-
-    # Stop stepping once allocation movement is well below what a
-    # tol-sized residual would produce, then measure the residual itself.
-    step_tol = 0.1 * gamma * tol
-    with np.errstate(over="ignore", invalid="ignore"):  # every iterate is checked finite
-        kernel = _StepKernel(scenario, gamma)
-        marginal = _prices(x.sum(axis=0), *kernel.two_beta)
-        for k in range(1, max_iter + 1):
-            kernel.split(x)
-            try:
-                new_x = kernel.step(x, marginal)
-            except FloatingPointError:
-                raise DivergenceError(k) from None
-            # x is finite, so the change is finite iff the new iterate is
-            change = kernel.max_change(new_x, x)
-            if not math.isfinite(change):
-                raise DivergenceError(k)
-            x = new_x
-            marginal = _prices(x.sum(axis=0), *kernel.two_beta)
-            if change < step_tol:
-                residual = worst_kkt_residual(scenario, Allocation(x), marginal)
-                if residual < tol:
-                    break
-        else:
-            residual = worst_kkt_residual(scenario, Allocation(x), marginal)
+    """Projected-gradient ascent on the joint welfare objective: the market's own iteration
+    (``market._iterates``; from ``x0`` projected onto the bands, if given) until the
+    stationarity residual is below ``tol``, else ``converged=False`` at ``max_iter``.
+    ``gamma`` (default :func:`default_step_size`), ``tol`` and ``max_iter`` are checked
+    as a :class:`RunConfig`; an invalid one raises ``ValueError``."""
+    config = RunConfig(default_step_size(scenario) if gamma is None else gamma, tol, max_iter)
+    if x0 is not None:
+        x0 = project_band(x0, scenario.d_min, scenario.d_max)
+    # Stop stepping once allocation movement is well below what a tol-sized
+    # residual would produce, then measure the residual (also at max_iter).
+    step_tol = 0.1 * config.gamma * tol
+    for k, x, prices, change, _ in _iterates(scenario, config, x0):
+        if change < step_tol or k == max_iter:
+            residual = worst_kkt_residual(scenario, Allocation(x), prices)
+            if residual < tol:
+                break
 
     alloc = Allocation(x)
     return OracleSolution(

@@ -39,6 +39,14 @@ def welfare_overflow_document():
             "blocks": {"b": 25.0}, "cost": {"beta1": 0.5, "beta2": 0.6}}
 
 
+def overflow_document():
+    """The demo with daily caps of 1e308, whose first step overflows at gamma 1e307."""
+    doc = cli.demo_scenario_document()
+    for c in doc["customers"]:
+        c["d_max"] = 1e308
+    return doc
+
+
 class TestSocialWelfare:
     def test_zero_allocation(self, demo_scenario):
         alloc = Allocation(np.zeros((2, 1)))
@@ -132,11 +140,8 @@ class TestRunMarket:
         assert err.value.iteration >= 1
 
     def test_overflowing_step_raises_divergence_at_iteration_1(self):
-        doc = cli.demo_scenario_document()
-        for c in doc["customers"]:
-            c["d_max"] = 1e308
         with pytest.raises(DivergenceError) as err:
-            run_market(validate_scenario(doc), RunConfig(gamma=1e307))
+            run_market(validate_scenario(overflow_document()), RunConfig(gamma=1e307))
         assert err.value.iteration == 1
 
     def test_welfare_only_overflow_diverges_at_iteration_1(self):
@@ -498,6 +503,45 @@ class TestLoopMatchesReference:
             assert_close(sol.allocation.x, expected, float(np.abs(expected).max()))
         else:
             assert same_bits(sol.allocation.x, expected)
+
+
+class TestOneLoop:
+    """run_market and solve_welfare_centralized run the one market iteration,
+    and leave numpy's error state as they found it however they end."""
+
+    def test_centralized_iteration_cap_is_the_markets_iterate(self, demo_scenario):
+        _, trace = run_market(demo_scenario, RunConfig(gamma=0.1))
+        sol = solve_welfare_centralized(demo_scenario, gamma=0.1, max_iter=5)
+        x = trace[5].allocation.x
+        assert same_bits(sol.allocation.x, x) and same_bits(sol.welfare, trace[5].welfare)
+        assert not sol.converged
+        assert sol.stationarity_residual == worst_kkt_residual(
+            demo_scenario, Allocation(x), block_prices(x.sum(axis=0), demo_scenario.cost))
+
+    @pytest.mark.parametrize("solve", [
+        lambda s: run_market(s, RunConfig(gamma=0.01, max_iter=5)),  # at max_iter
+        lambda s: run_market(s, RunConfig(gamma=0.1)),  # break at convergence
+        lambda s: solve_welfare_centralized(s, gamma=0.1, max_iter=5),
+        lambda s: solve_welfare_centralized(s, gamma=0.1),
+    ], ids=["market-cap", "market-converged", "oracle-cap", "oracle-converged"])
+    def test_errstate_restored_on_return(self, demo_scenario, solve):
+        before = np.geterr()
+        solve(demo_scenario)
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("solve", [
+        lambda: run_market(validate_scenario(overflow_document()), RunConfig(gamma=1e307)),
+        lambda: run_market(scenario := validate_scenario(welfare_overflow_document()),
+                           RunConfig(gamma=default_step_size(scenario))),
+        lambda: solve_welfare_centralized(single_customer_scenario(d_max=1e308),
+                                          gamma=1e307),
+    ], ids=["market-step", "market-welfare", "oracle-step"])
+    def test_errstate_restored_on_divergence(self, solve):
+        before = np.geterr()
+        with pytest.raises(DivergenceError) as err:
+            solve()
+        assert err.value.iteration == 1
+        assert np.geterr() == before
 
 
 def straddle_cap_scenario(b=1.0):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ class TestCentralizedSolver:
         with pytest.raises(DivergenceError) as err:
             solve_welfare_centralized(scenario, gamma=1e307)
         assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": math.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-6}, "tol"),
+        ({"tol": math.inf}, "tol"), ({"gamma": 0.0}, "gamma"), ({"gamma": -0.1}, "gamma"),
+        ({"gamma": math.nan}, "gamma"), ({"gamma": math.inf}, "gamma"),
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter"),
+    ])
+    def test_invalid_step_size_tolerance_or_cap_rejected(self, kwargs, message):
+        # the checks of RunConfig; these used to run to the cap or diverge
+        with pytest.raises(ValueError, match=message):
+            solve_welfare_centralized(single_customer_scenario(), **{"max_iter": 50, **kwargs})
 
     def test_boundary_degenerate_flagged(self):
         # aggregate demand pinned exactly at bN by a forced daily band
