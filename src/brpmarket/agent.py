@@ -35,10 +35,11 @@ class _StepKernel:
     """:func:`step_profile` for every step of one loop, in (N, T) work buffers kept
     for the run.  :meth:`split` computes an iterate's ``low = min(x, b)``, ``high =
     max(x - b, 0)`` and ``sated = x >= w/alpha`` (None if it holds nowhere) once, for
-    its welfare and step, with the run's ``2*beta``, ``b*N`` and, tiled to (N, T),
-    ``b``, ``alpha`` and ``alpha/2``.  Its projections start from each row's last band
-    ``shift``, with the pair's ``upper`` bounds ``[b, inf)`` tiled to (N, 2T), in
-    ``sides`` what depends only on which edges bind, and Newton's buffers."""
+    its welfare and step, and its slot ``demand = x.sum(0)`` for its prices and
+    welfare, with the run's ``2*beta``, ``b*N`` and, tiled to (N, T), ``b``, ``alpha``
+    and ``alpha/2``.  Its projections start from each row's last band ``shift``, with
+    the pair's ``upper`` bounds ``[b, inf)`` tiled to (N, 2T), in ``sides`` what
+    depends only on which edges bind, and Newton's buffers."""
 
     def __init__(self, scenario: Scenario, gamma: float):
         self.scenario, self.gamma = scenario, gamma
@@ -57,6 +58,7 @@ class _StepKernel:
         np.maximum(np.subtract(x, self.b, out=self.high), 0.0, out=self.high)
         flat = np.greater_equal(x, self.scenario.satiation, out=self.flat)
         self.sated = flat if flat.any() else None
+        self.demand = x.sum(axis=0)
 
     def step(self, x: np.ndarray, prices: PriceSchedule) -> np.ndarray:
         """:func:`step_profile` of the ``x`` that :meth:`split` last saw; a new array."""

@@ -9,7 +9,7 @@ constraints stay enforced throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,30 +56,53 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One market iterate: allocation, prices, welfare, allocation change."""
+    """One market iterate: allocation, prices, welfare, allocation change.  A record
+    of :func:`run_market` may leave ``welfare`` None (pending) in its trace, which
+    fills it on first read with ``social_welfare(allocation, scenario)``, bit for bit."""
 
     allocation: Allocation
     prices: PriceSchedule
-    welfare: float
+    welfare: float | None
     max_change: float
 
 
 @dataclass
 class IterationTrace:
     """Time series of market iterates, with the per-slot block threshold
-    ``b`` of their run, from which the trace's block split is derived."""
+    ``b`` of their run, from which the trace's block split is derived.
+
+    A record whose welfare is pending gets it, from its allocation and the run's
+    ``scenario``, the first time it is read: ``trace[k]`` fills that record only;
+    ``records``, iteration and :meth:`to_csv` fill them all."""
 
     b: np.ndarray
-    records: list[IterationRecord] = field(default_factory=list)
+    _records: list[IterationRecord] = field(default_factory=list)
+    scenario: Scenario | None = None
 
     def append(self, record: IterationRecord) -> None:
-        self.records.append(record)
+        self._records.append(record)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records)
 
     def __getitem__(self, idx) -> IterationRecord:
-        return self.records[idx]
+        picked = range(len(self._records))[idx]  # an int, or a range for a slice
+        self._fill(picked if isinstance(picked, range) else (picked,))
+        return self._records[idx]
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        """Every record, each welfare filled."""
+        self._fill(range(len(self._records)))
+        return self._records
+
+    def _fill(self, indices) -> None:
+        # iterate 0 is unchecked, so its welfare may overflow, as it did in the run
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in indices:
+                if (rec := self._records[i]).welfare is None:
+                    self._records[i] = replace(
+                        rec, welfare=social_welfare(rec.allocation, self.scenario))
 
     def to_csv(self, path) -> None:
         """Write one row per (iteration, slot, customer), full float precision.
@@ -145,15 +168,17 @@ class EquilibriumReport:
 def social_welfare(alloc: Allocation, scenario: Scenario) -> float:
     """Total customer utility minus total production cost."""
     x = _nonnegative(alloc.x, "consumption")
-    return _welfare(x, x >= scenario.satiation, scenario, 0.5 * scenario.alpha,
-                    scenario.blocks.b * scenario.num_customers)
+    return _welfare(x, x.sum(axis=0), x >= scenario.satiation, scenario,
+                    0.5 * scenario.alpha, scenario.blocks.b * scenario.num_customers)
 
 
-def _welfare(x, sated, scenario: Scenario, half_alpha, block_total, out=None) -> float:
-    """:func:`social_welfare` of ``x >= 0`` given ``sated``, as :func:`model._utility`
-    takes it, ``alpha/2`` and ``b*N``, with the utilities in ``out``; unchecked."""
+def _welfare(x, demand, sated, scenario: Scenario, half_alpha, block_total,
+             out=None) -> float:
+    """:func:`social_welfare` of ``x >= 0`` given its slot ``demand = x.sum(0)``,
+    ``sated``, as :func:`model._utility` takes it, ``alpha/2`` and ``b*N``, with the
+    utilities in ``out``; unchecked."""
     total = float(_utility(x, scenario.w, scenario.alpha, half_alpha, sated, out).sum())
-    return total - float(_cost(x.sum(axis=0), block_total, scenario.cost).sum())
+    return total - float(_cost(demand, block_total, scenario.cost).sum())
 
 
 def default_step_size(scenario: Scenario) -> float:
@@ -171,16 +196,17 @@ def default_step_size(scenario: Scenario) -> float:
 def _iterates(scenario: Scenario, config: RunConfig, x: np.ndarray | None = None):
     """The market iteration from ``x`` (default ``d_min/T``): ``(k, x, prices, max_change,
     kernel)`` for iterate 0 (change nan) and each step to ``config.max_iter``, priced at
-    total demand; ``kernel`` (``agent._StepKernel``) holds x's block split and satiation
-    mask, and its buffers ``grad`` and ``raw`` are free until the next step.  Raises
-    :class:`DivergenceError` at a non-finite step.  Loop over it in a ``for`` statement,
-    whose break or raise drops the generator, ending its numpy errstate, at once."""
+    its slot demand; ``kernel`` (``agent._StepKernel``) holds x's block split, satiation
+    mask and slot demand, and its buffers ``grad`` and ``raw`` are free until the next
+    step.  Raises :class:`DivergenceError` at a non-finite step.  Loop over it in a
+    ``for`` statement, whose break or raise drops the generator, ending its numpy
+    errstate, at once."""
     if x is None:
         x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # every iterate is checked finite
         kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
         kernel.split(x)
-        prices = _prices(x.sum(axis=0), *kernel.two_beta)
+        prices = _prices(kernel.demand, *kernel.two_beta)
         yield 0, x, prices, math.nan, kernel
         for k in range(1, config.max_iter + 1):
             try:
@@ -193,32 +219,45 @@ def _iterates(scenario: Scenario, config: RunConfig, x: np.ndarray | None = None
                 raise DivergenceError(k)
             x = new_x
             kernel.split(x)
-            prices = _prices(x.sum(axis=0), *kernel.two_beta)
+            prices = _prices(kernel.demand, *kernel.two_beta)
             yield k, x, prices, max_change, kernel
 
 
 def run_market(scenario: Scenario, config: RunConfig):
     """Iterate the distributed price/demand loop to equilibrium.
 
-    Returns ``(EquilibriumReport, IterationTrace)``; raises :class:`DivergenceError` if
-    an iterate turns non-finite.  Each iterate of :func:`_iterates` gets its welfare in
-    the step kernel's buffers, and every trace record owns its arrays.
+    Returns ``(EquilibriumReport, IterationTrace)``.  The run computes only the stopping
+    iterate's welfare, in the step kernel's buffers; the trace fills each other record's
+    welfare on first read, bit-equal to :func:`social_welfare`.  From iterate 1 on, a
+    non-finite ``p_u`` or welfare raises :class:`DivergenceError`.  The welfare is finite,
+    and not computed for that check, while ``(N*T + 1)*(max w*max D + (max alpha/2 +
+    max beta2)*max D**2) < 1e300`` and ``max w < 1e150`` at slot demand D: each cell lies
+    in ``[0, D]``, so ``|U| <= w*D + alpha/2*D**2``, a sated cell's ``w**2/(2*alpha) =
+    w*(w/alpha)/2 <= w*D/2`` and the cost is at most ``beta2*D**2``.  Past the bound it
+    is computed at once.  Every trace record owns its arrays.
     """
-    trace = IterationTrace(scenario.blocks.b)
+    trace = IterationTrace(scenario.blocks.b, scenario=scenario)
+    cells, w_max = scenario.w.size + 1, float(scenario.w.max())
+    quad = 0.5 * float(scenario.alpha.max()) + float(scenario.cost.beta2.max())
     for k, x, prices, max_change, kernel in _iterates(scenario, config):
-        welfare = _welfare(x, kernel.sated, scenario, kernel.half_alpha, kernel.block_total,
-                           (kernel.grad, kernel.raw))
-        # iterate 0 is left to the first step; a finite p_u has a finite p_l, as
-        # demand >= 0 and the validated beta1 <= beta2
-        if k and not (math.isfinite(prices.p_u.max()) and math.isfinite(welfare)):
-            raise DivergenceError(k)
-        trace.append(IterationRecord(Allocation(x), prices, welfare, max_change))
         # max_change is nan at k = 0, so no earlier prices are read there
         converged = (max_change < config.tol
-                     and float(np.abs(prices.p_l - trace[-2].prices.p_l).max()) < config.tol
-                     and float(np.abs(prices.p_u - trace[-2].prices.p_u).max()) < config.tol)
+                     and float(np.abs(prices.p_l - last.p_l).max()) < config.tol
+                     and float(np.abs(prices.p_u - last.p_u).max()) < config.tol)
+        d, welfare = float(kernel.demand.max()), None
+        if (converged or k == config.max_iter
+                or k and not (w_max < 1e150 and cells * (w_max * d + quad * d * d) < 1e300)):
+            welfare = _welfare(x, kernel.demand, kernel.sated, scenario, kernel.half_alpha,
+                               kernel.block_total, (kernel.grad, kernel.raw))
+        # iterate 0 is left to the first step; a finite p_u has a finite p_l, as
+        # demand >= 0 and the validated beta1 <= beta2
+        if k and not (math.isfinite(prices.p_u.max())
+                      and (welfare is None or math.isfinite(welfare))):
+            raise DivergenceError(k)
+        trace.append(IterationRecord(Allocation(x), prices, welfare, max_change))
         if converged:
             break
+        last = prices
 
     report = EquilibriumReport(
         converged=converged,

@@ -81,9 +81,13 @@ def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
     (``market._iterates``; from ``x0`` projected onto the bands, if given) until the
     stationarity residual is below ``tol``, else ``converged=False`` at ``max_iter``.
     ``gamma`` (default :func:`default_step_size`), ``tol`` and ``max_iter`` are checked
-    as a :class:`RunConfig`; an invalid one raises ``ValueError``."""
+    as a :class:`RunConfig`, and ``x0``'s shape against (N, T); an invalid one raises
+    ``ValueError``."""
     config = RunConfig(default_step_size(scenario) if gamma is None else gamma, tol, max_iter)
     if x0 is not None:
+        if np.shape(x0) != scenario.w.shape:
+            raise ValueError(f"x0 must have shape (N, T) = {scenario.w.shape}, "
+                             f"got {np.shape(x0)}")
         x0 = project_band(x0, scenario.d_min, scenario.d_max)
     # Stop stepping once allocation movement is well below what a tol-sized
     # residual would produce, then measure the residual (also at max_iter).

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from brpmarket import (
     worst_kkt_residual,
 )
 from brpmarket import cli
-from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT
-from conftest import make_scenario, single_customer_scenario
+from brpmarket import market as market_module
+from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT, _iterates
+from conftest import make_scenario, random_scenario, single_customer_scenario
 
 
 def welfare_overflow_document():
@@ -542,6 +545,166 @@ class TestOneLoop:
             solve()
         assert err.value.iteration == 1
         assert np.geterr() == before
+
+
+def bench_scenarios():
+    """The benchmark's scenario generators, ``bench/scenarios.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _welfare_from_csv(trace, path):
+    trace.to_csv(path)
+    rows = csv.DictReader(path.read_text().splitlines()[1:])
+    return [float(row["welfare"]) for row in rows if row["slot"] == row["customer"] == "0"]
+
+
+@pytest.fixture
+def welfare_calls(monkeypatch):
+    """One entry per call of ``market._welfare``, the welfare kernel, from now on."""
+    calls, welfare = [], market_module._welfare
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return welfare(*args, **kwargs)
+
+    monkeypatch.setattr(market_module, "_welfare", counting)
+    return calls
+
+
+WELFARE_READERS = {
+    "index": lambda trace, path: [trace[k].welfare for k in range(len(trace))],
+    "records": lambda trace, path: [rec.welfare for rec in trace.records],
+    "iteration": lambda trace, path: [rec.welfare for rec in trace],
+    "csv": _welfare_from_csv,
+}
+
+
+class TestWelfareOnRead:
+    """run_market computes the stopping iterate's welfare; its trace fills every
+    other record's welfare when it is first read, bit-equal to social_welfare."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_reader_sees_social_welfare(self, trace_dir, seed):
+        scenario = random_scenario(np.random.default_rng(seed))
+        config = RunConfig(gamma=default_step_size(scenario), max_iter=300)
+        for name, read in WELFARE_READERS.items():
+            report, trace = run_market(scenario, config)
+            welfare = read(trace, trace_dir / "welfare.csv")
+            assert len(welfare) == len(trace), name
+            for value, rec in zip(welfare, trace.records):
+                assert same_bits(value, social_welfare(rec.allocation, scenario)), name
+            assert same_bits(report.welfare, trace[-1].welfare)
+
+    def test_index_fills_those_records_only(self, demo_scenario):
+        _, trace = run_market(demo_scenario, RunConfig(gamma=0.1))
+        last = len(trace) - 1
+        trace[3], trace[-3:-1]
+        assert [rec.welfare is None for rec in trace._records] == [
+            k not in (3, last - 2, last - 1, last) for k in range(len(trace))]
+
+    def test_unread_trace_evaluates_welfare_once(self, welfare_calls):
+        scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
+        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        assert report.converged and len(trace) == 63
+        assert len(welfare_calls) == 1
+
+
+def eager_outcome(scenario, config):
+    """``("diverged", k)`` at the first k >= 1 whose p_u or welfare is not finite, each
+    iterate's welfare computed at once, as run_market checked it before welfare was
+    filled on read; else ``("ended", k)`` at run_market's stop rule or cap."""
+    try:
+        for k, x, prices, change, _ in _iterates(scenario, config):
+            if k and not (math.isfinite(prices.p_u.max())
+                          and math.isfinite(social_welfare(Allocation(x), scenario))):
+                return "diverged", k
+            if (change < config.tol
+                    and float(np.abs(prices.p_l - last.p_l).max()) < config.tol
+                    and float(np.abs(prices.p_u - last.p_u).max()) < config.tol):
+                break
+            last = prices
+    except DivergenceError as err:
+        return "diverged", err.iteration
+    return "ended", k
+
+
+def one_customer_document(w, alpha, d_max):
+    doc = welfare_overflow_document()
+    doc["customers"][0].update(w=[w], alpha=alpha, d_max=d_max)
+    return doc
+
+
+def scaled_overflow_document(w_scale, alpha_scale, d_max):
+    doc = overflow_document()
+    for c in doc["customers"]:
+        c.update(w=[v * w_scale for v in np.atleast_1d(c["w"]).tolist()],
+                 alpha=c["alpha"] * alpha_scale, d_max=d_max)
+    return doc
+
+
+PARITY_DOCUMENTS = {
+    "welfare-overflow": welfare_overflow_document,
+    "overflow": overflow_document,
+    # within the bound on w*D, but a sated cell's w*w overflows
+    "sated-w1e200-alpha1e190": lambda: one_customer_document(1e200, 1e190, 2e10),
+    # finite prices 2*beta*D in both slots, a cost beta*D**2 that sums past the range
+    "cost-overflow": lambda: {"num_slots": 2, "customers": [
+        {"id": 0, "w": 10.0, "alpha": 1.0, "d_min": 20.0, "d_max": 20.0}],
+        "blocks": {"b": 25.0}, "cost": {"beta1": 1e306, "beta2": 1e306}},
+    # the same past the stopping iterate: slot prices apart move x at the first step,
+    # and max w*D and alpha*D**2 alone stay far inside the bound
+    "cost-overflow-moving": lambda: {"num_slots": 2, "customers": [
+        {"id": 0, "w": 1e148, "alpha": 0.01, "d_min": 2e150, "d_max": 2e150}],
+        "blocks": {"b": 25.0}, "cost": {"beta1": [1e10, 1e9], "beta2": [1e10, 1e9]}},
+    **{f"one-customer-w{w:g}-alpha{alpha:g}-dmax{d_max:g}": (
+        lambda w=w, alpha=alpha, d_max=d_max: one_customer_document(w, alpha, d_max))
+       for w in (10.0, 1e100, 1e200) for alpha in (1.0, 1e-50, 1e-100)
+       for d_max in (100.0, 1e150, 1e300)},
+    **{f"demo-w{w:g}-alpha{alpha:g}-dmax{d_max:g}": (
+        lambda w=w, alpha=alpha, d_max=d_max: scaled_overflow_document(w, alpha, d_max))
+       for w, alpha in ((1.0, 1.0), (1e100, 1.0), (1e100, 1e-100), (1e150, 1e-100))
+       for d_max in (1e3, 1e300)},
+}
+
+
+class TestDivergenceParity:
+    """run_market diverges at the iterate, and only where, the eager check of every
+    iterate's welfare did, whether or not the welfare bound holds."""
+
+    @pytest.mark.parametrize("gamma", [None, 1e8, 1e307], ids=["default", "1e8", "1e307"])
+    @pytest.mark.parametrize("name", PARITY_DOCUMENTS)
+    def test_same_outcome_as_eager_check(self, name, gamma):
+        scenario = validate_scenario(PARITY_DOCUMENTS[name]())
+        config = RunConfig(gamma=gamma or default_step_size(scenario), max_iter=40)
+        before = np.geterr()
+        expected = eager_outcome(scenario, config)
+        assert np.geterr() == before
+        try:
+            report, _ = run_market(scenario, config)
+            outcome = "ended", report.iterations
+        except DivergenceError as err:
+            outcome = "diverged", err.iteration
+        assert np.geterr() == before
+        assert outcome == expected
+
+    def test_exact_welfare_when_the_bound_fails(self, welfare_calls):
+        # max w >= 1e150 fails the bound, yet x stays at the cap of 100, far below
+        # satiation (1e5), so every welfare is finite: each is computed and the run ends
+        scenario = validate_scenario(one_customer_document(1e160, 1e155, 100.0))
+        config = RunConfig(gamma=default_step_size(scenario))
+        before = np.geterr()
+        report, _ = run_market(scenario, config)
+        assert np.geterr() == before
+        assert len(welfare_calls) == report.iterations
+        assert report.converged and ("ended", report.iterations) == eager_outcome(
+            scenario, config)
+        assert math.isfinite(report.welfare)
+        assert same_bits(report.welfare, social_welfare(report.allocation, scenario))
 
 
 def straddle_cap_scenario(b=1.0):

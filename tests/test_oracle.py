@@ -99,6 +99,15 @@ class TestCentralizedSolver:
         with pytest.raises(ValueError, match=message):
             solve_welfare_centralized(single_customer_scenario(), **{"max_iter": 50, **kwargs})
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (2,)])
+    def test_misshapen_start_rejected(self, shape):
+        # a (1, 1) start would broadcast silently, the others fail inside numpy
+        scenario = make_scenario(
+            2, [{"id": i, "w": 40.0, "alpha": 1.0, "d_min": 0.0, "d_max": 100.0}
+                for i in range(2)], b=25.0, beta1=0.5, beta2=0.6)
+        with pytest.raises(ValueError, match=r"x0 must have shape \(N, T\) = \(2, 2\)"):
+            solve_welfare_centralized(scenario, x0=np.ones(shape))
+
     def test_boundary_degenerate_flagged(self):
         # aggregate demand pinned exactly at bN by a forced daily band
         scenario = make_scenario(
