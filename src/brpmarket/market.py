@@ -56,13 +56,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One market iterate: allocation, prices, welfare, allocation change.  A record
-    of :func:`run_market` may leave ``welfare`` None (pending) in its trace, which
-    fills it on first read with ``social_welfare(allocation, scenario)``, bit for bit."""
+    """One market iterate: allocation, prices, welfare, allocation change."""
 
     allocation: Allocation
     prices: PriceSchedule
-    welfare: float | None
+    welfare: float
     max_change: float
 
 
@@ -71,38 +69,41 @@ class IterationTrace:
     """Time series of market iterates, with the per-slot block threshold
     ``b`` of their run, from which the trace's block split is derived.
 
-    A record whose welfare is pending gets it, from its allocation and the run's
-    ``scenario``, the first time it is read: ``trace[k]`` fills that record only;
-    ``records``, iteration and :meth:`to_csv` fill them all."""
+    A trace of :func:`run_market` holds its run alone (scenario, config, stopping iteration,
+    scenario fingerprint); its first read (``records``, ``trace[k]``, iteration) replays it,
+    one more market solve, and keeps the records, and :meth:`to_csv` streams the replay and
+    keeps none.  A replay of a scenario changed since its run raises ``ValueError``."""
 
     b: np.ndarray
     _records: list[IterationRecord] = field(default_factory=list)
-    scenario: Scenario | None = None
+    _run: tuple | None = None
 
     def append(self, record: IterationRecord) -> None:
         self._records.append(record)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) if self._run is None else self._run[2] + 1
 
     def __getitem__(self, idx) -> IterationRecord:
-        picked = range(len(self._records))[idx]  # an int, or a range for a slice
-        self._fill(picked if isinstance(picked, range) else (picked,))
-        return self._records[idx]
+        return self.records[idx]
 
     @property
     def records(self) -> list[IterationRecord]:
-        """Every record, each welfare filled."""
-        self._fill(range(len(self._records)))
+        """Every record; a run's trace replays the run on first read."""
+        if self._run is not None:
+            self._records, self._run = list(self._replay()), None
         return self._records
 
-    def _fill(self, indices) -> None:
-        # iterate 0 is unchecked, so its welfare may overflow, as it did in the run
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in indices:
-                if (rec := self._records[i]).welfare is None:
-                    self._records[i] = replace(
-                        rec, welfare=social_welfare(rec.allocation, self.scenario))
+    def _replay(self):
+        """The run's records, one at a time, each welfare from the step kernel's buffers."""
+        scenario, config, last, fingerprint = self._run
+        if scenario.fingerprint() != fingerprint:
+            raise ValueError("the scenario changed after its run; its trace cannot be replayed")
+        return (IterationRecord(Allocation(x), prices, _welfare(
+                    x, kernel.demand, kernel.sated, scenario, kernel.half_alpha,
+                    kernel.block_total, (kernel.grad, kernel.raw)), max_change)
+                for _, x, prices, max_change, kernel in _iterates(
+                    scenario, replace(config, max_iter=last)))
 
     def to_csv(self, path) -> None:
         """Write one row per (iteration, slot, customer), full float precision.
@@ -117,11 +118,11 @@ class IterationTrace:
         and commas, the texts of :func:`_cell_texts` (one ``repr`` per distinct bit
         pattern of x and of b) and each slot's ``,p_l,p_u,welfare,max_change`` line end.
         """
-        shape = None
+        shape, records = None, self._records if self._run is None else self._replay()
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_COMMENT + "\n")
             fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-            for k, rec in enumerate(self.records):
+            for k, rec in enumerate(records):
                 if np.shape(rec.allocation.x) != shape:
                     n, t = shape = np.shape(rec.allocation.x)
                     pieces = np.full((t, n, 8), ",", dtype=object)  # k ,slot,cust, x , y , z end
@@ -226,17 +227,16 @@ def _iterates(scenario: Scenario, config: RunConfig, x: np.ndarray | None = None
 def run_market(scenario: Scenario, config: RunConfig):
     """Iterate the distributed price/demand loop to equilibrium.
 
-    Returns ``(EquilibriumReport, IterationTrace)``.  The run computes only the stopping
-    iterate's welfare, in the step kernel's buffers; the trace fills each other record's
-    welfare on first read, bit-equal to :func:`social_welfare`.  From iterate 1 on, a
-    non-finite ``p_u`` or welfare raises :class:`DivergenceError`.  The welfare is finite,
-    and not computed for that check, while ``(N*T + 1)*(max w*max D + (max alpha/2 +
-    max beta2)*max D**2) < 1e300`` and ``max w < 1e150`` at slot demand D: each cell lies
-    in ``[0, D]``, so ``|U| <= w*D + alpha/2*D**2``, a sated cell's ``w**2/(2*alpha) =
-    w*(w/alpha)/2 <= w*D/2`` and the cost is at most ``beta2*D**2``.  Past the bound it
-    is computed at once.  Every trace record owns its arrays.
+    Returns ``(EquilibriumReport, IterationTrace)``.  The run holds one iterate at a time
+    and computes only the stopping iterate's welfare, in the step kernel's buffers; its
+    trace holds the run, not its iterates, and replays them when read.  From iterate 1
+    on, a non-finite ``p_u`` or welfare raises :class:`DivergenceError`.  The welfare is
+    finite, and not computed for that check, while ``(N*T + 1)*(max w*max D + (max
+    alpha/2 + max beta2)*max D**2) < 1e300`` and ``max w < 1e150`` at slot demand D: each
+    cell lies in ``[0, D]``, so ``|U| <= w*D + alpha/2*D**2``, a sated cell's
+    ``w**2/(2*alpha) = w*(w/alpha)/2 <= w*D/2`` and the cost is at most ``beta2*D**2``.
+    Past the bound it is computed at once.
     """
-    trace = IterationTrace(scenario.blocks.b, scenario=scenario)
     cells, w_max = scenario.w.size + 1, float(scenario.w.max())
     quad = 0.5 * float(scenario.alpha.max()) + float(scenario.cost.beta2.max())
     for k, x, prices, max_change, kernel in _iterates(scenario, config):
@@ -254,18 +254,18 @@ def run_market(scenario: Scenario, config: RunConfig):
         if k and not (math.isfinite(prices.p_u.max())
                       and (welfare is None or math.isfinite(welfare))):
             raise DivergenceError(k)
-        trace.append(IterationRecord(Allocation(x), prices, welfare, max_change))
         if converged:
             break
         last = prices
 
+    allocation, fingerprint = Allocation(x), scenario.fingerprint()
     report = EquilibriumReport(
         converged=converged,
         iterations=k,
-        allocation=trace[-1].allocation,
+        allocation=allocation,
         prices=prices,
         welfare=welfare,
-        worst_kkt_residual=worst_kkt_residual(scenario, trace[-1].allocation, prices),
-        scenario_fingerprint=scenario.fingerprint(),
+        worst_kkt_residual=worst_kkt_residual(scenario, allocation, prices),
+        scenario_fingerprint=fingerprint,
     )
-    return report, trace
+    return report, IterationTrace(scenario.blocks.b, _run=(scenario, config, k, fingerprint))

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -600,18 +601,106 @@ class TestWelfareOnRead:
                 assert same_bits(value, social_welfare(rec.allocation, scenario)), name
             assert same_bits(report.welfare, trace[-1].welfare)
 
-    def test_index_fills_those_records_only(self, demo_scenario):
+    def test_first_read_replays_once(self, demo_scenario, welfare_calls, tmp_path):
         _, trace = run_market(demo_scenario, RunConfig(gamma=0.1))
-        last = len(trace) - 1
-        trace[3], trace[-3:-1]
-        assert [rec.welfare is None for rec in trace._records] == [
-            k not in (3, last - 2, last - 1, last) for k in range(len(trace))]
+        assert len(welfare_calls) == 1
+        trace[3]
+        assert len(welfare_calls) == 1 + len(trace)
+        trace[-3:-1], trace.records, list(trace), trace.to_csv(tmp_path / "trace.csv")
+        assert len(welfare_calls) == 1 + len(trace)
 
     def test_unread_trace_evaluates_welfare_once(self, welfare_calls):
         scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
         report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
         assert report.converged and len(trace) == 63
         assert len(welfare_calls) == 1
+
+
+def eager_records(scenario, config, last):
+    """``(x, p_l, p_u, welfare, max_change)`` of iterates 0 to ``last`` of ``_iterates``,
+    each held at once, with ``social_welfare``."""
+    records = []
+    for k, x, prices, change, _ in _iterates(scenario, config):
+        records.append((x, prices.p_l, prices.p_u,
+                        social_welfare(Allocation(x), scenario), change))
+        if k == last:
+            return records
+
+
+class TestReplay:
+    """run_market holds no iterate history: its trace replays the run when read,
+    to the bit, and refuses a scenario changed since the run."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_replay_matches_eager_loop(self, trace_dir, seed):
+        scenario = random_scenario(np.random.default_rng(seed))
+        config = RunConfig(gamma=default_step_size(scenario), max_iter=300)
+        before = np.geterr()
+        report, trace = run_market(scenario, config)
+        trace.to_csv(trace_dir / "unread.csv")
+        expected = eager_records(scenario, config, report.iterations)
+        assert len(trace) == len(expected) == report.iterations + 1
+        for rec, (x, p_l, p_u, welfare, change) in zip(trace.records, expected):
+            assert same_bits(rec.allocation.x, x) and same_bits(rec.max_change, change)
+            assert same_bits(rec.prices.p_l, p_l) and same_bits(rec.prices.p_u, p_u)
+            assert same_bits(rec.welfare, welfare)
+        assert np.geterr() == before
+        last = trace[-1]
+        assert same_bits(report.allocation.x, last.allocation.x)
+        assert same_bits(report.prices.p_l, last.prices.p_l)
+        assert same_bits(report.prices.p_u, last.prices.p_u)
+        assert same_bits(report.welfare, last.welfare)
+        trace.to_csv(trace_dir / "read.csv")
+        assert (trace_dir / "unread.csv").read_bytes() == (trace_dir / "read.csv").read_bytes()
+
+        _, trace = run_market(scenario, config)
+        trace[min(3, len(trace) - 1)]
+        assert np.geterr() == before
+
+        calls, cell_texts = [], market_module._cell_texts
+
+        def failing(x, b):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("write failed")
+            return cell_texts(x, b)
+
+        _, trace = run_market(scenario, config)
+        assert len(trace) >= 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(market_module, "_cell_texts", failing)
+            with pytest.raises(RuntimeError, match="write failed"):
+                trace.to_csv(trace_dir / "failed.csv")
+        assert np.geterr() == before
+
+    def test_changed_scenario_is_not_replayed(self, tmp_path):
+        scenario = validate_scenario(cli.demo_scenario_document())
+        _, trace = run_market(scenario, RunConfig(gamma=0.1))
+        scenario.w[0, 0] = 70.0
+        for read in (lambda: trace.records, lambda: trace[-1], lambda: list(trace),
+                     lambda: trace.to_csv(tmp_path / "trace.csv")):
+            with pytest.raises(ValueError, match="scenario changed"):
+                read()
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_run_holds_constant_iterates(self):
+        # the peak of a converged run exceeds a two-iterate run's, which holds the
+        # step kernel's fixed buffers, by less than 10 iterates; a run that kept its
+        # 63 iterates would exceed it by 63
+        scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
+        gamma = default_step_size(scenario)
+        run_market(scenario, RunConfig(gamma=gamma))
+        peaks = []
+        for max_iter in (2, 50000):
+            tracemalloc.start()
+            try:
+                report, _ = run_market(scenario, RunConfig(gamma=gamma, max_iter=max_iter))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert report.converged and report.iterations == 62
+        assert peaks[1] - peaks[0] < 10 * scenario.w.nbytes
 
 
 def eager_outcome(scenario, config):
