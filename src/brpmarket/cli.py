@@ -38,6 +38,7 @@ EXIT_BAD_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_ORACLE_FAILED = 3
 EXIT_VERIFY_FAILED = 4
+GAMMA_HELP = "step size; default 2/(min alpha + 2*max alpha + 2*max(beta1 + beta2)*N)"
 
 
 def demo_scenario_document() -> dict:
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the market loop to equilibrium")
     run.add_argument("--scenario", required=True, help="scenario JSON file")
-    run.add_argument("--gamma", type=float, default=None, help="step size")
+    run.add_argument("--gamma", type=float, default=None, help=GAMMA_HELP)
     run.add_argument("--tol", type=float, default=1e-6)
     run.add_argument("--max-iter", type=int, default=50000)
     run.add_argument("--out", required=True, help="output directory")
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="certify the equilibrium against oracles")
     verify.add_argument("--scenario", required=True)
-    verify.add_argument("--gamma", type=float, default=None)
+    verify.add_argument("--gamma", type=float, default=None, help=GAMMA_HELP)
     verify.add_argument("--grid-step", type=float, default=0.01)
     verify.add_argument("--max-iter", type=int, default=200000)
     verify.add_argument("--inject-perturbation", type=float, default=0.0,
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     demo = sub.add_parser("demo", help="run the built-in demo scenario")
-    demo.add_argument("--gamma", type=float, default=None)
+    demo.add_argument("--gamma", type=float, default=None, help=GAMMA_HELP)
     demo.add_argument("--tol", type=float, default=1e-6)
     demo.add_argument("--max-iter", type=int, default=50000)
     demo.add_argument("--out", default="demo_out")

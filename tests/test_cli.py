@@ -204,9 +204,9 @@ class TestVerifyCommand:
         out = tmp_path / "verify"
         assert main(["verify", "--scenario", str(demo_file), "--out", str(out)]) == 0
         payload = json.loads((out / "comparison.json").read_text())
-        assert payload["grid"] == {"allocation_gap": 6.2500000005557155,
+        assert payload["grid"] == {"allocation_gap": 6.250000000224212,
                                    "boundary_degenerate": True, "pass": False,
-                                   "welfare_gap": 29.296875005210495}
+                                   "welfare_gap": 29.296875002102297}
 
     def test_max_iter_exhaustion_exits_2(self, demo_file, tmp_path, capsys):
         # a market run stopped by --max-iter is not compared with the oracles

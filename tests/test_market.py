@@ -25,6 +25,7 @@ from brpmarket import (
     social_welfare,
     solve_welfare_centralized,
     step_profile,
+    utility_value,
     validate_scenario,
     worst_kkt_residual,
 )
@@ -192,6 +193,67 @@ class TestDefaultStepSize:
         gamma = default_step_size(demo_scenario)
         report, _ = run_market(demo_scenario, RunConfig(gamma=gamma))
         assert report.converged
+
+    def test_bound_past_the_float_range_gives_a_refused_step(self):
+        # beta1 + beta2 overflows to inf with no RuntimeWarning (an error in the tests)
+        scenario = single_customer_scenario(beta=1e308)
+        assert default_step_size(scenario) == 0.0
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            RunConfig(gamma=default_step_size(scenario))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_contracts_every_linear_piece(self, seed):
+        # on a piece, a step moves a slot's free loads by -gamma*(K x - r), K =
+        # diag(m*alpha) + 2 c 1^T; its spectrum is real and inside [lam_lo, lam_hi]
+        rng = np.random.default_rng(seed)
+        n, t = int(rng.integers(1, 30)), int(rng.integers(1, 25))
+        alpha = rng.uniform(0.05, 5.0, size=n)
+        beta1 = rng.uniform(0.01, 1.0, size=t)
+        beta2 = beta1 * rng.uniform(1.0, 30.0, size=t)
+        scenario = make_scenario(t, [{"id": i, "w": 50.0, "alpha": float(a), "d_max": 1e3}
+                                     for i, a in enumerate(alpha)], b=25.0,
+                                 beta1=beta1.tolist(), beta2=beta2.tolist())
+        lam_lo = alpha.min()
+        lam_hi = 2 * alpha.max() + 2 * (beta1 + beta2).max() * n
+        gamma = default_step_size(scenario)
+        assert gamma == pytest.approx(2 / (lam_lo + lam_hi), rel=1e-15)
+        for slot in range(t):
+            free = rng.random((n, 2)) < 0.6  # y free, z' free
+            free[~free.any(axis=1), rng.integers(0, 2)] = True
+            rows = rng.random(n) < 0.8  # customers with a free block on this piece
+            rows[rng.integers(0, n)] = True
+            m, c = free.sum(axis=1)[rows], (free @ [beta1[slot], beta2[slot]])[rows]
+            k = np.diag(m * alpha[rows]) + 2 * c[:, None]
+            lam = np.linalg.eigvals(k)
+            assert np.abs(lam.imag).max() <= 1e-9 * lam_hi
+            assert lam.real.min() >= lam_lo * (1 - 1e-9)
+            assert lam.real.max() <= lam_hi * (1 + 1e-9)
+            assert np.abs(1 - gamma * lam.real).max() < 1
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reaches_the_smaller_steps_equilibrium(self, seed):
+        # the step 0.5/(max alpha + 2*max beta2*N), about half the stability limit, is
+        # the reference; past satiation x is not unique, so only D, prices, welfare.
+        # Each agrees to 1e-10 of its scale, welfare to 1e-10 of the larger of utility
+        # and cost (the welfare can be their small difference); x to 1e-9 of its scale,
+        # as the reference's slower contraction stops it up to about 1.5e-9 off
+        scenario = random_scenario(np.random.default_rng(seed))
+        reference = 0.5 / (scenario.alpha.max()
+                           + 2 * scenario.cost.beta2.max() * scenario.num_customers)
+        runs = [run_market(scenario, RunConfig(gamma=gamma, tol=1e-10))[0]
+                for gamma in (default_step_size(scenario), reference)]
+        assert all(report.converged for report in runs)
+        new, old = runs
+        for a, b in ((new.allocation.x.sum(axis=0), old.allocation.x.sum(axis=0)),
+                     (new.prices.p_l, old.prices.p_l), (new.prices.p_u, old.prices.p_u)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * np.abs(b).max())
+        # utility + |welfare| is at least the larger of utility and cost
+        utility = utility_value(old.allocation.x, scenario.w, scenario.alpha).sum()
+        assert abs(new.welfare - old.welfare) <= 1e-10 * (utility + abs(old.welfare))
+        if not any((r.allocation.x >= scenario.satiation).any() for r in runs):
+            np.testing.assert_allclose(new.allocation.x, old.allocation.x, rtol=0,
+                                       atol=1e-9 * np.abs(old.allocation.x).max())
 
 
 def _record(x, p_l, p_u, welfare=0.0, change=0.0):
@@ -612,7 +674,7 @@ class TestWelfareOnRead:
     def test_unread_trace_evaluates_welfare_once(self, welfare_calls):
         scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
         report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
-        assert report.converged and len(trace) == 63
+        assert report.converged and len(trace) == 36
         assert len(welfare_calls) == 1
 
 
@@ -684,10 +746,25 @@ class TestReplay:
                 read()
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_append_to_unread_trace_keeps_the_record(self, tmp_path):
+        scenario = validate_scenario(cli.demo_scenario_document())
+        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        extra = IterationRecord(Allocation(np.full((2, 1), 7.5)), block_prices(
+            np.array([15.0]), scenario.cost), welfare=-1.25, max_change=0.5)
+        trace.append(extra)
+        assert len(trace) == len(trace.records) == report.iterations + 2
+        assert trace[-1] is extra
+        assert same_bits(trace[-2].allocation.x, report.allocation.x)
+        trace.to_csv(tmp_path / "trace.csv")
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[2:]
+        assert len(rows) == 2 * (report.iterations + 2)
+        assert [row.split(",")[:4] + row.split(",")[-2:] for row in rows[-2:]] == [
+            [str(report.iterations + 1), "0", str(c), "7.5", "-1.25", "0.5"] for c in (0, 1)]
+
     def test_run_holds_constant_iterates(self):
         # the peak of a converged run exceeds a two-iterate run's, which holds the
         # step kernel's fixed buffers, by less than 10 iterates; a run that kept its
-        # 63 iterates would exceed it by 63
+        # 36 iterates would exceed it by 36
         scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
         gamma = default_step_size(scenario)
         run_market(scenario, RunConfig(gamma=gamma))
@@ -699,7 +776,7 @@ class TestReplay:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert report.converged and report.iterations == 62
+        assert report.converged and report.iterations == 35
         assert peaks[1] - peaks[0] < 10 * scenario.w.nbytes
 
 
@@ -956,8 +1033,8 @@ class TestTraceCsvEdges:
         assert b"0,0,0,nan,nan,nan," in data
 
     # sha256 of trace.csv as the csv.writer loop writes it
-    DEMO_RUN_SHA256 = "075a7f1022ceb6cf2a6c25b4a681d2304def20891401af123e4dd30c07be1e1d"
-    WIDE_SLACK_SHA256 = "fffb5901bcbcbbdc6e8d2e8d7f273c890ef94b897f8b025a666f70c4c49d6b39"
+    DEMO_RUN_SHA256 = "356af9a0850d5781533c94e6719aa278f4d1463472a886e767f213a410be82a7"
+    WIDE_SLACK_SHA256 = "ea55a6c44fcf353b31ce021a7ec00b6bd9530bbc25bb5069a9c83d783cc7b4c1"
 
     def test_demo_run_bytes_pinned(self, tmp_path):
         scenario_path = tmp_path / "demo.json"
@@ -972,7 +1049,7 @@ class TestTraceCsvEdges:
         _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
         trace.to_csv(tmp_path / "trace.csv")
         data = (tmp_path / "trace.csv").read_bytes()
-        assert len(trace) == 63
+        assert len(trace) == 36
         assert hashlib.sha256(data).hexdigest() == self.WIDE_SLACK_SHA256
 
 
