@@ -76,11 +76,21 @@ def _bad_input(problem) -> int:
     return EXIT_BAD_INPUT
 
 
+def _gamma(args, scenario) -> float:
+    """``--gamma``, or else the scenario's default step."""
+    if args.gamma is not None:
+        return args.gamma
+    gamma = default_step_size(scenario)
+    if gamma == 0.0:  # 2/inf
+        raise ValueError("the scenario's default step bound 2*(max alpha + max(beta1 + "
+                         "beta2)*N) overflows the float range; --gamma sets a step")
+    return gamma
+
+
 def cmd_run(args, parser) -> int:
     try:
         scenario = _load(args)
-        gamma = args.gamma if args.gamma is not None else default_step_size(scenario)
-        config = RunConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
+        config = RunConfig(gamma=_gamma(args, scenario), tol=args.tol, max_iter=args.max_iter)
     except (ScenarioError, OSError, ValueError) as exc:
         return _bad_input(exc)
 
@@ -145,7 +155,7 @@ def cmd_verify(args, parser) -> int:
                           f"got {args.inject_perturbation!r}")
     try:
         scenario = _load(args)
-        gamma = args.gamma if args.gamma is not None else default_step_size(scenario)
+        gamma = _gamma(args, scenario)
         config = RunConfig(gamma=gamma, tol=1e-10, max_iter=args.max_iter)
         # the grid oracle runs first: a grid too large or with no feasible
         # point is a bad --grid-step, rejected before any solve

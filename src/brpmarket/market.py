@@ -115,8 +115,9 @@ class IterationTrace:
         The block split ``y = min(x, b)``, ``z = max(x, b)`` is derived here.
 
         Each iterate is one array of pieces joined once: its number, cached row prefixes
-        and commas, the texts of :func:`_cell_texts` (one ``repr`` per distinct bit
-        pattern of x and of b) and each slot's ``,p_l,p_u,welfare,max_change`` line end.
+        and commas, the texts of :func:`_cell_texts` (one per distinct bit pattern of x
+        and of b, ``repr``'s text from the array kernel :func:`_float_reprs`) and each
+        slot's ``,p_l,p_u,welfare,max_change`` line end.
         """
         shape, records = None, self._records if self._run is None else self._replay()
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -137,19 +138,123 @@ class IterationTrace:
 
 
 def _cell_texts(x, b) -> np.ndarray:
-    """The ``repr`` of x, ``min(x, b)`` and ``max(x, b)`` of every cell, (slot, customer, 3):
-    one per distinct float64 bit pattern of x and b (bits, not ``==``, keep -0.0 apart
-    from 0.0).  Each y and z is, bit for bit, its x or its b; one that is neither (a NaN
-    the comparison quietened) gets its own ``repr``."""
+    """The ``repr`` of x, ``min(x, b)`` and ``max(x, b)`` of every cell, (slot, customer,
+    3): one :func:`_float_reprs` text per distinct float64 bit pattern of x and b (bits,
+    not ``==``, keep -0.0 apart from 0.0).  Each y and z is, bit for bit, its x or its b;
+    one that is neither (a NaN the comparison quietened) gets its own ``repr``."""
     x, b = np.asarray(x, dtype=float).T, np.asarray(b, dtype=float)[:, None]
     bits, index = np.unique(np.append(x, b).view(np.int64), return_inverse=True)
-    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    table = _float_reprs(bits.view(np.float64))
     cells = np.stack([x, np.minimum(x, b), np.maximum(x, b)], axis=-1)
     from_x = (cell_bits := cells.view(np.int64)) == cell_bits[..., :1]
     texts = table[np.where(from_x, index[:x.size].reshape(*x.shape, 1),
                            index[x.size:, None, None])]
     odd = ~from_x & (cell_bits != b.view(np.int64)[..., None])
     texts[odd] = list(map(repr, cells[odd].tolist()))
+    return texts
+
+
+# The tables are built from Python floats and array copies, so that importing the module
+# pages in no numpy arithmetic code that a run writing no trace would not use.
+# 10**k for k <= 22, each exact in float64, and its Veltkamp split into two halves of at
+# most 26 significant bits, whose products with such halves of v are exact
+_TEN = np.array([float(10**k) for k in range(23)])
+_TEN_HI = np.array([t * 134217729.0 - (t * 134217729.0 - t) for t in _TEN.tolist()])
+_TEN_LO = np.array([t - h for t, h in zip(_TEN.tolist(), _TEN_HI.tolist())])
+_MARGIN = 1e-9  # a distance this close to a tie or an interval edge is left to repr
+# the four ASCII digits of each of 0..9999, read as one uint32: two of the hundred pairs
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_DIGITS = np.empty((100, 100, 2), np.uint16)
+_DIGITS[..., 0], _DIGITS[..., 1] = _PAIRS[:, None], _PAIRS
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+_ROW = np.arange(22, dtype=np.int8)[:, None]  # a text's character positions
+
+
+def _float_reprs(values) -> np.ndarray:
+    """``repr(v)`` of each float64 v, as an object array of str.
+
+    ``repr`` is the specification: the shortest digits that read back as v, the nearest
+    to v of those (Steele and White 1990; Adams, "Ryu", PLDI 2018), written ``ddd.ddd``,
+    ``ddd.0`` or ``0.000ddd`` for ``1e-4 <= v < 1e16`` and in exponent form elsewhere.
+    Arrays compute that positional range here, for v whose mantissa is not a power of
+    two; every other value, and any whose answer lies within ``1e-9`` of a tie or an
+    edge of v's rounding interval, is passed to ``repr``.  The digits' arrays are freed
+    before the texts' are made.
+    """
+    x = np.ravel(values)
+    n, q, fast = _shortest_digits(x)
+    return _render(n, q, x, fast)
+
+
+def _shortest_digits(x):
+    """``(n, q, fast)``: the shortest digits of each x as a 17-digit integer n, nearest x
+    of those, with ``x ~ n * 10**(q - 16)``, where ``fast``.
+
+    With ``q = floor(log10 x)`` and ``k = 16 - q``, ``S = x*10**k`` lies in ``[1e16,
+    1e17)`` (else not ``fast``), and Dekker's product gives it exactly as ``hi + lo``.
+    The reals that round to x are ``(S - W, S + W)``, ``W = 10**k * ulp(x)/2`` in (0.55,
+    11.2), so n is the integer in that interval that is a multiple of the largest power
+    of ten there: of 100, which is alone there if there is one, else the nearest
+    multiple of 10 or the nearest integer.
+    """
+    fast = (x >= 1e-4) & (x < 1e16)
+    v = np.where(fast, x, 1.0)
+    fraction, exponent = np.frexp(v)
+    fast &= fraction != 0.5
+    q = np.floor(np.log10(v))
+    k = (16.0 - q).astype(np.intp)
+    ten = _TEN.take(k)
+    hi = v * ten
+    half_ulp = np.ldexp(ten, exponent - 54)
+    v_hi = v * 134217729.0
+    v_hi -= v_hi - v
+    v_lo = v - v_hi
+    ten_hi, ten_lo = _TEN_HI.take(k), _TEN_LO.take(k)
+    lo = ((v_hi * ten_hi - hi) + v_hi * ten_lo + v_lo * ten_hi) + v_lo * ten_lo
+    fast &= (hi >= 1e16) & (hi < 1e17)
+    h = hi.astype(np.int64)  # hi is an integer from 2**53 on
+    # S's excess t over the multiple of 100 below h, and the nearest multiples of 100, of
+    # 10 and of 1 to S, as offsets from that multiple and from h, and their distances d
+    r100 = h - h // 100 * 100
+    t = r100 + lo
+    m100, m10, m1 = np.rint(t * 0.01) * 100.0, np.rint(t * 0.1) * 10.0, np.rint(lo)
+    d100, d10, d1 = np.abs(t - m100), np.abs(t - m10), np.abs(lo - m1)
+    offset = np.where(d10 < half_ulp, m10 - r100, m1)
+    np.copyto(offset, m100 - r100, where=d100 < half_ulp)
+    h += offset.astype(np.int64)
+    fast &= ((h < 10**17) & (np.abs(d100 - half_ulp) > _MARGIN)
+             & (np.abs(d10 - half_ulp) > _MARGIN) & (d10 < 5.0 - _MARGIN)
+             & (d1 < 0.5 - _MARGIN))
+    return h, q.astype(np.int8), fast
+
+
+def _render(n, q, x, fast) -> np.ndarray:
+    """The ``repr`` text of ``n * 10**(q - 16)``, n of 17 digits, where ``fast``, and
+    ``repr(x)`` elsewhere.  Each text is a column of 22 characters, one row per
+    position, taken from the column of n's digits shifted past the decimal point."""
+    chunks = np.empty((5, n.size), np.int64)  # n in base 10**4, the top chunk below 10
+    for row, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
+        np.floor_divide(n, scale, out=chunks[row])
+    chunks[4] = n
+    chunks[1:] -= 10000 * chunks[:-1]
+    z = np.zeros((27, n.size), np.uint8)  # "00000", n's 17 digits, NULs
+    z[:2] = 48
+    z[2:22] = (_DIGITS.take(chunks).view(np.uint8).reshape(5, -1, 4)
+               .transpose(0, 2, 1).reshape(20, -1))
+    del chunks
+    whole = q.clip(min=0) + 1  # integer digits, a lone 0 below 1
+    out = z[4:26].copy()  # after the point, character c is n's digit c - 1
+    np.copyto(out, z[5:27], where=_ROW < whole)  # before it, digit c
+    for s in range(-4, 0):  # below 1, "0." and -q - 1 zeros, then n's digits
+        if (rows := q == s).any():
+            np.copyto(out, z[4 + s:26 + s], where=rows)
+    np.copyto(out, 46, where=_ROW == whole)
+    digits = ((z[5:22] != 48) * _ROW[1:18]).max(axis=0)  # n's, to its last nonzero one
+    del z
+    out *= _ROW < whole + 1 + (digits - q - 1).clip(min=1)
+    texts = np.ascontiguousarray(out.T, dtype=np.uint32).view("U22").ravel().astype(object)
+    slow = np.flatnonzero(~fast)
+    texts[slow] = list(map(repr, x[slow].tolist()))
     return texts
 
 

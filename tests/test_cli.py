@@ -349,6 +349,20 @@ class TestBadOptionValues:
         self.assert_rejected(argv, out, capsys,
                              reason=f"{name} must be positive and finite")
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_default_step_bound_overflow(self, command, tmp_path, capsys):
+        # beta1 + beta2 passes the float range, so the default step is 2/inf = 0
+        doc = {"num_slots": 1, "customers": [{"id": 0, "w": [10.0], "alpha": 1.0,
+                                              "d_max": 5.0}],
+               "blocks": {"b": 2.0}, "cost": {"beta1": 1e308, "beta2": 1e308}}
+        scen = tmp_path / "overflow.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        self.assert_rejected([command, "--scenario", str(scen), "--out", str(out)], out,
+                             capsys, reason="the scenario's default step bound 2*(max alpha "
+                             "+ max(beta1 + beta2)*N) overflows the float range; --gamma "
+                             "sets a step")
+
     def test_verify_zero_grid_step(self, demo_file, tmp_path, capsys):
         out = tmp_path / "out"
         self.assert_rejected(["verify", "--scenario", str(demo_file),

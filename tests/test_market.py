@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -974,6 +975,32 @@ class TestTraceCsvGolden:
         reference_trace_csv(trace, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.parametrize("side", ["cap", "floor"])
+    def test_binding_band_run_matches_reference_writer(self, side, tmp_path):
+        # every customer's daily band binds, and cells sit at b
+        scenario = validate_scenario(bench_scenarios().band_document([1, 0], 50, 24, side))
+        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        x, bound = report.allocation.x, scenario.d_max if side == "cap" else scenario.d_min
+        assert report.converged and np.allclose(x.sum(axis=1), bound)
+        assert np.any(x == scenario.blocks.b)
+        trace.to_csv(tmp_path / "fast.csv")
+        reference_trace_csv(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_writer_peak_memory(self, tmp_path):
+        # the tracemalloc peak of writing the benchmark's report trace, replay included:
+        # 1,262 KB with one repr per distinct bit pattern; pieces joined as bytes, whose
+        # join holds a buffer view per piece, reach 2.5 MB
+        scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
+        _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        tracemalloc.start()
+        try:
+            trace.to_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
 
 _SNAN = 0x7FF0000000000001  # the bits of a signalling NaN
 
@@ -1141,6 +1168,43 @@ def _traces(draw):
 @pytest.fixture(scope="module")
 def trace_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("trace")
+
+
+def _nudged(value, ulps):
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+# float64 values weighted toward the kernel's range 1e-4 <= v < 1e16: short decimals,
+# powers of two and of ten, and halves and quarters past 2**49 (ties of the digits), each
+# nudged by a few ulps; log-uniform values; and any bit pattern
+_FLOAT_VALUES = st.one_of(
+    st.builds(_nudged, st.one_of(
+        st.builds(lambda digits, exp: float(f"{digits}e{exp}"),
+                  st.integers(1, 10**9), st.integers(-13, 16)),
+        st.builds(math.ldexp, st.just(1.0), st.integers(-15, 55)),
+        st.builds(lambda exp: 10.0**exp, st.integers(-5, 17)),
+        st.builds(lambda whole, part: whole + part, st.integers(2**49, 2**53),
+                  st.sampled_from([0.25, 0.5, 0.75]))), st.integers(-3, 3)),
+    st.builds(lambda exp: 10.0**exp, st.floats(-4.0, 16.0)),
+    st.builds(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0],
+              st.integers(0, 2**64 - 1)))
+
+
+class TestFloatReprs:
+    """The trace's float texts: the array kernel ``market._float_reprs`` must write
+    ``repr``'s text, its specification, for every float64."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(_FLOAT_VALUES, min_size=1, max_size=40))
+    # ties between the two nearest shortest texts, the range's ends, and values past it
+    @example([806294000000000.25, 2e15 + 0.25, 1e-4, 9999999999999998.0, 1e16,
+              math.nextafter(1e-4, 0.0), 0.1, 5e-324, -0.0, math.nan, -math.inf])
+    def test_matches_repr(self, values):
+        assert market_module._float_reprs(np.array(values)).tolist() == list(
+            map(repr, values))
 
 
 class TestTraceCsvProperties:
