@@ -2,18 +2,19 @@
 
 Runs the market loop to a tight tolerance, then checks the result against
 (1) a centralized welfare maximization driven by marginal costs and
-(2) an exhaustive grid search (the instance is small enough).
+(2) the exact welfare optimum (the instance is small enough), whose
+welfare the equilibrium falls short of by the efficiency gap.
 Run with: python demos/certify_equilibrium.py
 """
 
 from brpmarket import (
     RunConfig,
-    brute_force_welfare,
     compare_equilibrium,
     default_step_size,
     run_market,
     solve_welfare_centralized,
     validate_scenario,
+    welfare_optimum,
 )
 from brpmarket.cli import demo_scenario_document
 
@@ -32,11 +33,12 @@ def main() -> None:
     print(f"vs centralized optimum: allocation gap {cmp.allocation_gap:.2e}, "
           f"welfare gap {cmp.welfare_gap:.2e}, pass={cmp.passed}")
 
-    grid = brute_force_welfare(scenario, grid_step=0.05)
-    print(f"grid welfare maximum {grid.welfare:.4f} at "
-          f"x = {grid.allocation.x.ravel()}")
-    if grid.boundary_degenerate:
-        print("note: the raw welfare argmax sits on the cost-segment "
+    optimum = welfare_optimum(scenario)
+    print(f"exact welfare optimum {optimum.welfare!r} at "
+          f"x = {optimum.allocation.x.ravel()}; efficiency gap "
+          f"{optimum.welfare - report.welfare:.6f}")
+    if optimum.boundary_degenerate:
+        print("note: the welfare optimum sits on the cost-segment "
               "boundary D = b*N, where marginal-cost pricing is undefined; "
               "the equilibrium welfare is a lower bound on it")
 

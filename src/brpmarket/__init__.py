@@ -35,9 +35,9 @@ from .market import (
 from .oracle import (
     ComparisonReport,
     OracleSolution,
-    brute_force_welfare,
     compare_equilibrium,
     solve_welfare_centralized,
+    welfare_optimum,
 )
 
 __version__ = "0.1.0"
@@ -46,10 +46,10 @@ __all__ = [
     "Allocation", "BlockSchedule", "ComparisonReport", "CostParams",
     "Customer", "DivergenceError", "EquilibriumReport", "IterationRecord",
     "IterationTrace", "OracleSolution", "PriceSchedule", "RunConfig",
-    "Scenario", "ScenarioError", "block_prices", "brute_force_welfare",
-    "compare_equilibrium", "cost_value", "default_step_size",
-    "load_scenario", "net_utility", "project_band", "recover_multipliers",
-    "run_market", "social_welfare", "solve_welfare_centralized",
-    "step_profile", "utility_gradient", "utility_value", "validate_scenario",
+    "Scenario", "ScenarioError", "block_prices", "compare_equilibrium",
+    "cost_value", "default_step_size", "load_scenario", "net_utility",
+    "project_band", "recover_multipliers", "run_market", "social_welfare",
+    "solve_welfare_centralized", "step_profile", "utility_gradient",
+    "utility_value", "validate_scenario", "welfare_optimum",
     "worst_kkt_residual",
 ]

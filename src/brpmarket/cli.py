@@ -27,11 +27,7 @@ from .market import (
     run_market,
 )
 from .model import Allocation, ScenarioError, load_scenario, validate_scenario
-from .oracle import (
-    brute_force_welfare,
-    compare_equilibrium,
-    solve_welfare_centralized,
-)
+from .oracle import compare_equilibrium, solve_welfare_centralized, welfare_optimum
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -148,8 +144,6 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if not 0 < args.grid_step < math.inf:  # false for NaN too
-        return _bad_input(f"--grid-step must be positive and finite, got {args.grid_step!r}")
     if not math.isfinite(args.inject_perturbation):
         return _bad_input("--inject-perturbation must be finite, "
                           f"got {args.inject_perturbation!r}")
@@ -157,10 +151,6 @@ def cmd_verify(args, parser) -> int:
         scenario = _load(args)
         gamma = _gamma(args, scenario)
         config = RunConfig(gamma=gamma, tol=1e-10, max_iter=args.max_iter)
-        # the grid oracle runs first: a grid too large or with no feasible
-        # point is a bad --grid-step, rejected before any solve
-        grid = (brute_force_welfare(scenario, args.grid_step)
-                if scenario.num_customers * scenario.num_slots <= 3 else None)
     except (ScenarioError, OSError, ValueError) as exc:
         return _bad_input(exc)
 
@@ -190,20 +180,20 @@ def cmd_verify(args, parser) -> int:
     payload = comparison.as_dict()
     all_pass = comparison.passed
 
-    if grid is not None:
-        grid_cmp = compare_equilibrium(report, grid,
-                                       tol_allocation=2 * args.grid_step,
-                                       tol_welfare=math.inf)
-        payload["grid"] = grid_cmp.as_dict()
-        if grid.boundary_degenerate:
+    if scenario.num_customers * scenario.num_slots <= 3:
+        optimum = welfare_optimum(scenario)
+        # past satiation the maximizer is not unique: compared by welfare alone
+        optimum_cmp = compare_equilibrium(report, optimum, tol_allocation=math.inf)
+        payload["optimum"] = optimum_cmp.as_dict()
+        if optimum.boundary_degenerate:
             # Welfare argmax sits on the cost-segment boundary where the
             # marginal-cost pricing rule is undefined; informational only.
-            print("notice: grid welfare argmax is boundary-degenerate; "
+            print("notice: welfare optimum is boundary-degenerate; "
                   "excluded from the pass criterion", file=sys.stderr)
         else:
-            all_pass = all_pass and grid_cmp.passed
+            all_pass = all_pass and optimum_cmp.passed
     else:
-        print("notice: N*T > 3, grid oracle skipped", file=sys.stderr)
+        print("notice: N*T > 3, welfare optimum skipped", file=sys.stderr)
 
     payload["pass"] = all_pass
     if args.out:
@@ -246,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="certify the equilibrium against oracles")
     verify.add_argument("--scenario", required=True)
     verify.add_argument("--gamma", type=float, default=None, help=GAMMA_HELP)
-    verify.add_argument("--grid-step", type=float, default=0.01)
     verify.add_argument("--max-iter", type=int, default=200000)
     verify.add_argument("--inject-perturbation", type=float, default=0.0,
                         help="shift the converged allocation (negative control)")

@@ -2,9 +2,10 @@
 
 One test per criterion, each printing a single PASS line with the measured
 quantities.  Criteria cover: step-size/iteration ordering, the block price
-ordering, distributed-vs-centralized agreement, grid-oracle equivalence,
-solution uniqueness, equilibrium-condition residuals, numerical hygiene of
-the gradient and projection primitives, and a closed-form spot check.
+ordering, distributed-vs-centralized agreement, agreement with the exact
+welfare optimum, solution uniqueness, equilibrium-condition residuals,
+numerical hygiene of the gradient and projection primitives, and a
+closed-form spot check.
 """
 
 import time
@@ -14,7 +15,6 @@ import pytest
 
 from brpmarket import (
     RunConfig,
-    brute_force_welfare,
     compare_equilibrium,
     default_step_size,
     project_band,
@@ -22,6 +22,7 @@ from brpmarket import (
     solve_welfare_centralized,
     utility_gradient,
     utility_value,
+    welfare_optimum,
 )
 from conftest import make_scenario, random_scenario, single_customer_scenario
 
@@ -173,19 +174,21 @@ def test_criterion_3_distributed_matches_centralized(demo_scenario,
                f"{len(certified_random_cases)} random scenarios")
 
 
-def test_criterion_4_centralized_matches_grid_argmax():
-    grid_step = 0.01
-    worst = 0.0
+def test_criterion_4_centralized_matches_welfare_optimum():
+    worst_alloc = worst_welf = 0.0
     for scenario in _small_instances():
         central = solve_welfare_centralized(scenario, tol=1e-6)
         assert central.converged
-        grid = brute_force_welfare(scenario, grid_step)
-        assert not grid.boundary_degenerate
-        gap = float(np.max(np.abs(central.allocation.x - grid.allocation.x)))
-        assert gap <= 2 * grid_step, f"gap {gap} on {scenario.fingerprint()}"
-        worst = max(worst, gap)
-    _report(4, f"centralized vs grid argmax gap <= {worst:.3f} "
-               f"(<= {2 * grid_step}) on 10 small instances at step {grid_step}")
+        optimum = welfare_optimum(scenario)
+        assert not optimum.boundary_degenerate
+        gap = float(np.max(np.abs(central.allocation.x - optimum.allocation.x)))
+        assert gap <= 1e-6, f"gap {gap} on {scenario.fingerprint()}"
+        assert central.welfare == pytest.approx(optimum.welfare, rel=1e-12, abs=0.0)
+        worst_alloc = max(worst_alloc, gap)
+        worst_welf = max(worst_welf, abs(central.welfare - optimum.welfare))
+    _report(4, f"centralized vs exact welfare optimum: allocation gap <= "
+               f"{worst_alloc:.2e} (<= 1e-6), welfare gap <= {worst_welf:.2e} on 10 "
+               "small instances")
 
 
 def test_criterion_5_random_initializations_agree(demo_scenario):
@@ -270,7 +273,8 @@ def test_criterion_8_closed_form_spot_check():
     p_l = float(report.prices.p_l[0])
     assert x_star == pytest.approx(40.0 / 3.0, abs=1e-4)
     assert p_l == pytest.approx(26.6667, abs=1e-3)
-    grid = brute_force_welfare(scenario, 0.001)
-    assert abs(float(grid.allocation.x[0, 0]) - x_star) < 2e-3
+    optimum = welfare_optimum(scenario)
+    assert float(optimum.allocation.x[0, 0]) == pytest.approx(40.0 / 3.0, rel=1e-14)
+    assert abs(float(optimum.allocation.x[0, 0]) - x_star) < 1e-6
     _report(8, f"x* = {x_star:.6f} (40/3 +- 1e-4), p_l = {p_l:.5f} "
-               "(26.6667 +- 1e-3), grid oracle agrees within 2e-3")
+               "(26.6667 +- 1e-3), exact welfare optimum agrees within 1e-6")

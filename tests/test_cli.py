@@ -188,25 +188,64 @@ class TestSweepCommand:
 class TestVerifyCommand:
     def test_demo_passes(self, demo_file, tmp_path, capsys):
         out = tmp_path / "verify"
-        code = main(["verify", "--scenario", str(demo_file),
-                     "--grid-step", "0.05", "--out", str(out)])
+        code = main(["verify", "--scenario", str(demo_file), "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "comparison.json").read_text())
         assert payload["pass"] is True
         assert payload["allocation_gap"] < 1e-3
         assert payload["welfare_gap"] < 1e-4
         # demo's raw-welfare argmax is on the cost-segment boundary
-        assert payload["grid"]["boundary_degenerate"] is True
+        assert payload["optimum"]["boundary_degenerate"] is True
+        assert "welfare optimum is boundary-degenerate" in capsys.readouterr().err
 
-    def test_demo_grid_section_at_default_step(self, demo_file, tmp_path):
-        # the grid oracle's answer at the default --grid-step 0.01, pinned to
-        # the values of the unpruned search
+    def test_demo_optimum_section(self, demo_file, tmp_path):
+        # the exact optimum (10, 40), welfare 2100, against the market's run
         out = tmp_path / "verify"
         assert main(["verify", "--scenario", str(demo_file), "--out", str(out)]) == 0
         payload = json.loads((out / "comparison.json").read_text())
-        assert payload["grid"] == {"allocation_gap": 6.250000000224212,
-                                   "boundary_degenerate": True, "pass": False,
-                                   "welfare_gap": 29.296875002102297}
+        assert payload["optimum"] == {"allocation_gap": 6.250000000224212,
+                                      "boundary_degenerate": True, "pass": False,
+                                      "welfare_gap": 29.296875002102297}
+
+    def test_inefficient_equilibrium_fails(self, tmp_path):
+        # w = (10, 90): the optimum (0, 45) lies off the segment boundary, and
+        # the market's welfare falls short of it by 2025/121
+        doc = demo_scenario_document()
+        doc["customers"][0]["w"] = 10
+        scen = tmp_path / "w10.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(scen), "--out", str(out)]) == 4
+        optimum = json.loads((out / "comparison.json").read_text())["optimum"]
+        assert optimum["boundary_degenerate"] is False and optimum["pass"] is False
+        assert optimum["welfare_gap"] == pytest.approx(2025 / 121, abs=1e-7)
+
+    def test_optimum_past_satiation_passes(self, tmp_path):
+        # a floor of 19 against satiation 10 per slot: the optimum, and the
+        # market, consume past satiation in the cheap slot 0
+        doc = {"num_slots": 2, "customers": [{"id": 0, "w": [10, 10], "alpha": 1,
+                                              "d_min": 19, "d_max": 19}],
+               "blocks": {"b": 1000}, "cost": {"beta1": [0.01, 1.0], "beta2": [0.01, 1.0]}}
+        scen = tmp_path / "floor.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(scen), "--out", str(out)]) == 0
+        optimum = json.loads((out / "comparison.json").read_text())["optimum"]
+        assert optimum["pass"] is True and optimum["welfare_gap"] < 1e-10
+
+    def test_three_slot_market_is_compared(self, tmp_path):
+        # a 3-variable market whose welfare optimum sits on bN in one slot
+        doc = {"num_slots": 3, "customers": [{"id": 0, "w": [30, 20, 40], "alpha": 1,
+                                              "d_min": 50, "d_max": 60}],
+               "blocks": {"b": 10}, "cost": {"beta1": 0.3, "beta2": 0.5}}
+        scen = tmp_path / "three.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(scen), "--out", str(out)]) == 0
+        payload = json.loads((out / "comparison.json").read_text())
+        assert payload["pass"] is True
+        assert payload["optimum"]["boundary_degenerate"] is True
+        assert payload["optimum"]["welfare_gap"] == pytest.approx(95 / 6, abs=1e-7)
 
     def test_max_iter_exhaustion_exits_2(self, demo_file, tmp_path, capsys):
         # a market run stopped by --max-iter is not compared with the oracles
@@ -225,13 +264,11 @@ class TestVerifyCommand:
             return solve_welfare_centralized(*args, **kwargs)
 
         monkeypatch.setattr(cli, "solve_welfare_centralized", centralized)
-        assert main(["verify", "--scenario", str(demo_file), "--grid-step", "0.05",
-                     "--max-iter", "400"]) == 0
+        assert main(["verify", "--scenario", str(demo_file), "--max-iter", "400"]) == 0
         assert limits == [400]
 
     def test_perturbation_injection_fails(self, demo_file, tmp_path):
         code = main(["verify", "--scenario", str(demo_file),
-                     "--grid-step", "0.05",
                      "--inject-perturbation", "0.5"])
         assert code == 4
 
@@ -239,13 +276,13 @@ class TestVerifyCommand:
         # negative control: the shifted allocation is negative, and verify
         # still compares it and fails instead of raising
         out = tmp_path / "verify"
-        code = main(["verify", "--scenario", str(demo_file), "--grid-step", "0.05",
+        code = main(["verify", "--scenario", str(demo_file),
                      "--inject-perturbation", "-50", "--out", str(out)])
         assert code == 4
         assert json.loads(capsys.readouterr().out)["pass"] is False
         assert json.loads((out / "comparison.json").read_text())["pass"] is False
 
-    def test_grid_skipped_above_three_variables(self, tmp_path, capsys):
+    def test_optimum_skipped_above_three_variables(self, tmp_path, capsys):
         doc = demo_scenario_document()
         doc["num_slots"] = 2
         doc["blocks"]["b"] = 25
@@ -253,7 +290,7 @@ class TestVerifyCommand:
         scen.write_text(json.dumps(doc))
         code = main(["verify", "--scenario", str(scen)])
         err = capsys.readouterr().err
-        assert "grid oracle skipped" in err
+        assert "welfare optimum skipped" in err
         assert code == 0
 
     @pytest.mark.parametrize("cid", ["null", '"a"', "NaN", "Infinity", "1.7"])
@@ -363,41 +400,12 @@ class TestBadOptionValues:
                              "+ max(beta1 + beta2)*N) overflows the float range; --gamma "
                              "sets a step")
 
-    def test_verify_zero_grid_step(self, demo_file, tmp_path, capsys):
-        out = tmp_path / "out"
-        self.assert_rejected(["verify", "--scenario", str(demo_file),
-                              "--grid-step", "0", "--out", str(out)], out, capsys)
-
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_verify_non_finite_grid_step(self, value, demo_file, tmp_path, capsys):
-        out = tmp_path / "out"
-        self.assert_rejected(["verify", "--scenario", str(demo_file),
-                              f"--grid-step={value}", "--out", str(out)], out, capsys,
-                             reason="--grid-step must be positive and finite")
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_verify_non_finite_perturbation(self, value, demo_file, tmp_path, capsys):
         out = tmp_path / "out"
         self.assert_rejected(["verify", "--scenario", str(demo_file),
                               f"--inject-perturbation={value}", "--out", str(out)],
                              out, capsys, reason="--inject-perturbation must be finite")
-
-    def test_verify_grid_too_large(self, demo_file, tmp_path, capsys):
-        out = tmp_path / "out"
-        self.assert_rejected(["verify", "--scenario", str(demo_file),
-                              "--grid-step", "1e-7", "--out", str(out)], out, capsys,
-                             reason="grid too large")
-
-    def test_verify_no_feasible_grid_point(self, tmp_path, capsys):
-        # the daily band [0.005, 0.005] holds no point of the 0.01 grid
-        doc = demo_scenario_document()
-        doc["customers"] = [{"id": 0, "w": 100, "alpha": 1.0, "d_min": 0.005,
-                             "d_max": 0.005}]
-        scen = tmp_path / "narrow.json"
-        scen.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        self.assert_rejected(["verify", "--scenario", str(scen), "--out", str(out)],
-                             out, capsys, reason="no feasible grid point")
 
 
 class TestOutPath:

@@ -8,6 +8,8 @@ import pytest
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 # A line each demo must print, where one is fixed by its scenario.
 EXPECTED = {
+    "certify_equilibrium": "exact welfare optimum 2100.0 at x = [10. 40.]; "
+                           "efficiency gap 29.296875",
     "custom_scenario": "shadow price of customer 1's daily cap: 20.0000",
 }
 

@@ -20,7 +20,6 @@ from brpmarket import (
     PriceSchedule,
     RunConfig,
     block_prices,
-    brute_force_welfare,
     default_step_size,
     run_market,
     social_welfare,
@@ -28,6 +27,7 @@ from brpmarket import (
     step_profile,
     utility_value,
     validate_scenario,
+    welfare_optimum,
     worst_kkt_residual,
 )
 from brpmarket import cli
@@ -81,9 +81,9 @@ class TestRunMarket:
         assert report.converged
         assert report.allocation.x[0, 0] == pytest.approx(40.0 / 3.0, abs=1e-4)
         assert report.prices.p_l[0] == pytest.approx(80.0 / 3.0, abs=1e-3)
-        # cross-check against the exhaustive grid oracle
-        grid = brute_force_welfare(scenario, 0.001)
-        assert abs(grid.allocation.x[0, 0] - report.allocation.x[0, 0]) < 2e-3
+        # cross-check against the exact welfare optimum
+        optimum = welfare_optimum(scenario)
+        assert abs(optimum.allocation.x[0, 0] - report.allocation.x[0, 0]) < 1e-6
 
     def test_step_size_ordering(self, demo_scenario):
         iters = []

@@ -11,15 +11,14 @@ from brpmarket import (
     CostParams,
     DivergenceError,
     RunConfig,
-    brute_force_welfare,
     compare_equilibrium,
     cost_value,
-    oracle,
+    default_step_size,
     run_market,
     solve_welfare_centralized,
     utility_gradient,
     utility_value,
-    validate_scenario,
+    welfare_optimum,
 )
 from conftest import make_scenario, single_customer_scenario
 
@@ -32,12 +31,12 @@ class TestCentralizedSolver:
         assert sol.method == "centralized-gradient"
         assert sol.allocation.x[0, 0] == pytest.approx(40.0 / 3.0, abs=1e-5)
         assert sol.welfare == pytest.approx(2400.0 / 9.0, abs=1e-4)
-        grid = brute_force_welfare(scenario, 0.001)
-        assert abs(grid.allocation.x[0, 0] - sol.allocation.x[0, 0]) < 2e-3
+        optimum = welfare_optimum(scenario)
+        assert abs(optimum.allocation.x[0, 0] - sol.allocation.x[0, 0]) < 1e-5
 
     def test_symmetric_second_block_equilibrium(self):
         # d_min = 27 keeps the feasible set inside the second cost segment,
-        # so the grid argmax cannot jump to the segment boundary
+        # so the welfare argmax cannot jump to the segment boundary
         scenario = make_scenario(
             1,
             [{"id": 0, "w": 100, "alpha": 1.0, "d_min": 27, "d_max": 1000},
@@ -53,8 +52,8 @@ class TestCentralizedSolver:
         # marginal utility equals the second-block marginal cost
         grad = utility_gradient(x[0], 100.0, 1.0)
         assert grad == pytest.approx(2 * 0.6 * demand, abs=1e-3)
-        grid = brute_force_welfare(scenario, 0.02)
-        assert np.max(np.abs(grid.allocation.x - sol.allocation.x)) < 0.04
+        optimum = welfare_optimum(scenario)
+        assert np.max(np.abs(optimum.allocation.x - sol.allocation.x)) < 1e-5
 
     def test_forced_demand_prices_out_small_customer(self):
         scenario = make_scenario(
@@ -118,16 +117,17 @@ class TestCentralizedSolver:
         assert sol.boundary_degenerate
 
 
-class TestBruteForce:
+class TestWelfareOptimum:
     def test_degenerate_band_singleton(self):
         scenario = single_customer_scenario(d_min=7.0, d_max=7.0)
-        sol = brute_force_welfare(scenario, 0.001)
-        assert sol.allocation.x[0, 0] == pytest.approx(7.0, abs=1e-6)
+        sol = welfare_optimum(scenario)
+        assert sol.allocation.x[0, 0] == pytest.approx(7.0, rel=1e-15)
+        assert sol.method == "piecewise-exact" and sol.converged
 
     def test_equal_betas_make_blocks_inert(self):
         from brpmarket import block_prices
         scenario = single_customer_scenario(beta=1.0)
-        sol = brute_force_welfare(scenario, 0.001)
+        sol = welfare_optimum(scenario)
         prices = block_prices(sol.allocation.x.sum(axis=0), scenario.cost)
         assert prices.p_l[0] == pytest.approx(prices.p_u[0])
 
@@ -138,38 +138,138 @@ class TestBruteForce:
              {"id": 1, "w": 40, "alpha": 1.0, "d_min": 0, "d_max": 100}],
             b=25, beta1=0.5, beta2=0.6)
         with pytest.raises(ValueError, match="N\\*T"):
-            brute_force_welfare(scenario, 0.01)
-
-    def test_oversized_grid_rejected(self):
-        scenario = single_customer_scenario(w=100.0)
-        with pytest.raises(ValueError, match="grid too large"):
-            brute_force_welfare(scenario, 1e-7)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("alpha, grid_step", [(1e-307, 0.01), (1.0, 1e-320)])
-    def test_overflowing_axis_length_rejected(self, alpha, grid_step):
-        # satiation w/alpha is finite, (w/alpha) / grid_step overflows to inf
-        scenario = single_customer_scenario(w=1.0, alpha=alpha)
-        with pytest.raises(ValueError, match="grid too large"):
-            brute_force_welfare(scenario, grid_step)
+            welfare_optimum(scenario)
 
     def test_is_upper_bound_for_distributed_welfare(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
-        grid = brute_force_welfare(demo_scenario, 0.05)
-        assert report.welfare <= grid.welfare + 1e-6
+        assert report.welfare <= welfare_optimum(demo_scenario).welfare
 
-    def test_demo_at_cli_default_step(self, demo_scenario):
-        grid = brute_force_welfare(demo_scenario, 0.01)
-        assert grid.allocation.x.tolist() == [[10.0], [40.0]]
-        assert grid.welfare == 2100.0
-        assert grid.boundary_degenerate is True
+    def test_demo_optimum_and_efficiency_gap(self, demo_scenario):
+        # with beta2 > beta1 and mixed blocks, the welfare maximizer sits
+        # exactly at the aggregate segment boundary D = bN = 50, where the
+        # market's marginal-cost prices jump; the market stops short of it
+        optimum = welfare_optimum(demo_scenario)
+        assert optimum.allocation.x.tolist() == [[10.0], [40.0]]
+        assert optimum.welfare == 2100.0
+        assert optimum.boundary_degenerate is True
+        report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
+        assert optimum.welfare - report.welfare == pytest.approx(29.296875, abs=1e-7)
 
-    def test_demo_true_welfare_argmax_is_boundary(self, demo_scenario):
-        # with beta2 > beta1 and mixed blocks, the raw welfare maximizer
-        # sits exactly at the aggregate segment boundary D = bN
-        grid = brute_force_welfare(demo_scenario, 0.05)
-        assert grid.boundary_degenerate
-        assert float(grid.allocation.x.sum()) == pytest.approx(50.0, abs=0.05)
+    def test_off_boundary_optimum_and_efficiency_gap(self):
+        # w = (10, 90): the optimum (0, 45) lies below bN, and the market's
+        # equilibrium misses it by 2025/121
+        scenario = make_scenario(1, [{"id": 0, "w": 10.0, "alpha": 1.0, "d_max": 1000.0},
+                                     {"id": 1, "w": 90.0, "alpha": 1.0, "d_max": 1000.0}],
+                                 b=25.0, beta1=0.5, beta2=0.6)
+        optimum = welfare_optimum(scenario)
+        assert optimum.allocation.x.tolist() == [[0.0], [45.0]]
+        assert optimum.welfare == 2025.0
+        assert optimum.boundary_degenerate is False
+        report, _ = run_market(scenario, RunConfig(gamma=0.1, tol=1e-10))
+        assert optimum.welfare - report.welfare == pytest.approx(2025.0 / 121.0, abs=1e-7)
+
+    def test_floor_past_satiation(self):
+        # d_min = d_max = 19 against satiation 10 per slot: slot 0's cheap
+        # cost makes consuming past satiation there optimal, which no search
+        # over [0, w/alpha] can find
+        scenario = make_scenario(2, [{"id": 0, "w": [10.0, 10.0], "alpha": 1.0,
+                                      "d_min": 19.0, "d_max": 19.0}],
+                                 b=1000.0, beta1=[0.01, 1.0], beta2=[0.01, 1.0])
+        optimum = welfare_optimum(scenario)
+        x1 = 10.38 / 3.02  # 10 - 3*x1 + 0.02*(19 - x1) = 0
+        np.testing.assert_allclose(optimum.allocation.x, [[19.0 - x1, x1]], rtol=1e-12)
+        assert optimum.welfare == pytest.approx(
+            50.0 + 10.0 * x1 - 1.5 * x1 ** 2 - 0.01 * (19.0 - x1) ** 2, rel=1e-12)
+        assert naive_grid(scenario, 1.0)[0] < optimum.welfare - 40.0
+        report, _ = run_market(scenario, RunConfig(default_step_size(scenario), tol=1e-10))
+        assert report.welfare == pytest.approx(optimum.welfare, rel=1e-12)
+
+    def test_scored_by_its_piece_not_social_welfare(self):
+        # The optimum puts demand on bN = 62.18, and every KKT solution there
+        # rounds D a hair past it (+7.1e-15 here): social_welfare charges such a
+        # point beta2 and falls 544 short, so scored so, or dropped by a
+        # feasibility test with no rounding margin, the optimum would lose to a
+        # worse point.  Its piece, D <= bN, charges beta1.
+        scenario = make_scenario(1, [{"id": 0, "w": 74.64, "alpha": 1.87, "d_max": 1000.0},
+                                     {"id": 1, "w": 90.84, "alpha": 1.4, "d_max": 1000.0}],
+                                 b=31.09, beta1=0.25, beta2=0.75)
+        optimum = welfare_optimum(scenario)
+        demand = 62.18
+        x0 = (74.64 - 90.84 + 1.4 * demand) / (1.87 + 1.4)  # equal marginal utilities
+        x1 = demand - x0
+        np.testing.assert_allclose(optimum.allocation.x, [[x0], [x1]], rtol=1e-12)
+        assert optimum.welfare == pytest.approx(
+            74.64 * x0 - 0.935 * x0 ** 2 + 90.84 * x1 - 0.7 * x1 ** 2 - 0.25 * demand ** 2,
+            rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w, alpha", [(1e155, 1.0), (1e160, 1e150)])
+    def test_cap_far_below_satiation(self, w, alpha):
+        # the cap's multiplier, about w, dwarfs x = 1, which a plain solve of
+        # the KKT system loses to cancellation; and w**2 overflows although
+        # the flat utility w*w/(2*alpha) of (1e160, 1e150) does not
+        optimum = welfare_optimum(single_customer_scenario(w=w, alpha=alpha, d_max=1.0))
+        assert optimum.allocation.x.tolist() == [[1.0]]
+        assert optimum.welfare == pytest.approx(w - alpha / 2 - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("energy", [1e-100, 1e-20, 1.0, 1e20, 1e100])
+    @pytest.mark.parametrize("value", [1e-50, 1.0, 1e50])
+    def test_scale_free(self, energy, value):
+        # x in units of `energy` and welfare in units of `energy * value`: the
+        # same optimum, so no threshold on the data's scale decides a system
+        x1 = 10.38 / 3.02
+        scenario = make_scenario(
+            2, [{"id": 0, "w": [10.0 * value] * 2, "alpha": value / energy,
+                 "d_min": 19.0 * energy, "d_max": 19.0 * energy}],
+            b=1000.0 * energy, beta1=[0.01 * value / energy, value / energy],
+            beta2=[0.01 * value / energy, value / energy])
+        optimum = welfare_optimum(scenario)
+        np.testing.assert_allclose(optimum.allocation.x / energy, [[19.0 - x1, x1]],
+                                   rtol=1e-12)
+        assert optimum.welfare / (energy * value) == pytest.approx(
+            50.0 + 10.0 * x1 - 1.5 * x1 ** 2 - 0.01 * (19.0 - x1) ** 2, rel=1e-12)
+
+
+# Smooth instances (beta1 = beta2): a general constrained solver finds the
+# same maximum.  A binding cap, a binding floor, three customers.
+SMOOTH_INSTANCES = [
+    make_scenario(1, [{"id": 0, "w": 40, "alpha": 1.0, "d_max": 100},
+                      {"id": 1, "w": 30, "alpha": 0.5, "d_max": 100}],
+                  b=25, beta1=0.3, beta2=0.3),
+    make_scenario(2, [{"id": 0, "w": [30, 20], "alpha": 1.0, "d_min": 0, "d_max": 20}],
+                  b=25, beta1=0.4, beta2=0.4),
+    make_scenario(3, [{"id": 0, "w": [3.0, 2.5, 2.0], "alpha": 2.0, "d_min": 3.0,
+                       "d_max": 50}],
+                  b=1.0, beta1=[0.25, 0.5, 0.1], beta2=[0.25, 0.5, 0.1]),
+    make_scenario(1, [{"id": 0, "w": 3.0, "alpha": 1.0, "d_max": 50},
+                      {"id": 1, "w": 2.5, "alpha": 1.5, "d_max": 50},
+                      {"id": 2, "w": 2.0, "alpha": 1.0, "d_min": 1.2, "d_max": 50}],
+                  b=2, beta1=0.25, beta2=0.25),
+]
+
+
+@pytest.mark.parametrize("scenario", SMOOTH_INSTANCES)
+def test_matches_scipy_on_smooth_instances(scenario):
+    optimize = pytest.importorskip("scipy.optimize")
+    n, t = scenario.num_customers, scenario.num_slots
+    daily = np.repeat(np.eye(n), t, axis=1)
+
+    def negative_welfare(v):
+        x = np.maximum(v, 0.0).reshape(n, t)
+        demand = x.sum(axis=0)
+        return -(np.sum(utility_value(x, scenario.w, scenario.alpha))
+                 - np.sum(scenario.cost.beta1 * demand ** 2))
+
+    start = np.repeat(np.maximum(scenario.d_min, 1.0) / t, t)
+    result = optimize.minimize(
+        negative_welfare, start, method="SLSQP", bounds=[(0.0, None)] * (n * t),
+        constraints=[{"type": "ineq", "fun": lambda v: daily @ v - scenario.d_min},
+                     {"type": "ineq", "fun": lambda v: scenario.d_max - daily @ v}],
+        options={"ftol": 1e-14, "maxiter": 500})
+    assert result.success
+    optimum = welfare_optimum(scenario)
+    assert optimum.welfare == pytest.approx(-result.fun, rel=1e-9)
+    np.testing.assert_allclose(optimum.allocation.x.ravel(), result.x, atol=1e-5)
 
 
 class TestCompareEquilibrium:
@@ -192,7 +292,7 @@ class TestCompareEquilibrium:
         from brpmarket import OracleSolution
         mirror = OracleSolution(
             allocation=report.allocation, welfare=report.welfare,
-            method="grid", converged=True, boundary_degenerate=False,
+            method="piecewise-exact", converged=True, boundary_degenerate=False,
             stationarity_residual=None,
             scenario_fingerprint=report.scenario_fingerprint)
         cmp = compare_equilibrium(report, mirror)
@@ -220,10 +320,11 @@ class TestCompareEquilibrium:
 
 
 def naive_grid(scenario, grid_step):
-    """Point-by-point enumeration of the grid oracle's search, as a reference.
+    """Point-by-point enumeration of a grid over ``[0, w/alpha]`` per cell, whose
+    best feasible point is a lower bound on the welfare optimum.
 
     Returns (best welfare, its allocation, how many points reach it, how
-    many points are infeasible).  Welfare sums utilities in variable order,
+    many points are infeasible); -inf and None if no point is feasible.  Welfare sums utilities in variable order,
     then subtracts costs in slot order; the first maximum in row-major order
     wins.
     """
@@ -253,68 +354,8 @@ def naive_grid(scenario, grid_step):
             best, best_point, ties = welfare, point, 1
         elif welfare == best:
             ties += 1
-    return best, np.reshape(best_point, (n, t)), ties, infeasible
-
-
-GRID_INSTANCES = [
-    # one customer over three slots; d_max = 3 binds and cuts off part of the grid
-    pytest.param(
-        make_scenario(3, [{"id": 0, "w": [3.0, 2.5, 2.0], "alpha": 1.0,
-                           "d_min": 0.5, "d_max": 3.0}],
-                      b=1.0, beta1=0.25, beta2=0.3),
-        0.2, lambda x, ties, infeasible: infeasible > 0 and x.sum() > 2.8,
-        id="1x3-binding-d_max"),
-    # three customers in one slot; customer 0's floor leaves only the last
-    # row of the grid feasible, and demand crosses the segment boundary bN = 4.5
-    pytest.param(
-        make_scenario(1, [{"id": 0, "w": 3.0, "alpha": 1.0, "d_min": 2.9, "d_max": 50},
-                          {"id": 1, "w": 2.5, "alpha": 1.0, "d_min": 0.4, "d_max": 50},
-                          {"id": 2, "w": 2.0, "alpha": 1.0, "d_min": 0, "d_max": 50}],
-                      b=1.5, beta1=0.25, beta2=0.3),
-        0.2, lambda x, ties, infeasible: x[0, 0] == 3.0,
-        id="3x1"),
-    # two identical customers whose optimum x = 1.55 falls between grid
-    # points: (1.5, 1.6) and (1.6, 1.5) tie exactly
-    pytest.param(
-        make_scenario(1, [{"id": 0, "w": 3.1, "alpha": 1.0, "d_min": 0, "d_max": 50},
-                          {"id": 1, "w": 3.1, "alpha": 1.0, "d_min": 0, "d_max": 50}],
-                      b=10.0, beta1=0.25, beta2=0.25),
-        0.1, lambda x, ties, infeasible: ties >= 2 and x[0, 0] < x[1, 0],
-        id="2x1-ties"),
-]
-
-
-# (_GRID_CHUNK, _GRID_BLOCK): the default cells; slabs of several rows, of
-# single rows over the first one or two axes, and of a few points; blocks
-# of a few points and of one
-GRID_SPLITS = list(itertools.product(
-    (oracle._GRID_CHUNK, 1000, 150, 12, 3), (oracle._GRID_BLOCK, 7, 3, 1)))
-
-
-class TestBruteForceAgainstEnumeration:
-    @pytest.mark.parametrize("scenario, grid_step, has_property", GRID_INSTANCES)
-    def test_same_welfare_and_allocation(self, scenario, grid_step, has_property,
-                                         monkeypatch):
-        welfare, x, ties, infeasible = naive_grid(scenario, grid_step)
-        assert has_property(x, ties, infeasible)
-        for chunk, block in GRID_SPLITS:
-            monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
-            monkeypatch.setattr(oracle, "_GRID_BLOCK", block)
-            sol = brute_force_welfare(scenario, grid_step)
-            assert sol.welfare == welfare
-            assert sol.allocation.x.tolist() == x.tolist()
-
-    @pytest.mark.parametrize("chunk, block", [(32, 1), (32, 7), (12, 3), (3, 1)])
-    def test_tie_goes_to_lower_index_across_cells(self, chunk, block, monkeypatch):
-        # slabs of one row of the 32 x 32 grid, or of a few points: the tied
-        # points (1.5, 1.6) and (1.6, 1.5) of 2x1-ties lie in different
-        # cells, and the cell of (1.6, 1.5), later in row-major order, is
-        # evaluated first
-        scenario, grid_step, _ = GRID_INSTANCES[2].values
-        monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
-        monkeypatch.setattr(oracle, "_GRID_BLOCK", block)
-        sol = brute_force_welfare(scenario, grid_step)
-        assert sol.allocation.x.tolist() == [[1.5], [1.6]]
+    x = None if best_point is None else np.reshape(best_point, (n, t))
+    return best, x, ties, infeasible
 
 
 # grid axes per variable for N*T = 1, 2, 3, so each grid has at most ~1000 points
@@ -358,25 +399,31 @@ def tiny_markets(draw):
     return make_scenario(t, customers, b=b, beta1=beta1, beta2=beta2)
 
 
-class TestBruteForcePruningProperties:
-    """The slab-pruned grid search returns exactly what full enumeration does."""
+class TestWelfareOptimumProperties:
+    """No feasible point beats the optimum: not the grid's best, not the market's."""
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(tiny_markets())
-    @example(GRID_INSTANCES[2].values[0])  # exact argmax tie
+    # one customer over three slots; d_max = 3 binds
+    @example(make_scenario(3, [{"id": 0, "w": [3.0, 2.5, 2.0], "alpha": 1.0,
+                                "d_min": 0.5, "d_max": 3.0}],
+                           b=1.0, beta1=0.25, beta2=0.3))
+    # three customers in one slot; customer 0's floor binds, and demand
+    # crosses the segment boundary bN = 4.5
+    @example(make_scenario(1, [{"id": 0, "w": 3.0, "alpha": 1.0, "d_min": 2.9, "d_max": 50},
+                               {"id": 1, "w": 2.5, "alpha": 1.0, "d_min": 0.4, "d_max": 50},
+                               {"id": 2, "w": 2.0, "alpha": 1.0, "d_min": 0, "d_max": 50}],
+                           b=1.5, beta1=0.25, beta2=0.3))
     @example(make_scenario(1, [{"id": 0, "w": 40.5, "alpha": 1.0, "d_max": 100},
                                {"id": 1, "w": 60.5, "alpha": 1.0, "d_max": 100}],
                            b=12.5, beta1=0.3, beta2=0.9))  # demand crosses bN
-    def test_matches_enumeration(self, scenario):
-        welfare, x, _, _ = naive_grid(scenario, 1.0)
-        for chunk, block in GRID_SPLITS:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(oracle, "_GRID_CHUNK", chunk)
-                mp.setattr(oracle, "_GRID_BLOCK", block)
-                if welfare == -np.inf:
-                    with pytest.raises(ValueError, match="no feasible grid point"):
-                        brute_force_welfare(scenario, 1.0)
-                    continue
-                sol = brute_force_welfare(scenario, 1.0)
-            assert sol.welfare == welfare
-            assert sol.allocation.x.tolist() == x.tolist()
+    def test_at_least_grid_and_market(self, scenario):
+        optimum = welfare_optimum(scenario)
+        grid_welfare = naive_grid(scenario, 1.0)[0]
+        report, _ = run_market(scenario, RunConfig(default_step_size(scenario), tol=1e-10))
+        scale = float(np.sum(scenario.w ** 2 / (2 * scenario.alpha)))  # largest utility
+        assert optimum.welfare >= grid_welfare - 1e-12 * scale
+        assert optimum.welfare >= report.welfare - 1e-12 * scale
+        if np.all(scenario.cost.beta1 == scenario.cost.beta2) and report.converged:
+            # a smooth convex cost: the equilibrium is efficient, to the run's tol
+            assert optimum.welfare - report.welfare <= 1e-10 * scale
