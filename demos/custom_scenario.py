@@ -34,11 +34,11 @@ def main() -> None:
           f"welfare {report.welfare:.4f}")
     print("prices p_l:", np.round(report.prices.p_l, 4))
     print("prices p_u:", np.round(report.prices.p_u, 4))
-    for i, customer in enumerate(scenario.customers):
-        x = report.allocation.x[i]
-        print(f"customer {customer.id}: x = {np.round(x, 4)}, "
+    for cid, x, d_min, d_max in zip(scenario.ids.tolist(), report.allocation.x,
+                                    scenario.d_min.tolist(), scenario.d_max.tolist()):
+        print(f"customer {cid}: x = {np.round(x, 4)}, "
               f"daily total {x.sum():.4f} "
-              f"(band [{customer.d_min}, {customer.d_max}])")
+              f"(band [{d_min}, {d_max}])")
 
     mult = recover_multipliers(scenario, report.allocation, report.prices)
     print(f"shadow price of customer 1's daily cap: {mult[1]:.4f}")

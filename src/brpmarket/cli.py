@@ -3,10 +3,10 @@
 Subcommands: run (market to equilibrium), sweep (step-size study),
 verify (oracle certification), demo (built-in two-customer scenario).
 
-Exit codes: 0 success, 1 bad scenario, bad option value, bad --out (all checked
-before any solve) or I/O error; 2 no convergence of the market run (max-iter
-exhaustion or divergence; verify then compares nothing), 3 oracle
-non-convergence, 4 verification failure.
+Exit codes: 0 success, 1 bad scenario, usage error (such as an unknown option or a
+missing one), bad option value, bad --out (all checked before any solve) or I/O
+error; 2 no convergence of the market run (max-iter exhaustion or divergence; verify
+then compares nothing), 3 oracle non-convergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -209,8 +209,16 @@ def cmd_demo(args, parser) -> int:
     return cmd_run(args, parser)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser``, and so each of its subparsers, whose usage errors exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brpmarket",
         description="Demand-response market simulator under two-block rate pricing",
     )

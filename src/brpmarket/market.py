@@ -9,7 +9,7 @@ constraints stay enforced throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,9 +37,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Step size, tolerance and iteration cap of the market iteration: ``run_market`` stops
-    once allocation and prices both move by less than ``tol``, the centralized oracle once
-    a step moves less than ``0.1*gamma*tol`` and its KKT residual is below ``tol``."""
+    """Step size, tolerance and iteration cap of the market iteration; ``run_market`` stops
+    once allocation and prices both move by less than ``tol``."""
 
     gamma: float
     tol: float = 1e-6
@@ -66,44 +65,38 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    """Time series of market iterates, with the per-slot block threshold
-    ``b`` of their run, from which the trace's block split is derived.
+    """The read-only view of one :func:`run_market` call: its scenario, its ``RunConfig``
+    up to the stopping iteration and the scenario fingerprint, not its iterates.
 
-    A trace of :func:`run_market` holds its run alone (scenario, config, stopping iteration,
-    scenario fingerprint); its first read (``records``, ``trace[k]``, iteration) replays it,
-    one more market solve, and keeps the records, and :meth:`to_csv` streams the replay and
+    The first read (``records``, ``trace[k]``, iteration) replays the run, one more market
+    solve, and keeps the records; :meth:`to_csv` streams the replay of an unread trace and
     keeps none.  A replay of a scenario changed since its run raises ``ValueError``."""
 
-    b: np.ndarray
-    _records: list[IterationRecord] = field(default_factory=list)
-    _run: tuple | None = None
-
-    def append(self, record: IterationRecord) -> None:
-        self.records.append(record)  # a run's trace replays the run first
+    _scenario: Scenario
+    _config: RunConfig
+    _fingerprint: str
+    _records: list[IterationRecord] | None = None
 
     def __len__(self) -> int:
-        return len(self._records) if self._run is None else self._run[2] + 1
+        return self._config.max_iter + 1
 
     def __getitem__(self, idx) -> IterationRecord:
         return self.records[idx]
 
     @property
     def records(self) -> list[IterationRecord]:
-        """Every record; a run's trace replays the run on first read."""
-        if self._run is not None:
-            self._records, self._run = list(self._replay()), None
+        if self._records is None:
+            self._records = list(self._replay())
         return self._records
 
     def _replay(self):
         """The run's records, one at a time, each welfare from the step kernel's buffers."""
-        scenario, config, last, fingerprint = self._run
-        if scenario.fingerprint() != fingerprint:
+        if (scenario := self._scenario).fingerprint() != self._fingerprint:
             raise ValueError("the scenario changed after its run; its trace cannot be replayed")
         return (IterationRecord(Allocation(x), prices, _welfare(
                     x, kernel.demand, kernel.sated, scenario, kernel.half_alpha,
                     kernel.block_total, (kernel.grad, kernel.raw)), max_change)
-                for _, x, prices, max_change, kernel in _iterates(
-                    scenario, replace(config, max_iter=last)))
+                for _, x, prices, max_change, kernel in _iterates(scenario, self._config))
 
     def to_csv(self, path) -> None:
         """Write one row per (iteration, slot, customer), full float precision.
@@ -114,44 +107,41 @@ class IterationTrace:
         as the ``repr`` of its Python ``float``, so it round-trips exactly.
         The block split ``y = min(x, b)``, ``z = max(x, b)`` is derived here.
 
-        Each iterate is one array of pieces joined once: its number, cached row prefixes
+        Each iterate is one array of pieces joined once: its number, the run's row prefixes
         and commas, the texts of :func:`_cell_texts` (one per distinct bit pattern of x
         and of b, ``repr``'s text from the array kernel :func:`_float_reprs`) and each
         slot's ``,p_l,p_u,welfare,max_change`` line end.
         """
-        shape, records = None, self._records if self._run is None else self._replay()
+        records = self._replay() if self._records is None else self._records
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_COMMENT + "\n")
             fh.write(",".join(TRACE_COLUMNS) + "\r\n")
             for k, rec in enumerate(records):
-                if np.shape(rec.allocation.x) != shape:
-                    n, t = shape = np.shape(rec.allocation.x)
+                if not k:  # not before the replay starts: that order raised peak RSS
+                    n, t = self._scenario.w.shape
                     pieces = np.full((t, n, 8), ",", dtype=object)  # k ,slot,cust, x , y , z end
                     pieces[..., 1] = [[f",{s},{c}," for c in range(n)] for s in range(t)]
-                tail = f",{float(rec.welfare)!r},{float(rec.max_change)!r}\r\n"
+                tail = f",{rec.welfare!r},{rec.max_change!r}\r\n"
                 pieces[..., 0] = str(k)
-                pieces[..., 2::2] = _cell_texts(rec.allocation.x, self.b)
+                pieces[..., 2::2] = _cell_texts(rec.allocation.x, self._scenario.blocks.b)
                 pieces[..., 7] = np.array([f",{p_l!r},{p_u!r}{tail}" for p_l, p_u in zip(
-                    np.asarray(rec.prices.p_l, dtype=float).tolist(),
-                    np.asarray(rec.prices.p_u, dtype=float).tolist())], dtype=object)[:, None]
+                    rec.prices.p_l.tolist(), rec.prices.p_u.tolist())], dtype=object)[:, None]
                 fh.write("".join(pieces.ravel().tolist()))
 
 
 def _cell_texts(x, b) -> np.ndarray:
-    """The ``repr`` of x, ``min(x, b)`` and ``max(x, b)`` of every cell, (slot, customer,
-    3): one :func:`_float_reprs` text per distinct float64 bit pattern of x and b (bits,
-    not ``==``, keep -0.0 apart from 0.0).  Each y and z is, bit for bit, its x or its b;
-    one that is neither (a NaN the comparison quietened) gets its own ``repr``."""
-    x, b = np.asarray(x, dtype=float).T, np.asarray(b, dtype=float)[:, None]
+    """The ``repr`` of x, ``min(x, b)`` and ``max(x, b)`` of every cell of a finite float64
+    x, (slot, customer, 3), given the per-slot b: one :func:`_float_reprs` text per
+    distinct bit pattern of x and b (bits, not ``==``, keep -0.0 apart from 0.0).  Each y
+    and z is, bit for bit, its x or its b, as ``np.minimum`` and ``np.maximum`` return one
+    operand of finite floats."""
+    x, b = x.T, b[:, None]
     bits, index = np.unique(np.append(x, b).view(np.int64), return_inverse=True)
     table = _float_reprs(bits.view(np.float64))
     cells = np.stack([x, np.minimum(x, b), np.maximum(x, b)], axis=-1)
     from_x = (cell_bits := cells.view(np.int64)) == cell_bits[..., :1]
-    texts = table[np.where(from_x, index[:x.size].reshape(*x.shape, 1),
-                           index[x.size:, None, None])]
-    odd = ~from_x & (cell_bits != b.view(np.int64)[..., None])
-    texts[odd] = list(map(repr, cells[odd].tolist()))
-    return texts
+    return table[np.where(from_x, index[:x.size].reshape(*x.shape, 1),
+                          index[x.size:, None, None])]
 
 
 # The tables are built from Python floats and array copies, so that importing the module
@@ -176,10 +166,9 @@ def _float_reprs(values) -> np.ndarray:
     ``repr`` is the specification: the shortest digits that read back as v, the nearest
     to v of those (Steele and White 1990; Adams, "Ryu", PLDI 2018), written ``ddd.ddd``,
     ``ddd.0`` or ``0.000ddd`` for ``1e-4 <= v < 1e16`` and in exponent form elsewhere.
-    Arrays compute that positional range here, for v whose mantissa is not a power of
-    two; every other value, and any whose answer lies within ``1e-9`` of a tie or an
-    edge of v's rounding interval, is passed to ``repr``.  The digits' arrays are freed
-    before the texts' are made.
+    Arrays compute that positional range here; every other value, and any whose answer
+    lies within ``1e-9`` of a tie or an edge of v's rounding interval, is passed to
+    ``repr``.  The digits' arrays are freed before the texts' are made.
     """
     x = np.ravel(values)
     n, q, fast = _shortest_digits(x)
@@ -195,12 +184,12 @@ def _shortest_digits(x):
     The reals that round to x are ``(S - W, S + W)``, ``W = 10**k * ulp(x)/2`` in (0.55,
     11.2), so n is the integer in that interval that is a multiple of the largest power
     of ten there: of 100, which is alone there if there is one, else the nearest
-    multiple of 10 or the nearest integer.
+    multiple of 10 or the nearest integer.  For a power of two they start at ``S - W/2``;
+    the 67 in range, 2**-13 to 2**53, each find their n there, as ``repr`` confirms.
     """
     fast = (x >= 1e-4) & (x < 1e16)
     v = np.where(fast, x, 1.0)
-    fraction, exponent = np.frexp(v)
-    fast &= fraction != 0.5
+    exponent = np.frexp(v)[1]
     q = np.floor(np.log10(v))
     k = (16.0 - q).astype(np.intp)
     ten = _TEN.take(k)
@@ -384,4 +373,4 @@ def run_market(scenario: Scenario, config: RunConfig):
         worst_kkt_residual=worst_kkt_residual(scenario, allocation, prices),
         scenario_fingerprint=fingerprint,
     )
-    return report, IterationTrace(scenario.blocks.b, _run=(scenario, config, k, fingerprint))
+    return report, IterationTrace(scenario, replace(config, max_iter=k), fingerprint)

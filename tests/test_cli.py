@@ -165,7 +165,7 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--scenario", str(demo_file), "--gammas", ",",
                   "--out", str(tmp_path / "o")])
-        assert err.value.code == 2
+        assert err.value.code == 1
 
     def test_diverging_gamma_recorded_not_fatal(self, tmp_path):
         doc = demo_scenario_document()
@@ -406,6 +406,48 @@ class TestBadOptionValues:
         self.assert_rejected(["verify", "--scenario", str(demo_file),
                               f"--inject-perturbation={value}", "--out", str(out)],
                              out, capsys, reason="--inject-perturbation must be finite")
+
+
+class TestUsageErrors:
+    """A usage error exits 1, as a bad option value does, not 2, which means that the
+    market did not converge; argparse's usage lines and its error line are kept."""
+
+    def assert_usage_error(self, argv, capsys, error):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and lines[0].startswith("usage: brpmarket")
+        assert lines[-1].startswith("brpmarket") and lines[-1].endswith(f": error: {error}")
+
+    def test_removed_option(self, demo_file, capsys):
+        self.assert_usage_error(["verify", "--scenario", str(demo_file), "--grid-step", "0.01"],
+                                capsys, "unrecognized arguments: --grid-step 0.01")
+
+    def test_missing_required_option(self, tmp_path, capsys):
+        self.assert_usage_error(["run", "--out", str(tmp_path / "o")], capsys,
+                                "the following arguments are required: --scenario")
+        assert not (tmp_path / "o").exists()
+
+    def test_unparsable_option_value(self, demo_file, tmp_path, capsys):
+        self.assert_usage_error(["run", "--scenario", str(demo_file), "--gamma", "abc",
+                                 "--out", str(tmp_path / "o")], capsys,
+                                "argument --gamma: invalid float value: 'abc'")
+
+    def test_unparsable_gamma_list(self, demo_file, tmp_path, capsys):
+        self.assert_usage_error(["sweep", "--scenario", str(demo_file), "--gammas", "0.1,abc",
+                                 "--out", str(tmp_path / "o")], capsys,
+                                "invalid --gammas value: '0.1,abc'")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [[], ["run"], ["sweep"], ["verify"], ["demo"]],
+                             ids=["brpmarket", "run", "sweep", "verify", "demo"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: brpmarket")
 
 
 class TestOutPath:

@@ -15,9 +15,6 @@ from hypothesis import strategies as st
 from brpmarket import (
     Allocation,
     DivergenceError,
-    IterationRecord,
-    IterationTrace,
-    PriceSchedule,
     RunConfig,
     block_prices,
     default_step_size,
@@ -257,13 +254,6 @@ class TestDefaultStepSize:
                                        atol=1e-9 * np.abs(old.allocation.x).max())
 
 
-def _record(x, p_l, p_u, welfare=0.0, change=0.0):
-    return IterationRecord(
-        allocation=Allocation(x),
-        prices=PriceSchedule(p_l=np.asarray(p_l, float), p_u=np.asarray(p_u, float)),
-        welfare=welfare, max_change=change)
-
-
 def wide_slack_scenario():
     """N=100, T=24 with a never-binding band: the size of the benchmark's
     report run, about a fifth of x exactly 0 at equilibrium and the rest on
@@ -354,7 +344,7 @@ class TestTraceCsv:
 
 def reference_trace_csv(trace, path):
     """The csv.writer loop ``to_csv`` replaced, kept as the byte reference.
-    Each cell's y and z are derived one at a time from x and the slot's b."""
+    Each cell's y and z are derived one at a time from x and the run's b of its slot."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_COMMENT + "\n")
         writer = csv.writer(fh)
@@ -362,7 +352,7 @@ def reference_trace_csv(trace, path):
         for k, rec in enumerate(trace.records):
             n, t = rec.allocation.x.shape
             for slot in range(t):
-                b = np.float64(trace.b[slot])
+                b = np.float64(trace._scenario.blocks.b[slot])
                 for cust in range(n):
                     x = np.float64(rec.allocation.x[cust, slot])
                     writer.writerow([
@@ -747,21 +737,6 @@ class TestReplay:
                 read()
         assert not (tmp_path / "trace.csv").exists()
 
-    def test_append_to_unread_trace_keeps_the_record(self, tmp_path):
-        scenario = validate_scenario(cli.demo_scenario_document())
-        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
-        extra = IterationRecord(Allocation(np.full((2, 1), 7.5)), block_prices(
-            np.array([15.0]), scenario.cost), welfare=-1.25, max_change=0.5)
-        trace.append(extra)
-        assert len(trace) == len(trace.records) == report.iterations + 2
-        assert trace[-1] is extra
-        assert same_bits(trace[-2].allocation.x, report.allocation.x)
-        trace.to_csv(tmp_path / "trace.csv")
-        rows = (tmp_path / "trace.csv").read_text().splitlines()[2:]
-        assert len(rows) == 2 * (report.iterations + 2)
-        assert [row.split(",")[:4] + row.split(",")[-2:] for row in rows[-2:]] == [
-            [str(report.iterations + 1), "0", str(c), "7.5", "-1.25", "0.5"] for c in (0, 1)]
-
     def test_run_holds_constant_iterates(self):
         # the peak of a converged run exceeds a two-iterate run's, which holds the
         # step kernel's fixed buffers, by less than 10 iterates; a run that kept its
@@ -940,19 +915,6 @@ class TestTraceCsvGolden:
         assert not comment.endswith(b"\r") and header.endswith(b"\r")
         assert first.startswith(b"0,0,0,") and first.endswith(b",nan\r")
 
-    def test_special_values_match_reference_writer(self, tmp_path):
-        # integer arrays, numpy scalars, signed zero, tiny, huge and infinite values
-        prices = PriceSchedule(p_l=[1, 2.0], p_u=np.array([3, -math.inf]))
-        trace = IterationTrace(np.array([2.5, 0.0]))
-        for x, welfare, change in (
-                (np.array([[3, 0], [1, 2]]), 7, math.nan),
-                (np.array([[1e-300, -0.0], [1e22, math.inf]]), np.float64(-0.0),
-                 np.float64(1e-17))):
-            trace.append(IterationRecord(Allocation(x), prices, welfare, change))
-        trace.to_csv(tmp_path / "fast.csv")
-        reference_trace_csv(trace, tmp_path / "reference.csv")
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-
     def test_sweep_traces_match_reference_writer(self, tmp_path):
         scenario_path = tmp_path / "straddle.json"
         scenario_path.write_text(json.dumps(straddling_document()))
@@ -1002,62 +964,8 @@ class TestTraceCsvGolden:
         assert peak < 1.5 * 2**20
 
 
-_SNAN = 0x7FF0000000000001  # the bits of a signalling NaN
-
-
-def _signalling(x) -> np.ndarray:
-    """``x`` as float64, each NaN replaced by the signalling NaN ``_SNAN``."""
-    x = np.array(x, dtype=float)
-    x.view(np.int64)[np.isnan(x)] = _SNAN
-    return x
-
-
 class TestTraceCsvEdges:
-    """The writer against the reference on the cases its bit-keyed split
-    handles apart: NaN and signed-zero cells, a NaN b, a changing N and an
-    empty trace; and the bytes of two runs, pinned."""
-
-    @pytest.mark.parametrize("b, xs", [
-        pytest.param([25.0, 1.0], [_signalling([[math.nan, 30.0], [1.0, math.nan]])],
-                     id="signalling-nan-x"),
-        pytest.param([0.0, -0.0], [np.array([[-0.0, 0.0], [-0.0, 0.0]])],
-                     id="signed-zero-x-against-b"),
-        pytest.param([math.nan, 2.0], [np.array([[1.0, 3.0], [-0.0, math.nan]])], id="nan-b"),
-        pytest.param([2.0, 5.0], [np.array([[1.0, 6.0]]),
-                                  np.array([[1.0, 6.0], [3.0, 4.0], [2.0, 5.0]]),
-                                  np.array([[7.0, 0.0], [0.5, 5.0]])], id="changing-n"),
-        pytest.param([2.0, 5.0], [], id="no-records"),
-    ])
-    def test_matches_reference_writer(self, b, xs, tmp_path):
-        trace = IterationTrace(np.array(b))
-        for k, x in enumerate(xs):
-            trace.append(_record(x, [1.0, -0.0], [math.nan, 4.0], welfare=k, change=0.5))
-        trace.to_csv(tmp_path / "fast.csv")
-        reference_trace_csv(trace, tmp_path / "reference.csv")
-        data = (tmp_path / "fast.csv").read_bytes()
-        assert data == (tmp_path / "reference.csv").read_bytes()
-        assert data.count(b"\n") == 2 + sum(x.size for x in xs)
-        assert all(same_bits(rec.allocation.x, x) for rec, x in zip(trace.records, xs))
-
-    def test_split_matching_neither_operand_gets_its_own_repr(self, monkeypatch, tmp_path):
-        # np.minimum and np.maximum return one operand bit for bit; were they to
-        # quieten a signalling NaN, its y and z would match neither x nor b
-        def quietening(ufunc):
-            def call(a, b):
-                out = np.array(ufunc(a, b), dtype=float)
-                out[np.isnan(out)] = math.nan
-                return out
-            return call
-
-        monkeypatch.setattr(np, "minimum", quietening(np.minimum))
-        monkeypatch.setattr(np, "maximum", quietening(np.maximum))
-        x = _signalling([[math.nan, 30.0], [math.nan, math.nan]])
-        trace = IterationTrace(np.array([25.0, 1.0]), [_record(x, [1.0, 2.0], [3.0, 4.0])])
-        trace.to_csv(tmp_path / "fast.csv")
-        reference_trace_csv(trace, tmp_path / "reference.csv")
-        data = (tmp_path / "fast.csv").read_bytes()
-        assert data == (tmp_path / "reference.csv").read_bytes()
-        assert b"0,0,0,nan,nan,nan," in data
+    """The bytes of two runs, pinned."""
 
     # sha256 of trace.csv as the csv.writer loop writes it
     DEMO_RUN_SHA256 = "356af9a0850d5781533c94e6719aa278f4d1463472a886e767f213a410be82a7"
@@ -1089,11 +997,9 @@ class TestTraceSplit:
         (30.0, 25.0, (25.0, 30.0)),
         (25.0, 25.0, (25.0, 25.0)),
     ])
-    def test_examples(self, x, b, expected, tmp_path):
-        trace = IterationTrace(np.array([b]), [_record(np.array([[x]]), [1.0], [2.0])])
-        trace.to_csv(tmp_path / "trace.csv")
-        row = next(csv.DictReader((tmp_path / "trace.csv").read_text().splitlines()[1:]))
-        assert (float(row["y"]), float(row["z"])) == expected
+    def test_examples(self, x, b, expected):
+        texts = market_module._cell_texts(np.array([[x]]), np.array([b]))
+        assert tuple(map(float, texts[0, 0, 1:])) == expected
 
     def test_round_trip_exact(self, tmp_path):
         # exact on this run: each iterate's x is the step's y + z', the band
@@ -1109,60 +1015,24 @@ class TestTraceSplit:
             assert y == min(x, b) and z == max(x, b) and y + (z - b) == x
 
 
-# Values that a writer caching one repr per value could mix up: both zeros,
-# NaNs with other signs and payloads, infinities, subnormals, the smallest
-# normal, the largest float, and floats with short and with long reprs.
-_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan,
-                   np.frombuffer(bytes.fromhex("010000000000f87f"), dtype=float)[0],
-                   math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
-                   1.7976931348623157e308, 0.1, 1 / 3, 25.0, -1.5, 1e22, 1e16]
-_cell_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(width=64))
+# Finite float64s that a writer caching one text per bit pattern could mix up: both
+# zeros, subnormals, the smallest normal, the largest float, floats with short and with
+# long reprs, and the large block thresholds 1e17 and 1.7e308
+_FINITE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 0.1, 1 / 3, 25.0, -1.5, 1e16, 1e17, 1.7e308]
+_finite_floats = st.one_of(st.sampled_from(_FINITE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
-def _cell_array(draw, shape):
-    """An array of float64s, float32s or int64s."""
-    kind = draw(st.sampled_from(["float64", "float32", "int"]))
-    size = shape[0] * shape[1]
-    if kind == "int":
-        values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=size, max_size=size))
-        return np.array(values, dtype=np.int64).reshape(shape)
-    values = draw(st.lists(_cell_floats, min_size=size, max_size=size))
-    if kind == "float32":
-        with np.errstate(over="ignore"):
-            return np.array(values, dtype=np.float32).reshape(shape)
-    return np.array(values, dtype=float).reshape(shape)
-
-
-@st.composite
-def _scalar(draw):
-    """welfare or max_change: a float, an int or a numpy scalar."""
-    value = draw(_cell_floats)
-    wrap = draw(st.sampled_from([float, np.float64, np.float32, "int"]))
-    if wrap == "int":
-        return draw(st.integers(-10**6, 10**6))
-    with np.errstate(over="ignore"):
-        return wrap(value)
-
-
-@st.composite
-def _traces(draw):
-    """A trace of one to three iterates; x and b are drawn from a small pool so
-    values repeat and tie within an iterate.  The number of customers may
-    change from one iterate to the next; b fixes the number of slots."""
-    t = draw(st.integers(1, 3))
-    b = draw(_cell_array((1, t)))[0]
-    trace = IterationTrace(b.tolist() if draw(st.booleans()) else b)
-    n = draw(st.integers(1, 4))
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
-            n = draw(st.integers(1, 4))
-        x = draw(_cell_array((n, t)))
-        p_l, p_u = draw(_cell_array((2, t)))
-        prices = PriceSchedule(p_l=p_l.tolist() if draw(st.booleans()) else p_l, p_u=p_u)
-        trace.append(IterationRecord(Allocation(x), prices,
-                                     draw(_scalar()), draw(_scalar())))
-    return trace
+def _cells(draw):
+    """``(x, b)``: x of one to four customers by one to three slots, and a per-slot b,
+    drawn from a small pool that holds b, so values repeat and x meets b."""
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    b = draw(st.lists(_finite_floats, min_size=t, max_size=t))
+    pool = b + draw(st.lists(_finite_floats, min_size=1, max_size=4))
+    x = draw(st.lists(st.sampled_from(pool), min_size=n * t, max_size=n * t))
+    return np.array(x).reshape(n, t), np.array(b)
 
 
 @pytest.fixture(scope="module")
@@ -1206,15 +1076,27 @@ class TestFloatReprs:
         assert market_module._float_reprs(np.array(values)).tolist() == list(
             map(repr, values))
 
+    def test_every_power_of_two_in_range(self):
+        # a power of two's rounding interval is half as wide below it; the kernel's
+        # range 1e-4 <= v < 1e16 holds 67 of them, and each must take the array path
+        values = np.ldexp(1.0, np.arange(-13, 54))
+        assert values[0] >= 1e-4 > values[0] / 2 and values[-1] < 1e16 <= values[-1] * 2
+        assert market_module._shortest_digits(values)[2].all()
+        assert market_module._float_reprs(values).tolist() == list(map(repr, values.tolist()))
 
-class TestTraceCsvProperties:
+
+class TestCellTextsProperties:
+    """``market._cell_texts`` writes ``repr`` of each cell's x, ``min(x, b)`` and
+    ``max(x, b)``, as ``reference_trace_csv`` derives them one at a time."""
+
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(_traces())
-    @example(IterationTrace(np.array([0.0, -0.0]), [IterationRecord(
-        Allocation(np.array([[-0.0, 0.0], [math.nan, -math.nan]])),
-        PriceSchedule(p_l=np.array([-0.0, 0.0]), p_u=np.array([0.0, -0.0])),
-        -0.0, np.float64(0.0))]))
-    def test_matches_reference_writer(self, trace_dir, trace):
-        trace.to_csv(trace_dir / "fast.csv")
-        reference_trace_csv(trace, trace_dir / "reference.csv")
-        assert (trace_dir / "fast.csv").read_bytes() == (trace_dir / "reference.csv").read_bytes()
+    @given(_cells())
+    # signed zeros against each other, subnormals, x equal to b, and huge thresholds
+    @example((np.array([[-0.0, 0.0], [0.0, -0.0]]), np.array([0.0, -0.0])))
+    @example((np.array([[5e-324, 1e17], [1.7e308, 1e17]]), np.array([1e17, 1.7e308])))
+    def test_matches_repr_of_split(self, cells):
+        x, b = cells
+        expected = [[[repr(float(v)) for v in (x[c, s], np.minimum(x[c, s], b[s]),
+                                              np.maximum(x[c, s], b[s]))]
+                     for c in range(x.shape[0])] for s in range(x.shape[1])]
+        assert market_module._cell_texts(x, b).tolist() == expected
