@@ -83,7 +83,7 @@ def _gamma(args, scenario) -> float:
     return gamma
 
 
-def cmd_run(args, parser) -> int:
+def cmd_run(args) -> int:
     try:
         scenario = _load(args)
         config = RunConfig(gamma=_gamma(args, scenario), tol=args.tol, max_iter=args.max_iter)
@@ -104,18 +104,21 @@ def cmd_run(args, parser) -> int:
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_sweep(args, parser) -> int:
+def _gammas(text: str) -> list[float]:
+    """``--gammas``: comma-separated step sizes, at least one."""
     try:
-        gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
+        if gammas := [float(g) for g in text.split(",") if g.strip()]:
+            return gammas
     except ValueError:
-        parser.error(f"invalid --gammas value: {args.gammas!r}")
-    if not gammas:
-        parser.error("--gammas requires at least one value")
+        pass
+    raise argparse.ArgumentTypeError(f"invalid step size list: {text!r}")
 
+
+def cmd_sweep(args) -> int:
     try:
         scenario = _load(args)
         configs = [RunConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
-                   for gamma in gammas]
+                   for gamma in args.gammas]
     except (ScenarioError, OSError, ValueError) as exc:
         return _bad_input(exc)
 
@@ -143,14 +146,13 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     if not math.isfinite(args.inject_perturbation):
         return _bad_input("--inject-perturbation must be finite, "
                           f"got {args.inject_perturbation!r}")
     try:
         scenario = _load(args)
-        gamma = _gamma(args, scenario)
-        config = RunConfig(gamma=gamma, tol=1e-10, max_iter=args.max_iter)
+        config = RunConfig(gamma=_gamma(args, scenario), tol=1e-10, max_iter=args.max_iter)
     except (ScenarioError, OSError, ValueError) as exc:
         return _bad_input(exc)
 
@@ -160,19 +162,17 @@ def cmd_verify(args, parser) -> int:
             print(f"error: market run did not converge in {report.iterations} iterations",
                   file=sys.stderr)
             return EXIT_NOT_CONVERGED
-        centralized = solve_welfare_centralized(scenario, tol=1e-6, gamma=gamma,
-                                                max_iter=args.max_iter)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    centralized = solve_welfare_centralized(scenario)
 
     if args.inject_perturbation:
         report = replace(report, allocation=Allocation(
             report.allocation.x + args.inject_perturbation))
 
     if not centralized.converged:
-        print("error: centralized oracle did not reach the requested "
-              f"stationarity tolerance (residual "
+        print("error: the centralized oracle could not certify an equilibrium (residual "
               f"{centralized.stationarity_residual!r})", file=sys.stderr)
         return EXIT_ORACLE_FAILED
 
@@ -183,7 +183,7 @@ def cmd_verify(args, parser) -> int:
     if scenario.num_customers * scenario.num_slots <= 3:
         optimum = welfare_optimum(scenario)
         # past satiation the maximizer is not unique: compared by welfare alone
-        optimum_cmp = compare_equilibrium(report, optimum, tol_allocation=math.inf)
+        optimum_cmp = compare_equilibrium(report, optimum, tol_demand=math.inf)
         payload["optimum"] = optimum_cmp.as_dict()
         if optimum.boundary_degenerate:
             # Welfare argmax sits on the cost-segment boundary where the
@@ -204,9 +204,9 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
-def cmd_demo(args, parser) -> int:
+def cmd_demo(args) -> int:
     args.scenario = None
-    return cmd_run(args, parser)
+    return cmd_run(args)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the market across step sizes")
     sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--gammas", required=True,
+    sweep.add_argument("--gammas", required=True, type=_gammas,
                        help="comma-separated step sizes, e.g. 0.01,0.1,0.3")
     sweep.add_argument("--tol", type=float, default=1e-6)
     sweep.add_argument("--max-iter", type=int, default=50000)
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         if args.out and not next(p for p in (Path(args.out), *Path(args.out).parents)
                                  if p.exists()).is_dir():
             return _bad_input(f"--out {args.out!r} is not a directory and cannot become one")
-        return args.func(args, parser)
+        return args.func(args)
     except OSError as exc:  # an output that could not be written
         return _bad_input(exc)
 

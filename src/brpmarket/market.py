@@ -299,16 +299,15 @@ def default_step_size(scenario: Scenario) -> float:
     return 2.0 / (float(scenario.alpha.min()) + lam_hi)  # Python floats overflow unwarned
 
 
-def _iterates(scenario: Scenario, config: RunConfig, x: np.ndarray | None = None):
-    """The market iteration from ``x`` (default ``d_min/T``): ``(k, x, prices, max_change,
+def _iterates(scenario: Scenario, config: RunConfig):
+    """The market iteration from ``x = d_min/T``: ``(k, x, prices, max_change,
     kernel)`` for iterate 0 (change nan) and each step to ``config.max_iter``, priced at
     its slot demand; ``kernel`` (``agent._StepKernel``) holds x's block split, satiation
     mask and slot demand, and its buffers ``grad`` and ``raw`` are free until the next
     step.  Raises :class:`DivergenceError` at a non-finite step.  Loop over it in a
     ``for`` statement, whose break or raise drops the generator, ending its numpy
     errstate, at once."""
-    if x is None:
-        x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
+    x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # every iterate is checked finite
         kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
         kernel.split(x)

@@ -1,8 +1,8 @@
 """Independent certification of the market equilibrium.
 
-Solves the centralized welfare problem by projected-gradient ascent with the
-segment-wise cost gradient, finds the exact welfare maximum of tiny instances
-(N*T <= 3) from the KKT systems of the welfare's concave quadratic pieces, and
+Solves for the equilibrium slot demand by semismooth Newton on the customers' exact
+best responses (:mod:`brpmarket.response`), finds the exact welfare maximum of tiny
+instances (N*T <= 3) from the KKT systems of the welfare's concave quadratic pieces, and
 compares either against a distributed run.
 """
 
@@ -10,31 +10,31 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 # step_profile is unused here; the benchmark's tracer wraps it in this namespace
-from .agent import project_band, step_profile, worst_kkt_residual  # noqa: F401
-from .market import (
-    EquilibriumReport,
-    RunConfig,
-    _iterates,
-    default_step_size,
-    social_welfare,
-)
-from .model import Allocation, Scenario
+from .agent import step_profile, worst_kkt_residual  # noqa: F401
+from .model import Allocation, Scenario, cost_value, utility_value
+from .pricing import block_prices
+from .response import _excess, _jacobian
+
+if TYPE_CHECKING:
+    from .market import EquilibriumReport
 
 BOUNDARY_TOL = 1e-6
+_NEWTON_STEPS = 50  # a solve that has not settled by then is reported unconverged
 
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """A welfare maximizer found by an oracle method."""
+    """An oracle method's answer: an equilibrium, or the welfare maximum."""
 
     allocation: Allocation
     welfare: float
-    method: str  # "centralized-gradient" | "piecewise-exact"
+    method: str  # "slot-demand-newton" | "piecewise-exact"
     converged: bool
     boundary_degenerate: bool
     stationarity_residual: float | None
@@ -46,17 +46,15 @@ class ComparisonReport:
     """Distributed-vs-oracle agreement at the requested tolerances."""
 
     allocation_gap: float
+    demand_gap: float
     welfare_gap: float
     passed: bool
     boundary_degenerate: bool
 
     def as_dict(self) -> dict:
-        return {
-            "allocation_gap": self.allocation_gap,
-            "welfare_gap": self.welfare_gap,
-            "pass": self.passed,
-            "boundary_degenerate": self.boundary_degenerate,
-        }
+        fields = asdict(self)
+        fields["pass"] = fields.pop("passed")
+        return fields
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
@@ -71,33 +69,39 @@ def _solution(scenario: Scenario, x: np.ndarray, welfare: float, method: str,
                           bool(np.any(gaps < BOUNDARY_TOL)), residual, scenario.fingerprint())
 
 
-def solve_welfare_centralized(scenario: Scenario, tol: float = 1e-6,
-                              gamma: float | None = None,
-                              max_iter: int = 200000,
-                              x0: np.ndarray | None = None) -> OracleSolution:
-    """Projected-gradient ascent on the joint welfare objective: the market's own iteration
-    (``market._iterates``; from ``x0`` projected onto the bands, if given) until the
-    stationarity residual is below ``tol``, else ``converged=False`` at ``max_iter``.
-    ``gamma`` (default :func:`default_step_size`), ``tol`` and ``max_iter`` are checked
-    as a :class:`RunConfig`, and ``x0``'s shape against (N, T); an invalid one raises
-    ``ValueError``."""
-    config = RunConfig(default_step_size(scenario) if gamma is None else gamma, tol, max_iter)
-    if x0 is not None:
-        if np.shape(x0) != scenario.w.shape:
-            raise ValueError(f"x0 must have shape (N, T) = {scenario.w.shape}, "
-                             f"got {np.shape(x0)}")
-        x0 = project_band(x0, scenario.d_min, scenario.d_max)
-    # Stop stepping once allocation movement is well below what a tol-sized
-    # residual would produce, then measure the residual (also at max_iter).
-    step_tol = 0.1 * config.gamma * tol
-    for k, x, prices, change, _ in _iterates(scenario, config, x0):
-        if change < step_tol or k == max_iter:
-            residual = worst_kkt_residual(scenario, Allocation(x), prices)
-            if residual < tol:
+def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
+    """The equilibrium as the root of ``F(D) = D - sum_i BR_i(p(D))`` in the T slot demands,
+    by semismooth Newton (Qi & Sun, Math. Programming 1993) with backtracking on ``max|F|``,
+    from the demand of unclipped first blocks.  F is piecewise affine, so the steps end at
+    its root up to rounding; ``converged`` means that ``max|F|``, or the Newton step, is at
+    most ``1e-12 * max D`` within ``_NEWTON_STEPS``, and each pinned row's share fits its
+    cells.  Past satiation only D is unique.
+    Uses no market or step code; reports :func:`agent.worst_kkt_residual` of its x."""
+    s = scenario
+    demand = (s.w / s.alpha).sum(axis=0) / (1.0 + 2.0 * s.cost.beta1 * (1.0 / s.alpha).sum())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        st = _excess(s, demand)
+        for _ in range(_NEWTON_STEPS):
+            # F, or the change in D that it asks for (F at rounding where prices are steep)
+            if settled := (size := np.abs(st.F).max()) <= 1e-12 * demand.max():
                 break
-
-    return _solution(scenario, x, social_welfare(Allocation(x), scenario),
-                     "centralized-gradient", bool(residual < tol), float(residual))
+            delta, shrink = _gauss_jordan(_jacobian(s, st)[None], -st.F[None])[0][0], 1.0
+            if settled := np.abs(delta).max() <= 1e-12 * demand.max():
+                break
+            while True:
+                trial = _excess(s, step := np.maximum(demand + shrink * delta, 0.0))
+                if np.abs(trial.F).max() < (1.0 - 1e-4 * shrink) * size or shrink < 1e-9:
+                    break  # a decrease, or a last tiny step from a point without one
+                shrink /= 2.0
+            demand, st = step, trial
+        else:
+            settled = np.abs(st.F).max() <= 1e-12 * demand.max()
+    x, total = st.answer, st.answer.sum(axis=0)
+    converged = bool(settled and st.fits)
+    welfare = float(utility_value(x, s.w, s.alpha).sum()
+                    - cost_value(total, s.blocks.b * s.num_customers, s.cost).sum())
+    residual = worst_kkt_residual(s, Allocation(x), block_prices(total, s.cost))
+    return _solution(s, x, welfare, "slot-demand-newton", converged, float(residual))
 
 
 def _gauss_jordan(a, b):
@@ -193,17 +197,20 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
 
 
 def compare_equilibrium(distributed: EquilibriumReport, oracle: OracleSolution,
-                        tol_allocation: float = 1e-3,
+                        tol_demand: float = 1e-3,
                         tol_welfare: float = 1e-4) -> ComparisonReport:
-    """Measure the distributed-vs-oracle allocation and welfare gaps."""
+    """Measure the distributed-vs-oracle allocation, slot-demand and welfare gaps; pass
+    on demand and welfare, which every equilibrium shares where x is not unique."""
     if distributed.scenario_fingerprint != oracle.scenario_fingerprint:
         raise ValueError("scenario mismatch between distributed run and oracle")
-    allocation_gap = float(np.max(np.abs(distributed.allocation.x
-                                         - oracle.allocation.x)))
+    x, x_oracle = distributed.allocation.x, oracle.allocation.x
+    allocation_gap = float(np.max(np.abs(x - x_oracle)))
+    demand_gap = float(np.max(np.abs(x.sum(axis=0) - x_oracle.sum(axis=0))))
     welfare_gap = abs(distributed.welfare - oracle.welfare)
     return ComparisonReport(
         allocation_gap=allocation_gap,
+        demand_gap=demand_gap,
         welfare_gap=welfare_gap,
-        passed=allocation_gap < tol_allocation and welfare_gap < tol_welfare,
+        passed=demand_gap < tol_demand and welfare_gap < tol_welfare,
         boundary_degenerate=oracle.boundary_degenerate,
     )

@@ -204,8 +204,8 @@ class TestVerifyCommand:
         assert main(["verify", "--scenario", str(demo_file), "--out", str(out)]) == 0
         payload = json.loads((out / "comparison.json").read_text())
         assert payload["optimum"] == {"allocation_gap": 6.250000000224212,
-                                      "boundary_degenerate": True, "pass": False,
-                                      "welfare_gap": 29.296875002102297}
+                                      "boundary_degenerate": True, "demand_gap": 3.125,
+                                      "pass": False, "welfare_gap": 29.296875002102297}
 
     def test_inefficient_equilibrium_fails(self, tmp_path):
         # w = (10, 90): the optimum (0, 45) lies off the segment boundary, and
@@ -256,16 +256,40 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == "error: market run did not converge in 3 iterations\n"
         assert not out.exists()
 
-    def test_max_iter_bounds_the_centralized_oracle(self, demo_file, monkeypatch):
-        limits = []
+    def test_the_oracle_takes_only_the_scenario(self, demo_file, monkeypatch):
+        # --gamma and --max-iter set the market run; the oracle has no step or cap
+        calls = []
 
         def centralized(*args, **kwargs):
-            limits.append(kwargs["max_iter"])
+            calls.append((len(args), kwargs))
             return solve_welfare_centralized(*args, **kwargs)
 
         monkeypatch.setattr(cli, "solve_welfare_centralized", centralized)
-        assert main(["verify", "--scenario", str(demo_file), "--max-iter", "400"]) == 0
-        assert limits == [400]
+        assert main(["verify", "--scenario", str(demo_file), "--gamma", "0.1",
+                     "--max-iter", "400"]) == 0
+        assert calls == [(1, {})]
+
+    def test_past_satiation_passes_on_demand_and_welfare(self, tmp_path):
+        # each customer ties slots 0 and 1 past satiation: the oracle's x may differ
+        # from the market's, its slot demand and welfare may not
+        doc = {"num_slots": 3, "blocks": {"b": 1000}, "cost": {"beta1": 1, "beta2": 1},
+               "customers": [{"id": i, "w": [10, 10, 100], "alpha": 1, "d_min": 110,
+                              "d_max": 1000} for i in range(2)]}
+        scen = tmp_path / "sated.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(scen), "--out", str(out)]) == 0
+        payload = json.loads((out / "comparison.json").read_text())
+        assert payload["pass"] is True and payload["demand_gap"] < 1e-9
+
+    def test_scale_of_w_1e160_passes(self, tmp_path):
+        # the market's certificate reads about x = 1e10 here; the oracle's stop
+        # test is relative to max D, so it certifies the answer
+        doc = {"num_slots": 1, "blocks": {"b": 1e9}, "cost": {"beta1": 1e140, "beta2": 1e140},
+               "customers": [{"id": 0, "w": 1e160, "alpha": 1e150, "d_max": 1e12}]}
+        scen = tmp_path / "scale.json"
+        scen.write_text(json.dumps(doc))
+        assert main(["verify", "--scenario", str(scen)]) == 0
 
     def test_perturbation_injection_fails(self, demo_file, tmp_path):
         code = main(["verify", "--scenario", str(demo_file),
@@ -438,8 +462,19 @@ class TestUsageErrors:
     def test_unparsable_gamma_list(self, demo_file, tmp_path, capsys):
         self.assert_usage_error(["sweep", "--scenario", str(demo_file), "--gammas", "0.1,abc",
                                  "--out", str(tmp_path / "o")], capsys,
-                                "invalid --gammas value: '0.1,abc'")
+                                "argument --gammas: invalid step size list: '0.1,abc'")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("gammas", ["0.1,abc", ","])
+    def test_gamma_list_errors_name_the_sweep_parser(self, gammas, demo_file, tmp_path,
+                                                     capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--scenario", str(demo_file), "--gammas", gammas,
+                  "--out", str(tmp_path / "o")])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: brpmarket sweep ")
+        assert lines[-1].startswith("brpmarket sweep: error: argument --gammas: ")
 
     @pytest.mark.parametrize("command", [[], ["run"], ["sweep"], ["verify"], ["demo"]],
                              ids=["brpmarket", "run", "sweep", "verify", "demo"])

@@ -25,7 +25,6 @@ from brpmarket import (
     utility_value,
     validate_scenario,
     welfare_optimum,
-    worst_kkt_residual,
 )
 from brpmarket import cli
 from brpmarket import market as market_module
@@ -440,23 +439,6 @@ def reference_market(scenario, config):
     return records
 
 
-def reference_centralized(scenario, tol, gamma, max_iter):
-    """solve_welfare_centralized's loop written out from public functions;
-    its last iterate."""
-    t = scenario.num_slots
-    x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
-    marginal = block_prices(x.sum(axis=0), scenario.cost)
-    for _ in range(max_iter):
-        new_x = step_profile(x, marginal, gamma, scenario)
-        change = float(np.max(np.abs(new_x - x)))
-        x = new_x
-        marginal = block_prices(x.sum(axis=0), scenario.cost)
-        if (change < 0.1 * gamma * tol
-                and worst_kkt_residual(scenario, Allocation(x), marginal) < tol):
-            break
-    return x
-
-
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -494,7 +476,7 @@ BINDING = {"binding-cap", "binding-floor", "satiated-floor"}
 
 
 class TestLoopMatchesReference:
-    """run_market and solve_welfare_centralized take the steps that
+    """run_market takes the steps that
     step_profile, block_prices and social_welfare take: to the bit on slack
     bands, where every record is also the clip-then-project step's to the bit,
     and to 1e-12 relative on binding ones."""
@@ -550,37 +532,15 @@ class TestLoopMatchesReference:
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("name", LOOP_SCENARIOS)
-    def test_centralized_allocation(self, name):
-        scenario = LOOP_SCENARIOS[name]()
-        gamma = default_step_size(scenario)
-        sol = solve_welfare_centralized(scenario, tol=1e-6, gamma=gamma, max_iter=300)
-        expected = reference_centralized(scenario, 1e-6, gamma, 300)
-        if name in BINDING:
-            assert_close(sol.allocation.x, expected, float(np.abs(expected).max()))
-        else:
-            assert same_bits(sol.allocation.x, expected)
-
-
 class TestOneLoop:
-    """run_market and solve_welfare_centralized run the one market iteration,
-    and leave numpy's error state as they found it however they end."""
-
-    def test_centralized_iteration_cap_is_the_markets_iterate(self, demo_scenario):
-        _, trace = run_market(demo_scenario, RunConfig(gamma=0.1))
-        sol = solve_welfare_centralized(demo_scenario, gamma=0.1, max_iter=5)
-        x = trace[5].allocation.x
-        assert same_bits(sol.allocation.x, x) and same_bits(sol.welfare, trace[5].welfare)
-        assert not sol.converged
-        assert sol.stationarity_residual == worst_kkt_residual(
-            demo_scenario, Allocation(x), block_prices(x.sum(axis=0), demo_scenario.cost))
+    """run_market and solve_welfare_centralized leave numpy's error state as they
+    found it however they end."""
 
     @pytest.mark.parametrize("solve", [
         lambda s: run_market(s, RunConfig(gamma=0.01, max_iter=5)),  # at max_iter
         lambda s: run_market(s, RunConfig(gamma=0.1)),  # break at convergence
-        lambda s: solve_welfare_centralized(s, gamma=0.1, max_iter=5),
-        lambda s: solve_welfare_centralized(s, gamma=0.1),
-    ], ids=["market-cap", "market-converged", "oracle-cap", "oracle-converged"])
+        solve_welfare_centralized,
+    ], ids=["market-cap", "market-converged", "oracle"])
     def test_errstate_restored_on_return(self, demo_scenario, solve):
         before = np.geterr()
         solve(demo_scenario)
@@ -590,9 +550,7 @@ class TestOneLoop:
         lambda: run_market(validate_scenario(overflow_document()), RunConfig(gamma=1e307)),
         lambda: run_market(scenario := validate_scenario(welfare_overflow_document()),
                            RunConfig(gamma=default_step_size(scenario))),
-        lambda: solve_welfare_centralized(single_customer_scenario(d_max=1e308),
-                                          gamma=1e307),
-    ], ids=["market-step", "market-welfare", "oracle-step"])
+    ], ids=["market-step", "market-welfare"])
     def test_errstate_restored_on_divergence(self, solve):
         before = np.geterr()
         with pytest.raises(DivergenceError) as err:

@@ -1,6 +1,6 @@
 import itertools
 import json
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from brpmarket import (
     CostParams,
-    DivergenceError,
     RunConfig,
+    block_prices,
     compare_equilibrium,
     cost_value,
     default_step_size,
@@ -18,21 +18,70 @@ from brpmarket import (
     solve_welfare_centralized,
     utility_gradient,
     utility_value,
+    validate_scenario,
     welfare_optimum,
 )
-from conftest import make_scenario, single_customer_scenario
+from brpmarket import oracle
+from brpmarket.cli import demo_scenario_document
+from conftest import make_scenario, random_scenario, single_customer_scenario
+from test_market import LOOP_SCENARIOS, bench_scenarios, straddle_cap_scenario
+
+
+def past_satiation_scenario():
+    """Two customers whose floor of 110 lies past the satiation (10) of slots 0 and 1:
+    each ties those two slots at an effective price of 0, so only D is unique."""
+    return make_scenario(3, [{"id": i, "w": [10, 10, 100], "alpha": 1, "d_min": 110,
+                              "d_max": 1000} for i in range(2)], b=1000, beta1=1, beta2=1)
+
+
+def certified_scenarios():
+    bench = bench_scenarios()
+    cases = {"demo": lambda: validate_scenario(demo_scenario_document())}
+    for k in range(3):
+        cases[f"slack-{k}"] = lambda k=k: validate_scenario(bench.slack_document([1, k], 100, 24))
+    for side in ("cap", "floor"):
+        cases[f"band-{side}"] = lambda side=side: validate_scenario(
+            bench.band_document([1, 0], 50, 24, side))
+    for b in (1.0, 1e17):
+        cases[f"straddle-cap-b{b:g}"] = lambda b=b: straddle_cap_scenario(b)  # CI's
+    # the market loop's reference scenarios: slack, straddling bN, binding, satiated floors
+    cases.update((f"loop-{name}", LOOP_SCENARIOS[name]) for name in LOOP_SCENARIOS
+                 if name != "demo")
+    return cases
+
+
+CERTIFIED = certified_scenarios()
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """The Newton steps taken in this test: one Jacobian per step."""
+    steps = []
+    jacobian = oracle._jacobian
+
+    def counted(*args):
+        steps.append(1)
+        return jacobian(*args)
+
+    monkeypatch.setattr(oracle, "_jacobian", counted)
+    return steps
+
+
+def market_equilibrium(scenario):
+    return run_market(scenario, RunConfig(default_step_size(scenario), tol=1e-10,
+                                          max_iter=500000))[0]
 
 
 class TestCentralizedSolver:
     def test_closed_form_single_customer(self):
         scenario = single_customer_scenario()  # w=40, alpha=1, beta=1
-        sol = solve_welfare_centralized(scenario, tol=1e-6)
+        sol = solve_welfare_centralized(scenario)
         assert sol.converged
-        assert sol.method == "centralized-gradient"
-        assert sol.allocation.x[0, 0] == pytest.approx(40.0 / 3.0, abs=1e-5)
-        assert sol.welfare == pytest.approx(2400.0 / 9.0, abs=1e-4)
+        assert sol.method == "slot-demand-newton"
+        assert sol.allocation.x[0, 0] == pytest.approx(40.0 / 3.0, rel=1e-15)
+        assert sol.welfare == pytest.approx(2400.0 / 9.0, rel=1e-14)
         optimum = welfare_optimum(scenario)
-        assert abs(optimum.allocation.x[0, 0] - sol.allocation.x[0, 0]) < 1e-5
+        assert abs(optimum.allocation.x[0, 0] - sol.allocation.x[0, 0]) < 1e-12
 
     def test_symmetric_second_block_equilibrium(self):
         # d_min = 27 keeps the feasible set inside the second cost segment,
@@ -42,18 +91,18 @@ class TestCentralizedSolver:
             [{"id": 0, "w": 100, "alpha": 1.0, "d_min": 27, "d_max": 1000},
              {"id": 1, "w": 100, "alpha": 1.0, "d_min": 27, "d_max": 1000}],
             b=25, beta1=0.5, beta2=0.6)
-        sol = solve_welfare_centralized(scenario, tol=1e-6)
+        sol = solve_welfare_centralized(scenario)
         assert sol.converged
         x = sol.allocation.x.ravel()
-        assert x[0] == pytest.approx(100.0 / 3.4, abs=1e-4)
-        assert x[1] == pytest.approx(100.0 / 3.4, abs=1e-4)
+        assert x[0] == pytest.approx(100.0 / 3.4, rel=1e-14)
+        assert x[1] == pytest.approx(100.0 / 3.4, rel=1e-14)
         demand = float(x.sum())
-        assert demand == pytest.approx(200.0 / 3.4, abs=1e-3)
+        assert demand == pytest.approx(200.0 / 3.4, rel=1e-14)
         # marginal utility equals the second-block marginal cost
         grad = utility_gradient(x[0], 100.0, 1.0)
-        assert grad == pytest.approx(2 * 0.6 * demand, abs=1e-3)
+        assert grad == pytest.approx(2 * 0.6 * demand, rel=1e-14)
         optimum = welfare_optimum(scenario)
-        assert np.max(np.abs(optimum.allocation.x - sol.allocation.x)) < 1e-5
+        assert np.max(np.abs(optimum.allocation.x - sol.allocation.x)) < 1e-12
 
     def test_forced_demand_prices_out_small_customer(self):
         scenario = make_scenario(
@@ -61,51 +110,9 @@ class TestCentralizedSolver:
             [{"id": 0, "w": 100, "alpha": 1.0, "d_min": 40, "d_max": 40},
              {"id": 1, "w": 5, "alpha": 1.0, "d_min": 0, "d_max": 100}],
             b=60, beta1=0.5, beta2=0.6)
-        sol = solve_welfare_centralized(scenario, tol=1e-6)
-        assert sol.allocation.x[1, 0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_random_initializations_agree(self):
-        scenario = make_scenario(
-            1,
-            [{"id": 0, "w": 60, "alpha": 1.0, "d_min": 0, "d_max": 1000},
-             {"id": 1, "w": 90, "alpha": 1.0, "d_min": 0, "d_max": 1000}],
-            b=25, beta1=0.5, beta2=0.6)
-        rng = np.random.default_rng(31)
-        solutions = []
-        for _ in range(10):
-            x0 = rng.uniform(0, 90, size=(2, 1))
-            sol = solve_welfare_centralized(scenario, tol=1e-6, x0=x0)
-            assert sol.converged
-            solutions.append(sol.allocation.x)
-        for a in solutions:
-            for b in solutions:
-                assert np.max(np.abs(a - b)) < 1e-3
-
-    def test_overflowing_step_raises_divergence_at_iteration_1(self):
-        scenario = single_customer_scenario(d_max=1e308)
-        with pytest.raises(DivergenceError) as err:
-            solve_welfare_centralized(scenario, gamma=1e307)
-        assert err.value.iteration == 1
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"tol": math.nan}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-6}, "tol"),
-        ({"tol": math.inf}, "tol"), ({"gamma": 0.0}, "gamma"), ({"gamma": -0.1}, "gamma"),
-        ({"gamma": math.nan}, "gamma"), ({"gamma": math.inf}, "gamma"),
-        ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter"),
-    ])
-    def test_invalid_step_size_tolerance_or_cap_rejected(self, kwargs, message):
-        # the checks of RunConfig; these used to run to the cap or diverge
-        with pytest.raises(ValueError, match=message):
-            solve_welfare_centralized(single_customer_scenario(), **{"max_iter": 50, **kwargs})
-
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (2,)])
-    def test_misshapen_start_rejected(self, shape):
-        # a (1, 1) start would broadcast silently, the others fail inside numpy
-        scenario = make_scenario(
-            2, [{"id": i, "w": 40.0, "alpha": 1.0, "d_min": 0.0, "d_max": 100.0}
-                for i in range(2)], b=25.0, beta1=0.5, beta2=0.6)
-        with pytest.raises(ValueError, match=r"x0 must have shape \(N, T\) = \(2, 2\)"):
-            solve_welfare_centralized(scenario, x0=np.ones(shape))
+        sol = solve_welfare_centralized(scenario)
+        assert sol.converged
+        assert sol.allocation.x.tolist() == [[40.0], [0.0]]
 
     def test_boundary_degenerate_flagged(self):
         # aggregate demand pinned exactly at bN by a forced daily band
@@ -113,8 +120,94 @@ class TestCentralizedSolver:
             1,
             [{"id": 0, "w": 80, "alpha": 1.0, "d_min": 50, "d_max": 50}],
             b=50, beta1=0.5, beta2=0.6)
-        sol = solve_welfare_centralized(scenario, tol=1e-4)
-        assert sol.boundary_degenerate
+        sol = solve_welfare_centralized(scenario)
+        assert sol.converged and sol.boundary_degenerate
+
+    @pytest.mark.parametrize("name", CERTIFIED)
+    def test_certified_in_few_newton_steps(self, name, newton_steps):
+        scenario = CERTIFIED[name]()
+        before = np.geterr()
+        sol = solve_welfare_centralized(scenario)
+        assert np.geterr() == before
+        assert sol.converged and len(newton_steps) <= 10
+        assert sol.stationarity_residual <= 1e-12 * float(scenario.w.max())
+        report = market_equilibrium(scenario)
+        demand = report.allocation.x.sum(axis=0)
+        assert np.max(np.abs(sol.allocation.x.sum(axis=0) - demand)) <= 1e-8 * demand.max()
+        # the market stops at tol 1e-10; the oracle's welfare is the exact one's
+        assert compare_equilibrium(report, sol).welfare_gap <= 1e-6
+
+    def test_unsettled_solve_is_not_converged(self, demo_scenario, monkeypatch):
+        # no fallback: an answer the Newton steps did not settle is reported as such
+        monkeypatch.setattr(oracle, "_NEWTON_STEPS", 0)
+        before = np.geterr()
+        sol = solve_welfare_centralized(demo_scenario)
+        assert np.geterr() == before
+        assert not sol.converged and sol.method == "slot-demand-newton"
+
+    @pytest.mark.parametrize("knob", [{"gamma": 0.1}, {"tol": 1e-6}, {"max_iter": 5},
+                                      {"x0": np.zeros((2, 1))}],
+                             ids=["gamma", "tol", "max_iter", "x0"])
+    def test_takes_no_step_tolerance_cap_or_start(self, demo_scenario, knob):
+        with pytest.raises(TypeError):
+            solve_welfare_centralized(demo_scenario, **knob)
+
+    def test_band_up_to_the_largest_float(self):
+        # a daily cap of 1e308 leaves the answer unclipped; there is no step to overflow
+        before = np.geterr()
+        sol = solve_welfare_centralized(single_customer_scenario(d_max=1e308))
+        assert np.geterr() == before
+        assert sol.converged
+        assert sol.allocation.x[0, 0] == pytest.approx(40.0 / 3.0, rel=1e-15)
+
+    def test_past_satiation_only_demand_is_unique(self):
+        # each customer ties slots 0 and 1 past satiation at an effective price of
+        # 0: x may differ from the market's, D, prices and welfare may not
+        scenario = past_satiation_scenario()
+        sol = solve_welfare_centralized(scenario)
+        report = market_equilibrium(scenario)
+        assert sol.converged and report.converged
+        demand = sol.allocation.x.sum(axis=0)
+        np.testing.assert_allclose(demand, [450.0 / 7.0, 450.0 / 7.0, 640.0 / 7.0], rtol=1e-14)
+        np.testing.assert_allclose(demand, report.allocation.x.sum(axis=0), rtol=1e-12)
+        prices = block_prices(demand, scenario.cost)
+        np.testing.assert_allclose(prices.p_l, report.prices.p_l, rtol=1e-12)
+        np.testing.assert_allclose(prices.p_u, report.prices.p_u, rtol=1e-12)
+        assert sol.welfare == pytest.approx(report.welfare, rel=1e-12)
+        assert sol.welfare == pytest.approx(-65600.0 / 7.0, rel=1e-14)
+        assert sol.stationarity_residual <= 1e-12 * float(scenario.w.max())
+        assert np.all(sol.allocation.x.sum(axis=1) >= 110.0 - 1e-12)
+
+    def test_scale_free_stop(self):
+        # the certificate is not scale-free here (it reads about x = 1e10), the
+        # solver's stop test, relative to max D, is
+        scenario = single_customer_scenario(w=1e160, alpha=1e150, d_max=1e12, b=1e9,
+                                            beta=1e140)
+        sol = solve_welfare_centralized(scenario)
+        report = market_equilibrium(scenario)
+        assert sol.converged
+        assert sol.allocation.x[0, 0] == pytest.approx(1e160 / (1e150 + 2e140), rel=1e-15)
+        assert sol.allocation.x[0, 0] == pytest.approx(report.allocation.x[0, 0], rel=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1).map(lambda seed: (seed, 0)))
+    # draws 122 and 176 of seed 5: floors past satiation, a row tying two slots
+    @example((5, 122))
+    @example((5, 176))
+    def test_agrees_with_the_market(self, draw):
+        # the market at tol 1e-10 and the exact solver find the same D and welfare;
+        # a draw is the scenario after `skip` others from its seed's generator
+        seed, skip = draw
+        rng = np.random.default_rng(seed)
+        for _ in range(skip + 1):
+            scenario = random_scenario(rng)
+        sol = solve_welfare_centralized(scenario)
+        report = market_equilibrium(scenario)
+        assert sol.converged and report.converged
+        demand = report.allocation.x.sum(axis=0)
+        gap = np.max(np.abs(sol.allocation.x.sum(axis=0) - demand))
+        assert gap <= 1e-8 * max(1.0, float(demand.max()))
+        assert sol.welfare == pytest.approx(report.welfare, rel=1e-8)
 
 
 class TestWelfareOptimum:
@@ -270,23 +363,25 @@ def test_matches_scipy_on_smooth_instances(scenario):
     optimum = welfare_optimum(scenario)
     assert optimum.welfare == pytest.approx(-result.fun, rel=1e-9)
     np.testing.assert_allclose(optimum.allocation.x.ravel(), result.x, atol=1e-5)
+    # beta1 = beta2: the equilibrium is efficient, so the slot-demand solver agrees
+    assert solve_welfare_centralized(scenario).welfare == pytest.approx(-result.fun, rel=1e-9)
 
 
 class TestCompareEquilibrium:
     def test_distributed_matches_centralized_on_demo(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
-        sol = solve_welfare_centralized(demo_scenario, tol=1e-6)
+        sol = solve_welfare_centralized(demo_scenario)
         cmp = compare_equilibrium(report, sol)
         assert cmp.passed
         assert cmp.allocation_gap < 1e-3
         assert cmp.welfare_gap < 1e-4
         payload = json.loads(cmp.to_json())
-        assert set(payload) == {"allocation_gap", "welfare_gap", "pass",
+        assert set(payload) == {"allocation_gap", "demand_gap", "welfare_gap", "pass",
                                 "boundary_degenerate"}
 
     def test_identical_inputs_zero_gaps(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
-        sol = solve_welfare_centralized(demo_scenario, tol=1e-6)
+        sol = solve_welfare_centralized(demo_scenario)
         self_cmp = compare_equilibrium(report, sol)
         # comparing a run against itself via an oracle built from it
         from brpmarket import OracleSolution
@@ -304,7 +399,7 @@ class TestCompareEquilibrium:
         from dataclasses import replace
         from brpmarket import Allocation
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
-        sol = solve_welfare_centralized(demo_scenario, tol=1e-6)
+        sol = solve_welfare_centralized(demo_scenario)
         shifted = Allocation(report.allocation.x + 0.5)
         bad = replace(report, allocation=shifted)
         cmp = compare_equilibrium(bad, sol)
@@ -314,7 +409,7 @@ class TestCompareEquilibrium:
     def test_scenario_mismatch_rejected(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1))
         other = single_customer_scenario()
-        sol = solve_welfare_centralized(other, tol=1e-6)
+        sol = solve_welfare_centralized(other)
         with pytest.raises(ValueError, match="scenario mismatch"):
             compare_equilibrium(report, sol)
 
@@ -427,3 +522,24 @@ class TestWelfareOptimumProperties:
         if np.all(scenario.cost.beta1 == scenario.cost.beta2) and report.converged:
             # a smooth convex cost: the equilibrium is efficient, to the run's tol
             assert optimum.welfare - report.welfare <= 1e-10 * scale
+
+
+class TestExactMethodsAgree:
+    """Where the equilibrium is efficient, the slot-demand solver and the welfare optimum's
+    KKT enumeration, which share no code, agree."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(tiny_markets())
+    @example(make_scenario(2, [{"id": 0, "w": [10.0, 10.0], "alpha": 1.0, "d_min": 19.0,
+                                "d_max": 19.0}], b=1000.0, beta1=[0.01, 1.0], beta2=[0.01, 1.0]))
+    def test_agrees_with_the_welfare_optimum_when_efficient(self, scenario):
+        # beta1 = beta2: the equilibrium maximizes welfare, so the two exact methods,
+        # which share no code, agree; past satiation in D and welfare only
+        scenario = replace(scenario, cost=CostParams(scenario.cost.beta1, scenario.cost.beta1))
+        sol = solve_welfare_centralized(scenario)
+        optimum = welfare_optimum(scenario)
+        demand = optimum.allocation.x.sum(axis=0)
+        assert sol.converged
+        np.testing.assert_allclose(sol.allocation.x.sum(axis=0), demand, rtol=0,
+                                   atol=1e-12 * float(demand.max()))
+        assert sol.welfare == pytest.approx(optimum.welfare, rel=1e-12)
