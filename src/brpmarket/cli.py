@@ -1,7 +1,11 @@
 """Command-line front end.
 
-Subcommands: run (market to equilibrium), sweep (step-size study),
-verify (oracle certification), demo (built-in two-customer scenario).
+Subcommands: run (market to equilibrium), sweep (step-size study), verify (oracle
+certification), and demo, which is run on the packaged two-customer scenario
+``data/demo.json``.  Each option that subcommands share is declared once, on a parent
+parser: --scenario (run, sweep, verify), --gamma (run, verify, demo), and --tol and
+--max-iter (run, sweep, demo, with RunConfig's defaults); verify declares its own
+--max-iter, whose default is 200000.
 
 Exit codes: 0 success, 1 bad scenario, usage error (such as an unknown option or a
 missing one), bad option value, bad --out (all checked before any solve) or I/O
@@ -17,16 +21,10 @@ import json
 import math
 import sys
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
-from .market import (
-    DivergenceError,
-    RunConfig,
-    default_step_size,
-    run_market,
-)
-from .model import Allocation, ScenarioError, load_scenario, validate_scenario
+from .market import DivergenceError, RunConfig, default_step_size, run_market
+from .model import Allocation, ScenarioError, load_scenario
 from .oracle import compare_equilibrium, solve_welfare_centralized, welfare_optimum
 
 EXIT_OK = 0
@@ -34,19 +32,12 @@ EXIT_BAD_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_ORACLE_FAILED = 3
 EXIT_VERIFY_FAILED = 4
-GAMMA_HELP = "step size; default 2/(min alpha + 2*max alpha + 2*max(beta1 + beta2)*N)"
+DEMO_SCENARIO = Path(__file__).with_name("data") / "demo.json"
 
 
 def demo_scenario_document() -> dict:
     """The built-in two-customer demo scenario as a parsed document."""
-    text = resources.files("brpmarket").joinpath("data/demo.json").read_text()
-    return json.loads(text)
-
-
-def _load(args):
-    if getattr(args, "scenario", None) is None:
-        return validate_scenario(demo_scenario_document())
-    return load_scenario(args.scenario)
+    return json.loads(DEMO_SCENARIO.read_text(encoding="utf-8"))
 
 
 def _summary(report) -> dict:
@@ -67,9 +58,10 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _bad_input(problem) -> int:
+def _fail(code: int, problem) -> int:
+    """Print ``error: problem`` to stderr; the exit code ``code``."""
     print(f"error: {problem}", file=sys.stderr)
-    return EXIT_BAD_INPUT
+    return code
 
 
 def _gamma(args, scenario) -> float:
@@ -85,22 +77,22 @@ def _gamma(args, scenario) -> float:
 
 def cmd_run(args) -> int:
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.scenario)
         config = RunConfig(gamma=_gamma(args, scenario), tol=args.tol, max_iter=args.max_iter)
     except (ScenarioError, OSError, ValueError) as exc:
-        return _bad_input(exc)
+        return _fail(EXIT_BAD_INPUT, exc)
 
     try:
         report, trace = run_market(scenario, config)
     except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return _fail(EXIT_NOT_CONVERGED, exc)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
-    _write_json(out / "summary.json", _summary(report))
-    print(json.dumps(_summary(report), indent=2, sort_keys=True))
+    summary = _summary(report)
+    _write_json(out / "summary.json", summary)
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
@@ -116,11 +108,11 @@ def _gammas(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.scenario)
         configs = [RunConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
                    for gamma in args.gammas]
     except (ScenarioError, OSError, ValueError) as exc:
-        return _bad_input(exc)
+        return _fail(EXIT_BAD_INPUT, exc)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -148,23 +140,21 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     if not math.isfinite(args.inject_perturbation):
-        return _bad_input("--inject-perturbation must be finite, "
-                          f"got {args.inject_perturbation!r}")
+        return _fail(EXIT_BAD_INPUT, "--inject-perturbation must be finite, "
+                     f"got {args.inject_perturbation!r}")
     try:
-        scenario = _load(args)
+        scenario = load_scenario(args.scenario)
         config = RunConfig(gamma=_gamma(args, scenario), tol=1e-10, max_iter=args.max_iter)
     except (ScenarioError, OSError, ValueError) as exc:
-        return _bad_input(exc)
+        return _fail(EXIT_BAD_INPUT, exc)
 
     try:
         report, _ = run_market(scenario, config)
-        if not report.converged:
-            print(f"error: market run did not converge in {report.iterations} iterations",
-                  file=sys.stderr)
-            return EXIT_NOT_CONVERGED
     except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return _fail(EXIT_NOT_CONVERGED, exc)
+    if not report.converged:
+        return _fail(EXIT_NOT_CONVERGED,
+                     f"market run did not converge in {report.iterations} iterations")
     centralized = solve_welfare_centralized(scenario)
 
     if args.inject_perturbation:
@@ -172,9 +162,8 @@ def cmd_verify(args) -> int:
             report.allocation.x + args.inject_perturbation))
 
     if not centralized.converged:
-        print("error: the centralized oracle could not certify an equilibrium (residual "
-              f"{centralized.stationarity_residual!r})", file=sys.stderr)
-        return EXIT_ORACLE_FAILED
+        return _fail(EXIT_ORACLE_FAILED, "the centralized oracle could not certify an "
+                     f"equilibrium (residual {centralized.stationarity_residual!r})")
 
     comparison = compare_equilibrium(report, centralized)
     payload = comparison.as_dict()
@@ -204,11 +193,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
-def cmd_demo(args) -> int:
-    args.scenario = None
-    return cmd_run(args)
-
-
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser``, and so each of its subparsers, whose usage errors exit 1."""
 
@@ -223,39 +207,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Demand-response market simulator under two-block rate pricing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each option that subcommands share, declared once
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True, help="scenario JSON file")
+    gamma = argparse.ArgumentParser(add_help=False)
+    gamma.add_argument("--gamma", type=float, default=None, help="step size; default 2/(min "
+                       "alpha + 2*max alpha + 2*max(beta1 + beta2)*N)")
+    stop = argparse.ArgumentParser(add_help=False)
+    stop.add_argument("--tol", type=float, default=RunConfig.tol)
+    stop.add_argument("--max-iter", type=int, default=RunConfig.max_iter)
 
-    run = sub.add_parser("run", help="run the market loop to equilibrium")
-    run.add_argument("--scenario", required=True, help="scenario JSON file")
-    run.add_argument("--gamma", type=float, default=None, help=GAMMA_HELP)
-    run.add_argument("--tol", type=float, default=1e-6)
-    run.add_argument("--max-iter", type=int, default=50000)
+    run = sub.add_parser("run", parents=[scenario, gamma, stop],
+                         help="run the market loop to equilibrium")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=cmd_run)
 
-    sweep = sub.add_parser("sweep", help="run the market across step sizes")
-    sweep.add_argument("--scenario", required=True)
+    sweep = sub.add_parser("sweep", parents=[scenario, stop],
+                           help="run the market across step sizes")
     sweep.add_argument("--gammas", required=True, type=_gammas,
                        help="comma-separated step sizes, e.g. 0.01,0.1,0.3")
-    sweep.add_argument("--tol", type=float, default=1e-6)
-    sweep.add_argument("--max-iter", type=int, default=50000)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="certify the equilibrium against oracles")
-    verify.add_argument("--scenario", required=True)
-    verify.add_argument("--gamma", type=float, default=None, help=GAMMA_HELP)
+    verify = sub.add_parser("verify", parents=[scenario, gamma],
+                            help="certify the equilibrium against oracles")
     verify.add_argument("--max-iter", type=int, default=200000)
     verify.add_argument("--inject-perturbation", type=float, default=0.0,
                         help="shift the converged allocation (negative control)")
     verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
-    demo = sub.add_parser("demo", help="run the built-in demo scenario")
-    demo.add_argument("--gamma", type=float, default=None, help=GAMMA_HELP)
-    demo.add_argument("--tol", type=float, default=1e-6)
-    demo.add_argument("--max-iter", type=int, default=50000)
+    demo = sub.add_parser("demo", parents=[gamma, stop],
+                          help="run the built-in demo scenario")
     demo.add_argument("--out", default="demo_out")
-    demo.set_defaults(func=cmd_demo)
+    demo.set_defaults(func=cmd_run, scenario=str(DEMO_SCENARIO))
 
     return parser
 
@@ -267,10 +252,11 @@ def main(argv=None) -> int:
         # before any solve: --out, or else its nearest existing ancestor, is a directory
         if args.out and not next(p for p in (Path(args.out), *Path(args.out).parents)
                                  if p.exists()).is_dir():
-            return _bad_input(f"--out {args.out!r} is not a directory and cannot become one")
+            return _fail(EXIT_BAD_INPUT,
+                         f"--out {args.out!r} is not a directory and cannot become one")
         return args.func(args)
     except OSError as exc:  # an output that could not be written
-        return _bad_input(exc)
+        return _fail(EXIT_BAD_INPUT, exc)
 
 
 if __name__ == "__main__":

@@ -76,7 +76,9 @@ def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
     its root up to rounding; ``converged`` means that ``max|F|``, or the Newton step, is at
     most ``1e-12 * max D`` within ``_NEWTON_STEPS``, and each pinned row's share fits its
     cells.  Past satiation only D is unique.
-    Uses no market or step code; reports :func:`agent.worst_kkt_residual` of its x."""
+    Uses no market or step code; reports :func:`agent.worst_kkt_residual` of its x at the
+    prices of its settled D, to which x is the best response (at steep prices, those of
+    ``x.sum(0)`` differ by rounding), and of an unsettled x at those of ``x.sum(0)``."""
     s = scenario
     demand = (s.w / s.alpha).sum(axis=0) / (1.0 + 2.0 * s.cost.beta1 * (1.0 / s.alpha).sum())
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -100,7 +102,8 @@ def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
     converged = bool(settled and st.fits)
     welfare = float(utility_value(x, s.w, s.alpha).sum()
                     - cost_value(total, s.blocks.b * s.num_customers, s.cost).sum())
-    residual = worst_kkt_residual(s, Allocation(x), block_prices(total, s.cost))
+    residual = worst_kkt_residual(s, Allocation(x), block_prices(demand if settled else total,
+                                                                 s.cost))
     return _solution(s, x, welfare, "slot-demand-newton", converged, float(residual))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from brpmarket import cli
+from brpmarket import cli, oracle
 from brpmarket.cli import demo_scenario_document, main
 from brpmarket.oracle import solve_welfare_centralized
 from test_market import welfare_overflow_document
@@ -255,6 +255,17 @@ class TestVerifyCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: market run did not converge in 3 iterations\n"
         assert not out.exists()
+
+    def test_oracle_failure_exits_3(self, demo_file, tmp_path, capsys, monkeypatch):
+        # an oracle that takes no Newton step cannot certify; nothing is compared
+        monkeypatch.setattr(oracle, "_NEWTON_STEPS", 0)
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(demo_file), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the centralized oracle could not certify an equilibrium (residual 12.0)"]
+        assert not (out / "comparison.json").exists()
 
     def test_the_oracle_takes_only_the_scenario(self, demo_file, monkeypatch):
         # --gamma and --max-iter set the market run; the oracle has no step or cap
@@ -520,6 +531,48 @@ class TestOutPath:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if not line.startswith("notice:")]
         assert len(errors) == 1 and errors[0].startswith("error: ") and name in errors[0]
+
+
+class TestParsedOptions:
+    """Each subcommand's options and their defaults, from a minimal argv and from one that
+    sets every option."""
+
+    @pytest.mark.parametrize("argv, parsed", [
+        (["run", "--scenario", "s.json", "--out", "o"],
+         {"scenario": "s.json", "gamma": None, "tol": 1e-6, "max_iter": 50000, "out": "o"}),
+        (["run", "--scenario", "s.json", "--gamma", "0.5", "--tol", "1e-8", "--max-iter", "7",
+          "--out", "o"],
+         {"scenario": "s.json", "gamma": 0.5, "tol": 1e-8, "max_iter": 7, "out": "o"}),
+        (["sweep", "--scenario", "s.json", "--gammas", "0.1,0.3", "--out", "o"],
+         {"scenario": "s.json", "gammas": [0.1, 0.3], "tol": 1e-6, "max_iter": 50000,
+          "out": "o"}),
+        (["sweep", "--scenario", "s.json", "--gammas", "0.2", "--tol", "1e-8", "--max-iter",
+          "7", "--out", "o"],
+         {"scenario": "s.json", "gammas": [0.2], "tol": 1e-8, "max_iter": 7, "out": "o"}),
+        (["verify", "--scenario", "s.json"],
+         {"scenario": "s.json", "gamma": None, "max_iter": 200000, "inject_perturbation": 0.0,
+          "out": None}),
+        (["verify", "--scenario", "s.json", "--gamma", "0.5", "--max-iter", "7",
+          "--inject-perturbation", "-2", "--out", "o"],
+         {"scenario": "s.json", "gamma": 0.5, "max_iter": 7, "inject_perturbation": -2.0,
+          "out": "o"}),
+        (["demo"],
+         {"scenario": str(cli.DEMO_SCENARIO), "gamma": None, "tol": 1e-6, "max_iter": 50000,
+          "out": "demo_out"}),
+        (["demo", "--gamma", "0.5", "--tol", "1e-8", "--max-iter", "7", "--out", "o"],
+         {"scenario": str(cli.DEMO_SCENARIO), "gamma": 0.5, "tol": 1e-8, "max_iter": 7,
+          "out": "o"}),
+    ], ids=["run", "run-all", "sweep", "sweep-all", "verify", "verify-all", "demo",
+            "demo-all"])
+    def test_parsed_values(self, argv, parsed):
+        args = vars(cli.build_parser().parse_args(argv))
+        del args["func"]
+        assert args == {"command": argv[0], **parsed}
+
+    def test_demo_is_run_on_the_packaged_scenario(self):
+        args = cli.build_parser().parse_args(["demo"])
+        assert args.func is cli.cmd_run
+        assert json.loads(Path(args.scenario).read_text()) == demo_scenario_document()
 
 
 class TestDemoCommand:

@@ -233,6 +233,32 @@ class TestValidateScenario:
         assert scenario.num_slots == expected
         assert scenario.blocks.b.shape == (expected,)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "scenario document must be a JSON object"),
+        ("{}", "num_slots: field is required"),
+        ('{"num_slots": 0}', "num_slots: must be at least 1"),
+        ('{"num_slots": 1, "customers": []}', "customers: must be a non-empty list"),
+        ('{"num_slots": 1, "customers": [7]}', "customers[0]: must be an object"),
+        ('{"num_slots": 1, "customers": [{"w": 1, "alpha": "abc"}]}',
+         "customers[0].alpha: must be a number"),
+        ('{"num_slots": 1, "customers": [{"w": 1, "alpha": 1, "d_min": -1, "d_max": 1}]}',
+         "customers[0].d_min: must be nonnegative"),
+        ('{"num_slots": 1, "customers": [{"w": 1, "alpha": 1, "d_max": 1}], '
+         '"blocks": {"b": 1}, "cost": {"beta1": 0, "beta2": 1}}',
+         "cost.beta1: must be strictly positive"),
+        ('{"num_slots": 1, "customers": [{"w": {"a": 1}}]}',
+         "customers[0].w: expected a number or a list of numbers"),
+        ("not json", "{path}: not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ], ids=["not-an-object", "no-num-slots", "zero-slots", "no-customers",
+            "customer-not-an-object", "alpha-not-a-number", "negative-d-min", "zero-beta1",
+            "w-an-object", "not-json"])
+    def test_rejection_message(self, text, message, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert str(err.value) == message.format(path=path)
+
     def test_nonpositive_threshold_rejected(self):
         doc = self.base_doc()
         doc["blocks"]["b"] = 0

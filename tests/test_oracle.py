@@ -22,7 +22,7 @@ from brpmarket import (
     welfare_optimum,
 )
 from brpmarket import oracle
-from brpmarket.cli import demo_scenario_document
+from brpmarket.cli import demo_scenario_document, main
 from conftest import make_scenario, random_scenario, single_customer_scenario
 from test_market import LOOP_SCENARIOS, bench_scenarios, straddle_cap_scenario
 
@@ -136,6 +136,18 @@ class TestCentralizedSolver:
         assert np.max(np.abs(sol.allocation.x.sum(axis=0) - demand)) <= 1e-8 * demand.max()
         # the market stops at tol 1e-10; the oracle's welfare is the exact one's
         assert compare_equilibrium(report, sol).welfare_gap <= 1e-6
+
+    def test_steep_prices_certified_at_own_demand(self, tmp_path):
+        # beta 1e12: x sums to 2.7e-4 below D by cancellation, and the prices of x.sum(0)
+        # would read a KKT residual of 5.3e-3; the step-size stop ends this solve
+        doc = {"num_slots": 2, "blocks": {"b": 5}, "cost": {"beta1": 1e12, "beta2": 2e12},
+               "customers": [{"id": i, "w": [10, 20], "alpha": 1, "d_max": 100}
+                             for i in range(3)]}
+        sol = solve_welfare_centralized(validate_scenario(doc))
+        assert sol.converged and sol.stationarity_residual <= 1e-12 * 20
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--scenario", str(path)]) == 0
 
     def test_unsettled_solve_is_not_converged(self, demo_scenario, monkeypatch):
         # no fallback: an answer the Newton steps did not settle is reported as such
