@@ -34,12 +34,11 @@ def project_band(x: np.ndarray, d_min, d_max) -> np.ndarray:
 class _StepKernel:
     """:func:`step_profile` for every step of one loop, in (N, T) work buffers kept
     for the run.  :meth:`split` computes an iterate's ``low = min(x, b)``, ``high =
-    max(x - b, 0)`` and ``sated = x >= w/alpha`` (None if it holds nowhere) once, for
-    its welfare and step, and its slot ``demand = x.sum(0)`` for its prices and
-    welfare, with the run's ``2*beta``, ``b*N`` and, tiled to (N, T), ``b``, ``alpha``
-    and ``alpha/2``.  Its projections start from each row's last band ``shift``, with
-    the pair's ``upper`` bounds ``[b, inf)`` tiled to (N, 2T), in ``sides`` what
-    depends only on which edges bind, and Newton's buffers."""
+    max(x - b, 0)`` and ``sated = x >= w/alpha`` (None if it holds nowhere) for its
+    step, and its slot ``demand = x.sum(0)`` for its prices, with the run's ``2*beta``
+    and, tiled to (N, T), ``b`` and ``alpha``.  Its projections start from each row's
+    last band ``shift``, with the pair's ``upper`` bounds ``[b, inf)`` tiled to (N, 2T),
+    in ``sides`` what depends only on which edges bind, and Newton's buffers."""
 
     def __init__(self, scenario: Scenario, gamma: float):
         self.scenario, self.gamma = scenario, gamma
@@ -51,7 +50,6 @@ class _StepKernel:
         self.ones, self.clipped = np.ones(2 * t), np.empty((n, 2 * t))
         self.two_beta = 2.0 * scenario.cost.beta1, 2.0 * scenario.cost.beta2
         self.b, self.alpha = np.tile(b, (n, 1)), np.repeat(scenario.alpha, t, axis=1)
-        self.block_total, self.half_alpha = b * n, 0.5 * self.alpha
 
     def split(self, x: np.ndarray) -> None:
         np.minimum(x, self.b, out=self.low)
@@ -89,15 +87,19 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     and ``gamma*(U'(x) - p_u)``; the pair is projected at once onto ``0 <= y <= b``,
     ``z' >= 0`` and the daily band of ``x = y + z'`` (:func:`_onto_blocks`), so the
     fixed points are exactly the equilibria (KKT points) at these prices, for every
-    ``gamma > 0``.  Returns the new (N, T) consumption; ``x >= 0`` is unchecked.  An
-    overflowing step raises ``FloatingPointError``, without numpy's warnings.  The
-    market iteration steps a warm-started ``_StepKernel``; this function starts cold."""
+    ``gamma > 0``.  Returns the new (N, T) consumption; ``x >= 0`` is unchecked.  A
+    step that overflows or projects to a non-finite point raises ``FloatingPointError``,
+    without numpy's warnings.  The market iteration steps a warm-started
+    ``_StepKernel``; this function starts cold."""
     if not 0 <= gamma < math.inf:  # false for NaN too
         raise ValueError(f"step size must be nonnegative and finite, got {gamma!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # the step checks its result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         kernel = _StepKernel(scenario, gamma)
         kernel.split(x)
-        return kernel.step(x, prices)
+        new_x = kernel.step(x, prices)
+    if not np.isfinite(new_x).all():
+        raise FloatingPointError("the projected step must be finite")
+    return new_x
 
 
 def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.ndarray:
@@ -184,7 +186,8 @@ def _sorted_rows(a, c, b, target, cap):
     desc = -knots[rows, order]
     slope = np.repeat([1.0, -1.0, 1.0], a.shape[1])[order].cumsum(axis=1)
     level = np.zeros_like(desc)  # the row sum at each knot
-    with np.errstate(over="ignore"):  # past a knot near a huge b: inf, above every target
+    # levels from an inf knot on, which sorts last, are inf or NaN (inf - inf): below no target
+    with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(slope[:, :-1] * (desc[:, :-1] - desc[:, 1:]), axis=1, out=level[:, 1:])
     # the segment of the least shift: a cap's last knot with sum <= d_max, a floor's < d_min
     target = target[:, None]

@@ -15,7 +15,7 @@ import numpy as np
 
 # step_profile is unused here; the benchmark's tracer wraps it in this namespace
 from .agent import _StepKernel, step_profile, worst_kkt_residual  # noqa: F401
-from .model import Allocation, PriceSchedule, Scenario, _cost, _nonnegative, _utility
+from .model import Allocation, PriceSchedule, Scenario, cost_value, utility_value
 from .pricing import _prices
 
 TRACE_COMMENT = (
@@ -90,13 +90,12 @@ class IterationTrace:
         return self._records
 
     def _replay(self):
-        """The run's records, one at a time, each welfare from the step kernel's buffers."""
+        """The run's records, one at a time, each welfare from :func:`social_welfare`."""
         if (scenario := self._scenario).fingerprint() != self._fingerprint:
             raise ValueError("the scenario changed after its run; its trace cannot be replayed")
-        return (IterationRecord(Allocation(x), prices, _welfare(
-                    x, kernel.demand, kernel.sated, scenario, kernel.half_alpha,
-                    kernel.block_total, (kernel.grad, kernel.raw)), max_change)
-                for _, x, prices, max_change, kernel in _iterates(scenario, self._config))
+        return (IterationRecord(Allocation(x), prices,
+                                social_welfare(Allocation(x), scenario), max_change)
+                for _, x, prices, max_change, _ in _iterates(scenario, self._config))
 
     def to_csv(self, path) -> None:
         """Write one row per (iteration, slot, customer), full float precision.
@@ -261,19 +260,12 @@ class EquilibriumReport:
 
 
 def social_welfare(alloc: Allocation, scenario: Scenario) -> float:
-    """Total customer utility minus total production cost."""
-    x = _nonnegative(alloc.x, "consumption")
-    return _welfare(x, x.sum(axis=0), x >= scenario.satiation, scenario,
-                    0.5 * scenario.alpha, scenario.blocks.b * scenario.num_customers)
-
-
-def _welfare(x, demand, sated, scenario: Scenario, half_alpha, block_total,
-             out=None) -> float:
-    """:func:`social_welfare` of ``x >= 0`` given its slot ``demand = x.sum(0)``,
-    ``sated``, as :func:`model._utility` takes it, ``alpha/2`` and ``b*N``, with the
-    utilities in ``out``; unchecked."""
-    total = float(_utility(x, scenario.w, scenario.alpha, half_alpha, sated, out).sum())
-    return total - float(_cost(demand, block_total, scenario.cost).sum())
+    """Total customer utility minus total production cost at the slot demand
+    ``x.sum(0)``: the one welfare function, of a run's report and of its trace."""
+    x = np.asarray(alloc.x, dtype=float)
+    utility = float(utility_value(x, scenario.w, scenario.alpha).sum())
+    return utility - float(cost_value(x.sum(axis=0), scenario.blocks.b * scenario.num_customers,
+                                      scenario.cost).sum())
 
 
 def default_step_size(scenario: Scenario) -> float:
@@ -301,18 +293,16 @@ def default_step_size(scenario: Scenario) -> float:
 
 def _iterates(scenario: Scenario, config: RunConfig):
     """The market iteration from ``x = d_min/T``: ``(k, x, prices, max_change,
-    kernel)`` for iterate 0 (change nan) and each step to ``config.max_iter``, priced at
-    its slot demand; ``kernel`` (``agent._StepKernel``) holds x's block split, satiation
-    mask and slot demand, and its buffers ``grad`` and ``raw`` are free until the next
-    step.  Raises :class:`DivergenceError` at a non-finite step.  Loop over it in a
-    ``for`` statement, whose break or raise drops the generator, ending its numpy
-    errstate, at once."""
+    demand)`` for iterate 0 (change nan) and each step to ``config.max_iter``, priced at
+    its slot ``demand = x.sum(0)``.  Raises :class:`DivergenceError` at a non-finite
+    step.  Loop over it in a ``for`` statement, whose break or raise drops the
+    generator, ending its numpy errstate, at once."""
     x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # every iterate is checked finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # iterates are checked
         kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
         kernel.split(x)
         prices = _prices(kernel.demand, *kernel.two_beta)
-        yield 0, x, prices, math.nan, kernel
+        yield 0, x, prices, math.nan, kernel.demand
         for k in range(1, config.max_iter + 1):
             try:
                 new_x = kernel.step(x, prices)
@@ -325,34 +315,33 @@ def _iterates(scenario: Scenario, config: RunConfig):
             x = new_x
             kernel.split(x)
             prices = _prices(kernel.demand, *kernel.two_beta)
-            yield k, x, prices, max_change, kernel
+            yield k, x, prices, max_change, kernel.demand
 
 
 def run_market(scenario: Scenario, config: RunConfig):
     """Iterate the distributed price/demand loop to equilibrium.
 
     Returns ``(EquilibriumReport, IterationTrace)``.  The run holds one iterate at a time
-    and computes only the stopping iterate's welfare, in the step kernel's buffers; its
-    trace holds the run, not its iterates, and replays them when read.  From iterate 1
-    on, a non-finite ``p_u`` or welfare raises :class:`DivergenceError`.  The welfare is
-    finite, and not computed for that check, while ``(N*T + 1)*(max w*max D + (max
-    alpha/2 + max beta2)*max D**2) < 1e300`` and ``max w < 1e150`` at slot demand D: each
-    cell lies in ``[0, D]``, so ``|U| <= w*D + alpha/2*D**2``, a sated cell's
-    ``w**2/(2*alpha) = w*(w/alpha)/2 <= w*D/2`` and the cost is at most ``beta2*D**2``.
-    Past the bound it is computed at once.
+    and computes only the stopping iterate's :func:`social_welfare`; its trace holds the
+    run, not its iterates, and replays them when read.  From iterate 1 on, a non-finite
+    ``p_u`` or welfare raises :class:`DivergenceError`.  The welfare is finite, and not
+    computed for that check, while ``(N*T + 1)*(max w*max D + (max alpha/2 + max
+    beta2)*max D**2) < 1e300`` and ``max w < 1e150`` at slot demand D: each cell lies in
+    ``[0, D]``, so ``|U| <= w*D + alpha/2*D**2``, a sated cell's ``w**2/(2*alpha) =
+    w*(w/alpha)/2 <= w*D/2`` and the cost is at most ``beta2*D**2``.  Past the bound it
+    is computed at once.
     """
     cells, w_max = scenario.w.size + 1, float(scenario.w.max())
     quad = 0.5 * float(scenario.alpha.max()) + float(scenario.cost.beta2.max())
-    for k, x, prices, max_change, kernel in _iterates(scenario, config):
+    for k, x, prices, max_change, demand in _iterates(scenario, config):
         # max_change is nan at k = 0, so no earlier prices are read there
         converged = (max_change < config.tol
                      and float(np.abs(prices.p_l - last.p_l).max()) < config.tol
                      and float(np.abs(prices.p_u - last.p_u).max()) < config.tol)
-        d, welfare = float(kernel.demand.max()), None
+        d, welfare = float(demand.max()), None
         if (converged or k == config.max_iter
                 or k and not (w_max < 1e150 and cells * (w_max * d + quad * d * d) < 1e300)):
-            welfare = _welfare(x, kernel.demand, kernel.sated, scenario, kernel.half_alpha,
-                               kernel.block_total, (kernel.grad, kernel.raw))
+            welfare = social_welfare(Allocation(x), scenario)
         # iterate 0 is left to the first step; a finite p_u has a finite p_l, as
         # demand >= 0 and the validated beta1 <= beta2
         if k and not (math.isfinite(prices.p_u.max())

@@ -157,29 +157,17 @@ def utility_value(x, w, alpha):
 
     Quadratic ``w*x - (alpha/2)*x**2`` up to the satiation point ``w/alpha``,
     flat at ``w**2 / (2*alpha)`` beyond it.  Continuous, nondecreasing and
-    concave, with zero utility at zero consumption.
+    concave, with zero utility at zero consumption.  The flat value is formed
+    only where a cell is sated, as ``w*w`` overflows for w past ~1e154; a float
+    for 0-d input.
     """
     w = np.asarray(w, dtype=float)
     x = _nonnegative(x, "consumption")
-    val = _utility(x, w, alpha, 0.5 * alpha, x >= w / alpha)
-    return float(val) if val.ndim == 0 else val
-
-
-def _utility(x, w, alpha, half_alpha, sated, out=None) -> np.ndarray:
-    """:func:`utility_value` of ``x >= 0`` given ``half_alpha = 0.5*alpha`` and the mask
-    ``sated = x >= w/alpha``, or None if it holds nowhere; unchecked.  Computed in the
-    two float arrays ``out``, of the result's shape, or in new ones."""
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(w), np.shape(alpha))
-        out = np.empty(shape), np.empty(shape)
-    val, quad = out  # w*x - 0.5*alpha*x*x
-    np.multiply(np.multiply(half_alpha, x, out=quad), x, out=quad)
-    np.subtract(np.multiply(w, x, out=val), quad, out=val)
-    # the flat value only where it is used: w*w overflows for w past ~1e154
-    if sated is not None:
+    val = np.asarray(w * x - 0.5 * alpha * x * x)
+    if (sated := x >= w / alpha).any():
         w_flat = np.broadcast_to(w, val.shape)[sated]
         val[sated] = w_flat * w_flat / (2.0 * np.broadcast_to(alpha, val.shape)[sated])
-    return val
+    return float(val) if val.ndim == 0 else val
 
 
 def utility_gradient(x, w, alpha):
@@ -201,13 +189,9 @@ def cost_value(demand, block_total, cost: CostParams):
     threshold ``block_total`` (= b * N), ``beta2 * D**2`` above it.  Note the
     cost itself jumps at the threshold whenever beta1 != beta2.
     """
-    val = _cost(_nonnegative(demand, "demand"), block_total, cost)
+    demand = _nonnegative(demand, "demand")
+    val = np.where(demand <= block_total, cost.beta1, cost.beta2) * demand * demand
     return float(val) if val.ndim == 0 else val
-
-
-def _cost(demand, block_total, cost: CostParams) -> np.ndarray:
-    """:func:`cost_value` of ``demand >= 0``; unchecked."""
-    return np.where(demand <= block_total, cost.beta1, cost.beta2) * demand * demand
 
 
 def validate_scenario(doc: dict) -> Scenario:

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from .market import EquilibriumReport
 
 BOUNDARY_TOL = 1e-6
+WELFARE_TOL = 1e-4  # the welfare gap below which a comparison passes
 _NEWTON_STEPS = 50  # a solve that has not settled by then is reported unconverged
 
 
@@ -200,10 +201,10 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
 
 
 def compare_equilibrium(distributed: EquilibriumReport, oracle: OracleSolution,
-                        tol_demand: float = 1e-3,
-                        tol_welfare: float = 1e-4) -> ComparisonReport:
+                        tol_demand: float = 1e-3) -> ComparisonReport:
     """Measure the distributed-vs-oracle allocation, slot-demand and welfare gaps; pass
-    on demand and welfare, which every equilibrium shares where x is not unique."""
+    on demand and welfare, which every equilibrium shares where x is not unique:
+    ``demand_gap < tol_demand`` and ``welfare_gap < WELFARE_TOL``."""
     if distributed.scenario_fingerprint != oracle.scenario_fingerprint:
         raise ValueError("scenario mismatch between distributed run and oracle")
     x, x_oracle = distributed.allocation.x, oracle.allocation.x
@@ -214,6 +215,6 @@ def compare_equilibrium(distributed: EquilibriumReport, oracle: OracleSolution,
         allocation_gap=allocation_gap,
         demand_gap=demand_gap,
         welfare_gap=welfare_gap,
-        passed=demand_gap < tol_demand and welfare_gap < tol_welfare,
+        passed=demand_gap < tol_demand and welfare_gap < WELFARE_TOL,
         boundary_degenerate=oracle.boundary_degenerate,
     )

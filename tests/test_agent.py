@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from brpmarket import (
 )
 from brpmarket.agent import _onto_blocks, _StepKernel
 from conftest import make_scenario, single_customer_scenario
+from test_market import nan_step_document
 
 
 def scenario(w=40.0, alpha=1.0, d_min=0.0, d_max=100.0, num_slots=1, b=25.0):
@@ -78,10 +81,27 @@ class TestGradientStep:
         with pytest.raises(FloatingPointError, match="must be finite"):
             step_profile(x, prices(1e300, 1e300), 1e10, scenario())
 
+    def test_non_finite_projection_raises(self):
+        # the updates are finite, their band projection divides by a zero slope
+        scen = validate_scenario(nan_step_document())
+        x = np.array([[1.5e7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="must be finite"):
+                step_profile(x, prices(2.0 * 1.5e7, 2e300 * 1.5e7), 10.0, scen)
+
 
 class TestProjectProfile:
     def test_feasible_point_unchanged(self):
         assert project_row([12.0], 0.0, 100.0)[0] == 12.0
+
+    def test_overflowing_knots_warn_nothing(self):
+        # the row minus its maximum overflows to -inf; inf - inf between the sorted
+        # knots is NaN only past every finite level
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project_band([[-1e308, 1.7e308, 5e-324]], 1.0, 1e308)
+        assert out.tolist() == [[0.0, 1e308, 0.0]]
 
     def test_negativity_clipped_sum_slack(self):
         np.testing.assert_allclose(project_row([-5.0, 10.0], 0.0, 100.0), [0.0, 10.0])

@@ -10,7 +10,7 @@ import pytest
 from brpmarket import cli, oracle
 from brpmarket.cli import demo_scenario_document, main
 from brpmarket.oracle import solve_welfare_centralized
-from test_market import welfare_overflow_document
+from test_market import nan_step_document, welfare_overflow_document
 
 
 @pytest.fixture()
@@ -104,6 +104,18 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "error: market iteration diverged at iteration 1"]
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_nan_projection_exits_2_with_one_error_line(self, command, tmp_path, capsys):
+        # numpy's divide warning, an error in this suite, must not precede the error line
+        scen = tmp_path / "nan_step.json"
+        scen.write_text(json.dumps(nan_step_document()))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(scen), "--gamma", "10",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: market iteration diverged at iteration 1"]
+        assert not out.exists()
 
     def test_welfare_only_overflow_exits_2(self, tmp_path, capsys):
         scen = tmp_path / "welfare_overflow.json"

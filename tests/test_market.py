@@ -49,6 +49,15 @@ def overflow_document():
     return doc
 
 
+def nan_step_document():
+    """One customer whose first step at gamma 10 is finite before its projection and NaN
+    after it: its band projection divides by a zero slope."""
+    return {"num_slots": 1,
+            "customers": [{"id": 0, "w": [1.5e307], "alpha": 1.0, "d_min": 1.5e7,
+                           "d_max": 1e8}],
+            "blocks": {"b": 25.0}, "cost": {"beta1": 1.0, "beta2": 1e300}}
+
+
 class TestSocialWelfare:
     def test_zero_allocation(self, demo_scenario):
         alloc = Allocation(np.zeros((2, 1)))
@@ -145,6 +154,14 @@ class TestRunMarket:
         with pytest.raises(DivergenceError) as err:
             run_market(validate_scenario(overflow_document()), RunConfig(gamma=1e307))
         assert err.value.iteration == 1
+
+    def test_nan_projection_diverges_at_iteration_1(self):
+        # numpy's divide warning, an error in this suite, must not escape the loop
+        before = np.geterr()
+        with pytest.raises(DivergenceError) as err:
+            run_market(validate_scenario(nan_step_document()), RunConfig(gamma=10.0))
+        assert err.value.iteration == 1
+        assert np.geterr() == before
 
     def test_welfare_only_overflow_diverges_at_iteration_1(self):
         # the first step and its prices are finite, its utility w*x is not
@@ -508,7 +525,7 @@ class TestLoopMatchesReference:
 
     @pytest.mark.parametrize("name", LOOP_SCENARIOS)
     def test_records_price_and_welfare_their_own_x(self, name):
-        # the loop's unchecked price and welfare kernels, to the bit
+        # the loop's unchecked price kernel, to the bit
         scenario = LOOP_SCENARIOS[name]()
         _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
                                                   tol=1e-8, max_iter=400))
@@ -576,14 +593,14 @@ def _welfare_from_csv(trace, path):
 
 @pytest.fixture
 def welfare_calls(monkeypatch):
-    """One entry per call of ``market._welfare``, the welfare kernel, from now on."""
-    calls, welfare = [], market_module._welfare
+    """One entry per call of ``market.social_welfare``, from now on."""
+    calls, welfare = [], market_module.social_welfare
 
     def counting(*args, **kwargs):
         calls.append(1)
         return welfare(*args, **kwargs)
 
-    monkeypatch.setattr(market_module, "_welfare", counting)
+    monkeypatch.setattr(market_module, "social_welfare", counting)
     return calls
 
 
