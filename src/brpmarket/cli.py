@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .market import DivergenceError, RunConfig, default_step_size, run_market
+from .market import (DivergenceError, RunConfig, _TraceCsv, default_step_size, run_market,
+                     social_welfare)
 from .model import Allocation, ScenarioError, load_scenario
 from .oracle import compare_equilibrium, solve_welfare_centralized, welfare_optimum
 
@@ -75,6 +77,23 @@ def _gamma(args, scenario) -> float:
     return gamma
 
 
+def _run_traced(scenario, config, path: Path):
+    """``run_market`` with its trace streamed to ``path`` as it runs; a run that diverges
+    leaves neither that file nor any directory made for it."""
+    made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write = _TraceCsv(fh, scenario.blocks.b)
+            return run_market(scenario, config, lambda k, x, prices, change, _: write(
+                k, x, prices, social_welfare(Allocation(x), scenario), change))
+    except DivergenceError:
+        path.unlink()
+        for directory in made:  # deepest first
+            directory.rmdir()
+        raise
+
+
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -82,14 +101,11 @@ def cmd_run(args) -> int:
     except (ScenarioError, OSError, ValueError) as exc:
         return _fail(EXIT_BAD_INPUT, exc)
 
+    out = Path(args.out)
     try:
-        report, trace = run_market(scenario, config)
+        report, _ = _run_traced(scenario, config, out / "trace.csv")
     except DivergenceError as exc:
         return _fail(EXIT_NOT_CONVERGED, exc)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(out / "trace.csv")
     summary = _summary(report)
     _write_json(out / "summary.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -117,15 +133,12 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for config in configs:
-        gamma = config.gamma
+    for gamma, config in zip(args.gammas, configs):
         try:
-            report, trace = run_market(scenario, config)
+            report, _ = _run_traced(scenario, config, out / f"trace_gamma_{gamma}.csv")
+            rows.append((gamma, report.iterations, report.converged, report.welfare))
         except DivergenceError as exc:
             rows.append((gamma, exc.iteration, False, math.nan))
-            continue
-        trace.to_csv(out / f"trace_gamma_{gamma}.csv")
-        rows.append((gamma, report.iterations, report.converged, report.welfare))
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -201,6 +214,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # once per process: a build costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="brpmarket",
@@ -246,15 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # before any solve: --out, or else its nearest existing ancestor, is a directory
         if args.out and not next(p for p in (Path(args.out), *Path(args.out).parents)
                                  if p.exists()).is_dir():
             return _fail(EXIT_BAD_INPUT,
                          f"--out {args.out!r} is not a directory and cannot become one")
-        return args.func(args)
+        return globals()[args.func.__name__](args)  # as bound now: the parser is built once
     except OSError as exc:  # an output that could not be written
         return _fail(EXIT_BAD_INPUT, exc)
 

@@ -98,49 +98,49 @@ class IterationTrace:
                 for _, x, prices, max_change, _ in _iterates(scenario, self._config))
 
     def to_csv(self, path) -> None:
-        """Write one row per (iteration, slot, customer), full float precision.
-
-        The bytes are fixed: the comment line ends in LF; the header and every
-        row end in CRLF, as ``csv.writer`` writes them.  Rows run iteration by
-        iteration, slot-major within an iteration, and every float is written
-        as the ``repr`` of its Python ``float``, so it round-trips exactly.
-        The block split ``y = min(x, b)``, ``z = max(x, b)`` is derived here.
-
-        Each iterate is one array of pieces joined once: its number, the run's row prefixes
-        and commas, the texts of :func:`_cell_texts` (one per distinct bit pattern of x
-        and of b, ``repr``'s text from the array kernel :func:`_float_reprs`) and each
-        slot's ``,p_l,p_u,welfare,max_change`` line end.
-        """
+        """Write the run's ``trace.csv`` with :class:`_TraceCsv`: the replay of an unread
+        trace, streamed and not kept, or the kept records of a read one."""
         records = self._replay() if self._records is None else self._records
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(TRACE_COMMENT + "\n")
-            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+            write = _TraceCsv(fh, self._scenario.blocks.b)
             for k, rec in enumerate(records):
-                if not k:  # not before the replay starts: that order raised peak RSS
-                    n, t = self._scenario.w.shape
-                    pieces = np.full((t, n, 8), ",", dtype=object)  # k ,slot,cust, x , y , z end
-                    pieces[..., 1] = [[f",{s},{c}," for c in range(n)] for s in range(t)]
-                tail = f",{rec.welfare!r},{rec.max_change!r}\r\n"
-                pieces[..., 0] = str(k)
-                pieces[..., 2::2] = _cell_texts(rec.allocation.x, self._scenario.blocks.b)
-                pieces[..., 7] = np.array([f",{p_l!r},{p_u!r}{tail}" for p_l, p_u in zip(
-                    rec.prices.p_l.tolist(), rec.prices.p_u.tolist())], dtype=object)[:, None]
-                fh.write("".join(pieces.ravel().tolist()))
+                write(k, rec.allocation.x, rec.prices, rec.welfare, rec.max_change)
 
 
-def _cell_texts(x, b) -> np.ndarray:
-    """The ``repr`` of x, ``min(x, b)`` and ``max(x, b)`` of every cell of a finite float64
-    x, (slot, customer, 3), given the per-slot b: one :func:`_float_reprs` text per
-    distinct bit pattern of x and b (bits, not ``==``, keep -0.0 apart from 0.0).  Each y
-    and z is, bit for bit, its x or its b, as ``np.minimum`` and ``np.maximum`` return one
-    operand of finite floats."""
-    x, b = x.T, b[:, None]
-    bits, index = np.unique(np.append(x, b).view(np.int64), return_inverse=True)
-    table = _float_reprs(bits.view(np.float64))
-    cells = np.stack([x, np.minimum(x, b), np.maximum(x, b)], axis=-1)
-    from_x = (cell_bits := cells.view(np.int64)) == cell_bits[..., :1]
-    return table[np.where(from_x, index[:x.size].reshape(*x.shape, 1),
-                          index[x.size:, None, None])]
+class _TraceCsv:
+    """The one ``trace.csv`` writer, fed one iterate at a time by ``to_csv`` or a
+    ``run_market`` observer.  Fixed bytes: a comment line ending in LF, then the header and
+    a row per (iteration, slot, customer), slot-major, ending in CRLF as ``csv.writer`` ends
+    them; each float is its ``repr``.  An iterate is its number and one join of five pieces
+    a row: ``,slot,customer,``, x, ``,`` or ``,b,``, x, and the slot's tail (``b,`` or not,
+    ``p_l,p_u,welfare,max_change``, CRLF, the next row's number), as ``y = min(x, b)`` and
+    ``z = max(x, b)`` are, bit for bit, x or b.  x's texts come from :func:`_float_reprs`,
+    one per distinct bit pattern (-0.0 apart from 0.0); b's are made once per trace."""
+
+    def __init__(self, fh, b):
+        fh.write(TRACE_COMMENT + "\n" + ",".join(TRACE_COLUMNS) + "\r\n")
+        self._fh, self._b, self._pieces = fh, b[:, None], None
+        self._seps = np.array([[",", f",{v!r},"] for v in b.tolist()], dtype=object)
+
+    def __call__(self, k, x, prices, welfare, max_change) -> None:
+        xt, b, seps, end = x.T, self._b, self._seps, f",{welfare!r},{max_change!r}\r\n{k}"
+        if (pieces := self._pieces) is None:  # not before a replay starts: that raised peak RSS
+            pieces = self._pieces = np.empty((*xt.shape, 5), dtype=object)
+            pieces[..., 0] = [[f",{s},{c}," for c in range(xt.shape[1])] for s in range(len(b))]
+        bits, index = np.unique(xt.view(np.int64), return_inverse=True)
+        pieces[..., 1] = pieces[..., 3] = _float_reprs(bits.view(np.float64))[
+            index.reshape(xt.shape)]
+        y, z = np.minimum(xt, b), np.maximum(xt, b)
+        low = z.view(np.int64) == b.view(np.int64)  # z is b: the tail holds it
+        odd = low != (y.view(np.int64) == xt.view(np.int64))  # y and z both x, or both b
+        pick = 2 * np.arange(len(b))[:, None] + (~low | odd)
+        pieces[..., 2] = seps.take(pick)
+        pieces[..., 4] = (seps[:, ::-1] + np.array([f"{p_l!r},{p_u!r}{end}" for p_l, p_u in zip(
+            prices.p_l.tolist(), prices.p_u.tolist())], dtype=object)[:, None]).take(pick)
+        for s, c in zip(*np.nonzero(odd)):  # only where x and b are zeros of opposite sign
+            pieces[s, c, 2:4] = f",{y[s, c].item()!r},", repr(z[s, c].item())
+        pieces[-1, -1, 4] = pieces[-1, -1, 4][:-len(str(k))]  # ends in CRLF: no next row here
+        self._fh.writelines((str(k), "".join(pieces.ravel().tolist())))
 
 
 # The tables are built from Python floats and array copies, so that importing the module
@@ -318,18 +318,19 @@ def _iterates(scenario: Scenario, config: RunConfig):
             yield k, x, prices, max_change, kernel.demand
 
 
-def run_market(scenario: Scenario, config: RunConfig):
+def run_market(scenario: Scenario, config: RunConfig, observe=lambda *iterate: None):
     """Iterate the distributed price/demand loop to equilibrium.
 
     Returns ``(EquilibriumReport, IterationTrace)``.  The run holds one iterate at a time
     and computes only the stopping iterate's :func:`social_welfare`; its trace holds the
-    run, not its iterates, and replays them when read.  From iterate 1 on, a non-finite
-    ``p_u`` or welfare raises :class:`DivergenceError`.  The welfare is finite, and not
-    computed for that check, while ``(N*T + 1)*(max w*max D + (max alpha/2 + max
-    beta2)*max D**2) < 1e300`` and ``max w < 1e150`` at slot demand D: each cell lies in
-    ``[0, D]``, so ``|U| <= w*D + alpha/2*D**2``, a sated cell's ``w**2/(2*alpha) =
-    w*(w/alpha)/2 <= w*D/2`` and the cost is at most ``beta2*D**2``.  Past the bound it
-    is computed at once.
+    run, not its iterates, and replays them when read.  ``observe`` sees each tuple of
+    :func:`_iterates` once, when that iterate has passed the divergence checks: the CLI
+    streams ``trace.csv`` so.  From iterate 1 on, a non-finite ``p_u`` or welfare raises
+    :class:`DivergenceError`.  The welfare is finite, and not computed for that check,
+    while ``(N*T + 1)*(max w*max D + (max alpha/2 + max beta2)*max D**2) < 1e300`` and
+    ``max w < 1e150`` at slot demand D: each cell lies in ``[0, D]``, so ``|U| <= w*D +
+    alpha/2*D**2``, a sated cell's ``w**2/(2*alpha) = w*(w/alpha)/2 <= w*D/2`` and the
+    cost is at most ``beta2*D**2``.  Past the bound it is computed at once.
     """
     cells, w_max = scenario.w.size + 1, float(scenario.w.max())
     quad = 0.5 * float(scenario.alpha.max()) + float(scenario.cost.beta2.max())
@@ -347,6 +348,7 @@ def run_market(scenario: Scenario, config: RunConfig):
         if k and not (math.isfinite(prices.p_u.max())
                       and (welfare is None or math.isfinite(welfare))):
             raise DivergenceError(k)
+        observe(k, x, prices, max_change, demand)
         if converged:
             break
         last = prices

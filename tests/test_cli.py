@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from brpmarket import cli, oracle
+from brpmarket import cli, market, oracle
 from brpmarket.cli import demo_scenario_document, main
 from brpmarket.oracle import solve_welfare_centralized
 from test_market import nan_step_document, welfare_overflow_document
@@ -195,6 +195,32 @@ class TestSweepCommand:
         assert rows[0]["converged"] == "True"
         assert rows[1]["converged"] == "False"
         assert rows[1]["welfare"] == "nan"
+        # the diverged run's trace, streamed until it diverged, is removed
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "trace_gamma_0.1.csv"]
+
+
+class TestOneSolvePerJob:
+    """``run``, ``demo`` and each step size of ``sweep`` solve the market once: trace.csv
+    is written from that run, not from a replay of it."""
+
+    @pytest.mark.parametrize("argv, jobs", [
+        (["run", "--gamma", "0.1"], 1),
+        (["sweep", "--gammas", "0.1,0.3"], 2),
+        (["demo"], 1),
+    ], ids=["run", "sweep", "demo"])
+    def test_one_market_iteration_per_job(self, argv, jobs, demo_file, tmp_path, monkeypatch):
+        solves, iterates = [], market._iterates
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return iterates(*args, **kwargs)
+
+        monkeypatch.setattr(market, "_iterates", counting)
+        scenario = [] if argv[0] == "demo" else ["--scenario", str(demo_file)]
+        assert main([*argv, *scenario, "--out", str(tmp_path / "out")]) == 0
+        assert len(solves) == jobs
+        traces = sorted((tmp_path / "out").glob("trace*.csv"))
+        assert len(traces) == jobs and all(path.stat().st_size for path in traces)
 
 
 class TestVerifyCommand:

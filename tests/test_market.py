@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import struct
@@ -29,6 +30,7 @@ from brpmarket import (
 from brpmarket import cli
 from brpmarket import market as market_module
 from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT, _iterates
+from brpmarket.model import PriceSchedule
 from conftest import make_scenario, random_scenario, single_customer_scenario
 
 
@@ -686,18 +688,18 @@ class TestReplay:
         trace[min(3, len(trace) - 1)]
         assert np.geterr() == before
 
-        calls, cell_texts = [], market_module._cell_texts
+        calls, float_reprs = [], market_module._float_reprs
 
-        def failing(x, b):
+        def failing(values):  # once per iterate: fails after iterate 0 is written
             calls.append(1)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 raise RuntimeError("write failed")
-            return cell_texts(x, b)
+            return float_reprs(values)
 
         _, trace = run_market(scenario, config)
-        assert len(trace) >= 3
+        assert len(trace) >= 2
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(market_module, "_cell_texts", failing)
+            mp.setattr(market_module, "_float_reprs", failing)
             with pytest.raises(RuntimeError, match="write failed"):
                 trace.to_csv(trace_dir / "failed.csv")
         assert np.geterr() == before
@@ -939,6 +941,64 @@ class TestTraceCsvGolden:
         assert peak < 1.5 * 2**20
 
 
+def scenario_document(scenario) -> dict:
+    """``scenario`` as a JSON document that validates back to the same arrays."""
+    return {"num_slots": scenario.num_slots,
+            "customers": [{"id": i, "w": w, "alpha": alpha, "d_min": d_min, "d_max": d_max}
+                          for i, w, alpha, d_min, d_max in zip(
+                              scenario.ids.tolist(), scenario.w.tolist(),
+                              scenario.alpha[:, 0].tolist(), scenario.d_min.tolist(),
+                              scenario.d_max.tolist())],
+            "blocks": {"b": scenario.blocks.b.tolist()},
+            "cost": {"beta1": scenario.cost.beta1.tolist(), "beta2": scenario.cost.beta2.tolist()}}
+
+
+def trace_edges(scenario, trace) -> set:
+    """The edges of the writer that a run's trace reaches."""
+    xs = [rec.allocation.x for rec in trace.records]
+    daily = xs[-1].sum(axis=1)
+    return {name for name, reached in [
+        ("cap", np.any(np.abs(daily - scenario.d_max) <= 1e-9)),
+        ("floor", np.any((scenario.d_min > 0) & (np.abs(daily - scenario.d_min) <= 1e-9))),
+        ("at b", any(np.any(x == scenario.blocks.b) for x in xs)),
+        ("at 0", any(np.any(x == 0.0) for x in xs)),
+        ("N = 1", scenario.num_customers == 1), ("T = 1", scenario.num_slots == 1)] if reached}
+
+
+class TestStreamedTrace:
+    """``brpmarket run`` streams trace.csv from its one market run: the bytes that
+    ``reference_trace_csv`` writes from the records of a replay of that run."""
+
+    # random_scenario seeds whose runs reach the writer's edges, as the last test checks
+    EDGES = {69: {"cap", "at b", "at 0", "N = 1"}, 1: {"floor", "at b", "at 0"},
+             132: {"cap", "at b", "at 0", "T = 1"}}
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=69)
+    @example(seed=1)
+    @example(seed=132)
+    def test_run_writes_the_reference_bytes(self, trace_dir, seed):
+        scenario = random_scenario(np.random.default_rng(seed))
+        document = scenario_document(scenario)
+        assert validate_scenario(document).fingerprint() == scenario.fingerprint()
+        path, out = trace_dir / "scenario.json", trace_dir / "run"
+        path.write_text(json.dumps(document))
+        code = cli.main(["run", "--scenario", str(path), "--max-iter", "300", "--out", str(out)])
+        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
+                                                       max_iter=300))
+        assert code == (0 if report.converged else 2)
+        reference_trace_csv(trace, trace_dir / "reference.csv")
+        assert (out / "trace.csv").read_bytes() == (trace_dir / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", sorted(EDGES))
+    def test_examples_reach_their_edges(self, seed):
+        scenario = random_scenario(np.random.default_rng(seed))
+        _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
+                                                  max_iter=300))
+        assert self.EDGES[seed] <= trace_edges(scenario, trace)
+
+
 class TestTraceCsvEdges:
     """The bytes of two runs, pinned."""
 
@@ -973,8 +1033,8 @@ class TestTraceSplit:
         (25.0, 25.0, (25.0, 25.0)),
     ])
     def test_examples(self, x, b, expected):
-        texts = market_module._cell_texts(np.array([[x]]), np.array([b]))
-        assert tuple(map(float, texts[0, 0, 1:])) == expected
+        texts = writer_cell_texts(np.array([[x]]), np.array([b]))
+        assert tuple(map(float, texts[0][0][1:])) == expected
 
     def test_round_trip_exact(self, tmp_path):
         # exact on this run: each iterate's x is the step's y + z', the band
@@ -1060,8 +1120,20 @@ class TestFloatReprs:
         assert market_module._float_reprs(values).tolist() == list(map(repr, values.tolist()))
 
 
+def writer_cell_texts(x, b):
+    """The x, y and z texts of each (slot, customer) cell, as ``market._TraceCsv`` writes
+    an iterate of x, (customer, slot), against the per-slot b; every row has ten fields."""
+    fh, (n, t) = io.StringIO(), x.shape
+    market_module._TraceCsv(fh, b)(7, x, PriceSchedule(p_l=np.ones(t), p_u=np.ones(t)),
+                                   0.5, math.nan)
+    rows = [row.split(",") for row in fh.getvalue().split("\r\n")[1:-1]]
+    assert [row[:3] + row[6:] for row in rows] == [
+        ["7", str(s), str(c), "1.0", "1.0", "0.5", "nan"] for s in range(t) for c in range(n)]
+    return [[row[3:6] for row in rows[s * n:(s + 1) * n]] for s in range(t)]
+
+
 class TestCellTextsProperties:
-    """``market._cell_texts`` writes ``repr`` of each cell's x, ``min(x, b)`` and
+    """``market._TraceCsv`` writes ``repr`` of each cell's x, ``min(x, b)`` and
     ``max(x, b)``, as ``reference_trace_csv`` derives them one at a time."""
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -1074,4 +1146,4 @@ class TestCellTextsProperties:
         expected = [[[repr(float(v)) for v in (x[c, s], np.minimum(x[c, s], b[s]),
                                               np.maximum(x[c, s], b[s]))]
                      for c in range(x.shape[0])] for s in range(x.shape[1])]
-        assert market_module._cell_texts(x, b).tolist() == expected
+        assert writer_cell_texts(x, b) == expected
