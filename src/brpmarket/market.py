@@ -114,8 +114,9 @@ class _TraceCsv:
     them; each float is its ``repr``.  An iterate is its number and one join of five pieces
     a row: ``,slot,customer,``, x, ``,`` or ``,b,``, x, and the slot's tail (``b,`` or not,
     ``p_l,p_u,welfare,max_change``, CRLF, the next row's number), as ``y = min(x, b)`` and
-    ``z = max(x, b)`` are, bit for bit, x or b.  x's texts come from :func:`_float_reprs`,
-    one per distinct bit pattern (-0.0 apart from 0.0); b's are made once per trace."""
+    ``z = max(x, b)`` are, bit for bit, x or b: one list kept for the run, whose x, separator
+    and tail slots each iterate fills by strided slice.  x's texts come from
+    :func:`_float_reprs`, one per distinct bit pattern (-0.0 apart from 0.0), b's once."""
 
     def __init__(self, fh, b):
         fh.write(TRACE_COMMENT + "\n" + ",".join(TRACE_COLUMNS) + "\r\n")
@@ -125,22 +126,21 @@ class _TraceCsv:
     def __call__(self, k, x, prices, welfare, max_change) -> None:
         xt, b, seps, end = x.T, self._b, self._seps, f",{welfare!r},{max_change!r}\r\n{k}"
         if (pieces := self._pieces) is None:  # not before a replay starts: that raised peak RSS
-            pieces = self._pieces = np.empty((*xt.shape, 5), dtype=object)
-            pieces[..., 0] = [[f",{s},{c}," for c in range(xt.shape[1])] for s in range(len(b))]
+            pieces = self._pieces = [""] * (5 * xt.size)
+            pieces[::5] = [f",{s},{c}," for s in range(len(b)) for c in range(xt.shape[1])]
         bits, index = np.unique(xt.view(np.int64), return_inverse=True)
-        pieces[..., 1] = pieces[..., 3] = _float_reprs(bits.view(np.float64))[
-            index.reshape(xt.shape)]
+        pieces[1::5] = pieces[3::5] = _float_reprs(bits.view(np.float64))[index.ravel()].tolist()
         y, z = np.minimum(xt, b), np.maximum(xt, b)
         low = z.view(np.int64) == b.view(np.int64)  # z is b: the tail holds it
         odd = low != (y.view(np.int64) == xt.view(np.int64))  # y and z both x, or both b
         pick = 2 * np.arange(len(b))[:, None] + (~low | odd)
-        pieces[..., 2] = seps.take(pick)
-        pieces[..., 4] = (seps[:, ::-1] + np.array([f"{p_l!r},{p_u!r}{end}" for p_l, p_u in zip(
-            prices.p_l.tolist(), prices.p_u.tolist())], dtype=object)[:, None]).take(pick)
-        for s, c in zip(*np.nonzero(odd)):  # only where x and b are zeros of opposite sign
-            pieces[s, c, 2:4] = f",{y[s, c].item()!r},", repr(z[s, c].item())
-        pieces[-1, -1, 4] = pieces[-1, -1, 4][:-len(str(k))]  # ends in CRLF: no next row here
-        self._fh.writelines((str(k), "".join(pieces.ravel().tolist())))
+        pieces[2::5] = seps.take(pick).ravel().tolist()
+        pieces[4::5] = (seps[:, ::-1] + np.array([f"{p_l!r},{p_u!r}{end}" for p_l, p_u in zip(
+            prices.p_l.tolist(), prices.p_u.tolist())], dtype=object)[:, None]).take(pick).flat
+        for i in 5 * np.flatnonzero(odd):  # only where x and b are zeros of opposite sign
+            pieces[i + 2:i + 4] = f",{y.flat[i // 5].item()!r},", repr(z.flat[i // 5].item())
+        pieces[-1] = pieces[-1][:-len(str(k))]  # ends in CRLF: no next row here
+        self._fh.writelines((str(k), "".join(pieces)))
 
 
 # The tables are built from Python floats and array copies, so that importing the module

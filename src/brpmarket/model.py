@@ -8,9 +8,9 @@ threshold ``b``: ``min(x, b)`` in the first, ``max(x - b, 0)`` in the second.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,35 +21,69 @@ class ScenarioError(ValueError):
     """Raised when a scenario document violates a model invariant."""
 
 
+_BOOLS = (bool, np.bool_)  # not numbers, although float(True) is 1
+
+
 def _as_slot_array(value, num_slots: int, path: str) -> np.ndarray:
     """Broadcast a scalar to a per-slot vector, or validate vector length."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past 1e308
         raise ScenarioError(f"{path}: expected a number or a list of numbers")
+    items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+    if (flag := next((v for v in items if isinstance(v, _BOOLS)), None)) is not None:
+        raise ScenarioError(f"{path}: must be a number, got {flag!r}")
     if not np.isfinite(arr).all():
         raise ScenarioError(f"{path}: must be finite (no NaN or inf)")
     if arr.ndim == 0:
         return np.full(num_slots, float(arr))
     if arr.shape != (num_slots,):
-        raise ScenarioError(
-            f"{path}: expected a scalar or an array of length {num_slots}, "
-            f"got shape {arr.shape}"
-        )
+        raise ScenarioError(f"{path}: expected a scalar or an array of length {num_slots}, "
+                            f"got shape {arr.shape}")
     return arr.astype(float).copy()
 
 
-def _as_integer(value, path: str) -> int:
-    """An int, an integral float or a string of an int; never truncated, and
+def _slot_rows(values, num_slots: int, path: str) -> tuple[np.ndarray, dict]:
+    """Per-slot ``values`` as one (N, T) array; :func:`_as_slot_array` parses alone each row
+    with a 0 or 1 (maybe a boolean), or all if they do not stack: its messages by row."""
+    rows, alone, wrong = np.empty((len(values), num_slots)), range(len(values)), {}
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        stacked = np.array([v if type(v) is list else [v] * num_slots for v in values], float)
+        if stacked.shape == rows.shape:  # not broadcast: a list of one number is no scalar
+            rows = stacked
+            alone = np.flatnonzero(((rows == 0) | (rows == 1)).any(axis=1)).tolist()
+    for i in alone:
+        try:
+            rows[i] = _as_slot_array(values[i], num_slots, path)
+        except ScenarioError as err:
+            rows[i], wrong[i] = np.nan, str(err)
+    return rows, wrong
+
+
+def _floats(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``float(v)`` of each value, NaN where that raises; where it raises; and where a value
+    is a boolean.  Ints and floats alone (no booleans) are converted in one call."""
+    out, bad = np.full(len(values), np.nan), np.zeros(len(values), bool)
+    if set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError):
+            return np.array(values, dtype=float), bad, bad
+    for i, value in enumerate(values):
+        try:
+            out[i] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            bad[i] = True
+    return out, bad, np.array([isinstance(v, _BOOLS) for v in values])
+
+
+def _integer(value) -> int | None:
+    """An int, an integral float or a string of an int, else None; never truncated, and
     never a boolean, although ``int(True)`` is 1."""
     try:
         result = int(value)
     except (TypeError, ValueError, OverflowError):  # null, "a", NaN, inf
-        result = None
-    if (result is None or isinstance(value, (bool, np.bool_))
-            or not (isinstance(value, str) or result == value)):
-        raise ScenarioError(f"{path}: must be an integer, got {value!r}")
-    return result
+        return None
+    bad = isinstance(value, _BOOLS) or not (isinstance(value, str) or result == value)
+    return None if bad else result
 
 
 @dataclass(frozen=True)
@@ -195,18 +229,16 @@ def cost_value(demand, block_total, cost: CostParams):
 
 
 def validate_scenario(doc: dict) -> Scenario:
-    """Validate a parsed scenario document and build a Scenario.
-
-    Scalars broadcast to per-slot vectors.  Keys starting with an underscore
-    are ignored (free-form notes).  Every invariant violation is reported
-    with the path of the offending field.
-    """
+    """Validate a parsed scenario document and build a Scenario.  Scalars broadcast to
+    per-slot vectors; keys starting with an underscore are ignored (free-form notes).
+    Every invariant violation is reported with the path of the offending field."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
 
     if "num_slots" not in doc:
         raise ScenarioError("num_slots: field is required")
-    num_slots = _as_integer(doc["num_slots"], "num_slots")
+    if (num_slots := _integer(doc["num_slots"])) is None:
+        raise ScenarioError(f"num_slots: must be an integer, got {doc['num_slots']!r}")
     if num_slots < 1:
         raise ScenarioError("num_slots: must be at least 1")
 
@@ -214,37 +246,38 @@ def validate_scenario(doc: dict) -> Scenario:
     if not isinstance(raw_customers, list) or not raw_customers:
         raise ScenarioError("customers: must be a non-empty list")
 
-    rows, seen = [], set()
-    for idx, entry in enumerate(raw_customers):
-        path = f"customers[{idx}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{path}: must be an object")
-        w = _as_slot_array(entry.get("w", None), num_slots, f"{path}.w")
-        if np.any(w <= 0):
-            raise ScenarioError(f"{path}.w: w must be strictly positive for every slot")
-        try:
-            alpha = float(entry["alpha"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise ScenarioError(f"{path}.alpha: must be a number")
-        if alpha <= 0:
-            raise ScenarioError(f"{path}.alpha: alpha must be strictly positive")
-        try:
-            d_min = float(entry.get("d_min", 0.0))
-            d_max = float(entry["d_max"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise ScenarioError(f"{path}: d_min/d_max must be numbers")
-        for name, value in (("alpha", alpha), ("d_min", d_min), ("d_max", d_max)):
-            if not math.isfinite(value):
-                raise ScenarioError(f"{path}.{name}: must be finite (no NaN or inf)")
-        if d_min < 0:
-            raise ScenarioError(f"{path}.d_min: must be nonnegative")
-        if d_min > d_max:
-            raise ScenarioError(f"{path}: d_min exceeds d_max")
-        cid = _as_integer(entry.get("id", idx), f"{path}.id")
-        if cid in seen:
-            raise ScenarioError(f"{path}.id: duplicate customer id {cid}")
-        seen.add(cid)
-        rows.append((cid, w, alpha, d_min, d_max))
+    # every customer's fields stacked once; the first customer that fails a check, in
+    # document order, is reported with the first check it fails, in the order below
+    n, entries = len(raw_customers), [e if isinstance(e, dict) else {} for e in raw_customers]
+    w, wrong = _slot_rows([e.get("w") for e in entries], num_slots, ".w")
+    (alpha, alpha_bad, alpha_bool), (d_min, lo_bad, lo_bool), (d_max, hi_bad, hi_bool) = (
+        _floats([e.get(key, default) for e in entries])
+        for key, default in (("alpha", None), ("d_min", 0.0), ("d_max", None)))
+    raw_ids = [e.get("id", i) for i, e in enumerate(entries)]
+    ids = [v if type(v) is int else _integer(v) for v in raw_ids]
+    first = dict(zip(reversed(ids), range(n - 1, -1, -1)))  # each id's first customer
+    checks = [
+        ([not isinstance(e, dict) for e in raw_customers], ": must be an object"),
+        (~np.isfinite(w).all(axis=1), "{w}"),
+        ((w <= 0).any(axis=1), ".w: w must be strictly positive for every slot"),
+        (alpha_bad, ".alpha: must be a number"),
+        (alpha_bool, ".alpha: must be a number, got {alpha!r}"),
+        (alpha <= 0, ".alpha: alpha must be strictly positive"),
+        (lo_bad | hi_bad, ": d_min/d_max must be numbers"),
+        (lo_bool, ".d_min: must be a number, got {d_min!r}"),
+        (hi_bool, ".d_max: must be a number, got {d_max!r}"),
+        *((~np.isfinite(v), f".{k}: must be finite (no NaN or inf)")
+          for k, v in (("alpha", alpha), ("d_min", d_min), ("d_max", d_max))),
+        (d_min < 0, ".d_min: must be nonnegative"),
+        (d_min > d_max, ": d_min exceeds d_max"),
+        ([v is None for v in ids], ".id: must be an integer, got {id!r}"),
+        ([first[v] != i for i, v in enumerate(ids)], ".id: duplicate customer id {cid}"),
+    ]  # counted, not .any(): that reduction pages in numpy code that nothing else here uses
+    if np.count_nonzero(fails := np.array([mask for mask, _ in checks]).T):
+        i, k = np.argwhere(fails)[0].tolist()
+        raise ScenarioError(f"customers[{i}]" + checks[k][1].format(
+            w=wrong.get(i, ".w: must be finite (no NaN or inf)"), id=raw_ids[i], cid=ids[i],
+            **{key: entries[i].get(key) for key in ("alpha", "d_min", "d_max")}))
 
     blocks_doc = doc.get("blocks")
     if not isinstance(blocks_doc, dict):
@@ -258,33 +291,26 @@ def validate_scenario(doc: dict) -> Scenario:
         raise ScenarioError("cost: must be an object with fields beta1, beta2")
     beta1 = _as_slot_array(cost_doc.get("beta1", None), num_slots, "cost.beta1")
     beta2 = _as_slot_array(cost_doc.get("beta2", None), num_slots, "cost.beta2")
-    if np.any(beta1 <= 0):
-        raise ScenarioError("cost.beta1: must be strictly positive")
-    if np.any(beta2 <= 0):
-        raise ScenarioError("cost.beta2: must be strictly positive")
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if np.any(beta <= 0):
+            raise ScenarioError(f"cost.{name}: must be strictly positive")
     if np.any(beta2 < beta1):
         raise ScenarioError("cost.beta2: must be at least beta1 in every slot, got "
                             f"beta2 < beta1 in slots {np.flatnonzero(beta2 < beta1).tolist()}")
 
-    ids, ws, alphas, d_mins, d_maxs = zip(*rows)
-    scenario = Scenario(ids=np.array(ids), w=np.stack(ws), alpha=np.array(alphas)[:, None],
-                        d_min=np.array(d_mins), d_max=np.array(d_maxs),
+    scenario = Scenario(ids=np.array(ids), w=w, alpha=alpha[:, None], d_min=d_min, d_max=d_max,
                         blocks=BlockSchedule(b=b), cost=CostParams(beta1=beta1, beta2=beta2))
     with np.errstate(over="ignore"):  # an overflow is rejected just below
-        satiation = scenario.satiation
-        total_satiation = satiation.sum(axis=1)
+        satiation, total_satiation = scenario.satiation, scenario.satiation.sum(axis=1)
     overflowed = ~np.isfinite(satiation).all(axis=1)
-    bad = np.flatnonzero(overflowed | (scenario.d_min > total_satiation))
-    if bad.size:
+    if (bad := np.flatnonzero(overflowed | (scenario.d_min > total_satiation))).size:
         idx = bad[0]
         if overflowed[idx]:
             raise ScenarioError(
                 f"customers[{idx}]: satiation w/alpha must be finite, overflows in "
                 f"slots {np.flatnonzero(~np.isfinite(satiation[idx])).tolist()}")
-        raise ScenarioError(
-            f"customers[{idx}]: infeasible scenario, d_min exceeds the total "
-            f"satiation energy sum(w/alpha) = {float(total_satiation[idx])!r}"
-        )
+        raise ScenarioError(f"customers[{idx}]: infeasible scenario, d_min exceeds the total "
+                            f"satiation energy sum(w/alpha) = {float(total_satiation[idx])!r}")
     return scenario
 
 

@@ -81,8 +81,8 @@ def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
     prices of its settled D, to which x is the best response (at steep prices, those of
     ``x.sum(0)`` differ by rounding), and of an unsettled x at those of ``x.sum(0)``."""
     s = scenario
-    demand = (s.w / s.alpha).sum(axis=0) / (1.0 + 2.0 * s.cost.beta1 * (1.0 / s.alpha).sum())
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        demand = (s.w / s.alpha).sum(axis=0) / (1.0 + 2.0 * s.cost.beta1 * (1.0 / s.alpha).sum())
         st = _excess(s, demand)
         for _ in range(_NEWTON_STEPS):
             # F, or the change in D that it asks for (F at rounding where prices are steep)
@@ -149,10 +149,10 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     Each solution is scored by its own piece's objective: :func:`social_welfare` would
     charge ``beta2`` to a point of the ``D <= bN`` piece that rounds past ``bN``.  As the
     cost jumps up past ``bN``, the best over all pieces is the maximum; past satiation
-    the maximizer need not be unique.
-    """
-    n, t = scenario.num_customers, scenario.num_slots
-    nt = n * t
+    the maximizer need not be unique.  All systems are stacked, in one elimination each for
+    the determinants, solves and refinements; the first best in (cell piece, cost piece,
+    set) order wins, and a piece with a NaN score is passed over."""
+    n, t, nt = scenario.num_customers, scenario.num_slots, scenario.w.size
     if nt > 3:
         raise ValueError("welfare optimum limited to N*T <= 3 variables")
     # cells run customer-major, the row-major order of x
@@ -161,43 +161,49 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     slots = np.tile(np.eye(t), n)             # (T, N*T): each slot's cells
     daily = np.repeat(np.eye(n), t, axis=1)   # (N, N*T): each customer's cells
     eye = np.eye(nt)
-    best, best_x = -np.inf, None
-    for quad in map(np.array, itertools.product((True, False), repeat=nt)):
-        lin = np.where(quad, w, 0.0)
-        with np.errstate(over="ignore"):  # inf only if a flat utility overflows
-            flat = float(np.sum(0.5 * w[~quad] * sat[~quad]))
-        # G x <= r; each cost piece below signs the slot rows, which changes no rank.
-        # Row 0 is a null constraint that pads every set to N*T rows.
-        rows = np.vstack([0.0 * eye[:1], -eye[quad], eye[quad], -eye[~quad], daily, -daily,
-                          slots])
-        bounds = np.concatenate([np.zeros(1 + quad.sum()), sat[quad], -sat[~quad],
-                                 scenario.d_max, -scenario.d_min, scenario.blocks.b * n])
-        sets = np.array([s + (0,) * (nt - k) for k in range(nt + 1)
-                         for s in itertools.combinations(range(1, len(rows)), k)])
-        pattern = np.diag(quad * 1.0) + np.einsum("si,sj->ij", slots, slots)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            det = _gauss_jordan(_kkt(pattern, rows[sets], sets == 0),
-                                np.zeros((len(sets), 2 * nt)))[1]
-        sets = sets[np.abs(det) > 0.5]
-        for high in map(np.array, itertools.product((False, True), repeat=t)):
-            side = np.concatenate([np.ones(len(rows) - t), np.where(high, -1.0, 1.0)])
-            g, r = side[:, None] * rows, side * bounds
-            beta = np.where(high, scenario.cost.beta2, scenario.cost.beta1)
-            hess = (np.diag(np.where(quad, alpha, 0.0))
-                    + 2.0 * np.einsum("si,s,sj->ij", slots, beta, slots))
-            scale = hess.max()  # the system of H/scale, lin/scale has the same x
-            kkt = _kkt(hess / scale, g[sets], sets == 0)
-            rhs = np.hstack([np.tile(lin / scale, (len(sets), 1)), r[sets]])
-            z = _gauss_jordan(kkt, rhs)[0]
-            x = (z + _gauss_jordan(kkt, rhs - np.einsum("cij,cj->ci", kkt, z))[0])[:, :nt]
-            tol = 1e-9 * (nt * np.abs(x).max(axis=1, keepdims=True) + np.abs(r))
-            x = x[np.all(np.einsum("ci,ri->cr", x, g) - r <= tol, axis=1)]
-            value = (np.einsum("ci,i->c", x, lin) + flat
-                     - 0.5 * np.einsum("ci,ij,cj->c", x, hess, x))
-            if value.size and value.max() > best:
-                best, best_x = float(value.max()), x[np.argmax(value)]
-
-    return _solution(scenario, np.maximum(best_x, 0.0).reshape(n, t), best, "piecewise-exact")
+    # G x <= r, every row of some piece: a null row that pads every set to N*T rows,
+    # x >= 0 and x <= w/alpha (quadratic cells), x >= w/alpha (flat cells), the bands and
+    # the slots' piece bounds, which each cost piece signs; that changes no rank
+    rows = np.vstack([0.0 * eye[:1], -eye, eye, -eye, daily, -daily, slots])
+    bounds = np.concatenate([np.zeros(1 + nt), sat, -sat, scenario.d_max, -scenario.d_min,
+                             scenario.blocks.b * n])
+    quads = np.array(list(itertools.product((True, False), repeat=nt)))
+    highs = np.array(list(itertools.product((False, True), repeat=t)))
+    held = np.ones((len(quads), len(rows)), bool)  # each cell piece's rows
+    held[:, 1:1 + 3 * nt] = np.hstack([quads, quads, ~quads])
+    # a piece's sets in index order of its own rows, the null row (0) padding them
+    combos = np.array([s + (0,) * (nt - k) for k in range(nt + 1)
+                       for s in itertools.combinations(range(1, held.sum(1).max()), k)])
+    q, c = np.nonzero(combos.max(axis=1) < held.sum(axis=1)[:, None])
+    sets = np.argsort(~held, axis=1, kind="stable")[q[:, None], combos[c]]
+    pattern = np.einsum("si,sj->ij", slots, slots) + eye * quads[q][:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = _gauss_jordan(_kkt(pattern, rows[sets], combos[c] == 0),
+                            np.zeros((len(sets), 2 * nt)))[1]
+    q, sets = q[live := np.abs(det) > 0.5], sets[live]
+    # each nonsingular set under each cost piece, by cell piece, then cost piece, then set
+    piece, j = np.nonzero(np.arange(len(quads) * len(highs))[:, None] // len(highs) == q)
+    q, sets, high = q[j], sets[j], highs[piece % len(highs)]
+    r = (side := np.hstack([np.ones((len(j), len(rows) - t)), np.where(high, -1.0, 1.0)])) * bounds
+    hess = (eye * np.where(quads, alpha, 0.0)[:, None, None] + 2.0 * np.einsum(
+        "si,hs,sj->hij", slots, np.where(highs, scenario.cost.beta2, scenario.cost.beta1),
+        slots)).reshape(-1, nt, nt)
+    scale, lin = hess.max(axis=(1, 2)), np.where(quads, w, 0.0)  # H/scale, lin/scale: same x
+    kkt = _kkt((hess / scale[:, None, None])[piece],
+               np.take_along_axis(side, sets, 1)[..., None] * rows[sets], sets == 0)
+    rhs = np.hstack([lin[q] / scale[piece, None], np.take_along_axis(r, sets, 1)])
+    z = _gauss_jordan(kkt, rhs)[0]
+    x = (z + _gauss_jordan(kkt, rhs - np.einsum("cij,cj->ci", kkt, z))[0])[:, :nt]
+    tol = 1e-9 * (nt * np.abs(x).max(axis=1, keepdims=True) + np.abs(r))
+    kept = np.all((np.einsum("ci,ri->cr", x, rows) * side - r <= tol) | ~held[q], axis=1)
+    x, piece, q = x[kept], piece[kept], q[kept]
+    with np.errstate(over="ignore"):  # inf only if a flat utility overflows
+        flat = np.sum(np.where(quads, 0.0, 0.5 * w * sat), axis=1)
+    value = (np.einsum("ci,ci->c", x, lin[q]) + flat[q]
+             - 0.5 * np.einsum("ci,cij,cj->c", x, hess[piece], x))
+    value[np.isin(piece, piece[np.isnan(value)])] = -np.inf
+    return _solution(scenario, np.maximum(x[best := np.argmax(value)], 0.0).reshape(n, t),
+                     float(value[best]), "piecewise-exact")
 
 
 def compare_equilibrium(distributed: EquilibriumReport, oracle: OracleSolution,

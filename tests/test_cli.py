@@ -11,6 +11,7 @@ from brpmarket import cli, market, oracle
 from brpmarket.cli import demo_scenario_document, main
 from brpmarket.oracle import solve_welfare_centralized
 from test_market import nan_step_document, welfare_overflow_document
+from test_oracle import leaky_start_document
 
 
 @pytest.fixture()
@@ -44,6 +45,17 @@ class TestRunCommand:
         code = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "alpha must be strictly positive" in capsys.readouterr().err
+
+    def test_boolean_alpha_exits_1(self, tmp_path, capsys):
+        # float(True) is 1, but a boolean is not a number
+        bad = tmp_path / "bool.json"
+        doc = demo_scenario_document()
+        doc["customers"][0]["alpha"] = True
+        bad.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: customers[0].alpha: must be a number, got True"]
+        assert not (tmp_path / "o").exists()
 
     def test_max_iter_exhaustion_exits_2(self, demo_file, tmp_path):
         out = tmp_path / "out"
@@ -235,6 +247,16 @@ class TestVerifyCommand:
         # demo's raw-welfare argmax is on the cost-segment boundary
         assert payload["optimum"]["boundary_degenerate"] is True
         assert "welfare optimum is boundary-degenerate" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_oracle_start_overflow_exits_3_with_one_line(self, tmp_path, capsys):
+        # the oracle's start point overflows; no numpy warning may precede the error line
+        scen = tmp_path / "leak.json"
+        scen.write_text(json.dumps(leaky_start_document()))
+        assert main(["verify", "--scenario", str(scen)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: the centralized oracle could not certify an equilibrium")
 
     def test_demo_optimum_section(self, demo_file, tmp_path):
         # the exact optimum (10, 40), welfare 2100, against the market's run

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brpmarket import (
@@ -16,6 +16,7 @@ from brpmarket import (
     utility_value,
     validate_scenario,
 )
+from references import reference_validate_scenario
 from test_market import straddling_document
 
 
@@ -482,3 +483,124 @@ class TestValidateScenarioProperties:
         assert np.all(np.isfinite(scenario.w / scenario.alpha))
         assert np.all(scenario.d_min <= scenario.d_max)
         assert np.all(scenario.cost.beta2 >= scenario.cost.beta1)
+
+
+# faults for the stacked validator: bad types, NaN and inf, huge ints, booleans, and
+# numeric strings and 1s, which are valid but parsed on their own
+_FAULTS = st.sampled_from([None, "a", "", "3.5", [], {}, [1.0, "x"], [[1.0]], [[5.0]], [5.0],
+                           [None], float("nan"), float("inf"), -float("inf"), 10**400, 2**70,
+                           -1.0, 0.0, 1, True, False, np.bool_(True)])
+
+
+@st.composite
+def faulty_documents(draw):
+    """Documents of up to eight customers with no fault, one, or several: a field replaced
+    by a fault, dropped, or given the wrong length, an entry that is not an object, and
+    repeated ids."""
+    t, rate = draw(st.integers(1, 3)), draw(st.sampled_from([0, 2, 5, 15]))
+
+    def fault():
+        return draw(st.integers(0, 99)) < rate
+
+    def field(good):
+        return draw(_FAULTS) if fault() else draw(good)
+
+    def per_slot(good):
+        if draw(st.booleans()):
+            return field(good)
+        return [field(good) for _ in range(draw(st.sampled_from([t - 1, t + 1])) if fault()
+                                            else t)]
+
+    customers = []
+    for i in range(draw(st.integers(1, 8))):
+        entry = {"id": field(st.sampled_from([i, float(i), str(i)])),  # 0 and 1 repeat ids
+                 "w": per_slot(st.one_of(st.floats(5.0, 100.0), st.sampled_from([1, 2.0, "4.5"]))),
+                 "alpha": field(st.floats(0.1, 2.0)),
+                 "d_min": field(st.floats(0.0, 2.0)),
+                 "d_max": field(st.floats(20.0, 300.0))}
+        for key in sorted(entry):
+            if fault():
+                del entry[key]
+        customers.append(draw(_FAULTS) if fault() else entry)
+    # never a large integer: a valid slot count is allocated before any customer is read
+    num_slots = draw(st.sampled_from([None, "a", 1.5, True, 0, "1"])) if fault() else t
+    return {"num_slots": num_slots, "customers": customers,
+            "blocks": {"b": per_slot(st.floats(0.1, 50.0))},
+            "cost": {"beta1": per_slot(st.floats(0.01, 0.5)),
+                     "beta2": per_slot(st.floats(0.5, 1.0))}}
+
+
+def outcome(validate, doc):
+    """The message ``validate`` raises on ``doc``, or the scenario's arrays as bytes."""
+    try:
+        s = validate(doc)
+    except ScenarioError as err:
+        return str(err)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (
+        s.ids, s.w, s.alpha, s.d_min, s.d_max, s.blocks.b, s.cost.beta1, s.cost.beta2)]
+
+
+class TestStackedValidation:
+    """The stacked checks name the per-entry reference's first fault, in its words."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(faulty_documents())
+    @example({"num_slots": 2, "customers": [
+        {"id": 0, "w": [1.0, True], "alpha": 1.0, "d_max": 5},  # a boolean, then NaN next
+        {"id": 0, "w": [1.0, float("nan")], "alpha": True, "d_max": 5}],
+        "blocks": {"b": 1}, "cost": {"beta1": 0.5, "beta2": 0.6}})
+    @example({"num_slots": 2, "customers": [
+        {"id": 3, "w": [1, 2], "alpha": 1, "d_min": False, "d_max": 5},
+        {"id": 3, "w": 2, "alpha": 1, "d_max": 5}],  # a duplicate after a boolean
+        "blocks": {"b": [1, True]}, "cost": {"beta1": 0.5, "beta2": 0.6}})
+    @example({"num_slots": 2, "customers": [  # stack to (N, 1) and (N, 1, 2), not (N, T)
+        {"id": i, "w": w, "alpha": 1, "d_max": 5} for i, w in enumerate([[30.0], [40.0]])],
+        "blocks": {"b": 1}, "cost": {"beta1": 0.5, "beta2": 0.6}})
+    @example({"num_slots": 2, "customers": [{"id": 0, "w": [[30.0, 20.0]], "alpha": 1,
+                                             "d_max": 5}],
+              "blocks": {"b": 1}, "cost": {"beta1": 0.5, "beta2": 0.6}})
+    def test_matches_the_per_entry_reference(self, doc):
+        assert outcome(validate_scenario, doc) == outcome(reference_validate_scenario, doc)
+
+    def test_large_document_matches_the_reference(self):
+        rng = np.random.default_rng(3)
+        customers = [{"id": i, "w": rng.uniform(1.0, 50.0, 24).tolist(), "alpha": 1.0,
+                      "d_min": 0.0, "d_max": 500.0} for i in range(400)]
+        doc = {"num_slots": 24, "customers": customers, "blocks": {"b": 25.0},
+               "cost": {"beta1": 0.5, "beta2": 0.6}}
+        assert isinstance(outcome(validate_scenario, doc), list)
+        assert outcome(validate_scenario, doc) == outcome(reference_validate_scenario, doc)
+        customers[250]["w"][7] = True
+        customers[301]["id"] = 5
+        assert outcome(validate_scenario, doc) == outcome(reference_validate_scenario, doc) == (
+            "customers[250].w: must be a number, got True")
+
+    @pytest.mark.parametrize("path, place", [
+        ("customers[1].w", lambda doc, v: doc["customers"][1].update(w=v)),
+        ("customers[1].w", lambda doc, v: doc["customers"][1].update(w=[1.0, v])),
+        ("customers[1].alpha", lambda doc, v: doc["customers"][1].update(alpha=v)),
+        ("customers[1].d_min", lambda doc, v: doc["customers"][1].update(d_min=v)),
+        ("customers[1].d_max", lambda doc, v: doc["customers"][1].update(d_max=v)),
+        ("blocks.b", lambda doc, v: doc["blocks"].update(b=v)),
+        ("cost.beta1", lambda doc, v: doc["cost"].update(beta1=v)),
+        ("cost.beta2", lambda doc, v: doc["cost"].update(beta2=[0.6, v])),
+    ])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_rejected_in_numeric_field(self, path, place, value):
+        doc = {"num_slots": 2, "customers": [
+            {"id": 0, "w": 40, "alpha": 1.0, "d_min": 0, "d_max": 100},
+            {"id": 1, "w": [30, 20], "alpha": 1.0, "d_min": 1, "d_max": 100}],
+            "blocks": {"b": 25}, "cost": {"beta1": 0.5, "beta2": 0.6}}
+        place(doc, value)
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(doc)
+        assert str(err.value) == f"{path}: must be a number, got {value!r}"
+
+    def test_numeric_strings_accepted(self):
+        doc = {"num_slots": 2, "customers": [
+            {"id": "0", "w": ["30", 20], "alpha": "1.5", "d_min": "1", "d_max": "3.5e2"}],
+            "blocks": {"b": "25"}, "cost": {"beta1": "0.5", "beta2": ["0.6", 0.7]}}
+        scenario = validate_scenario(doc)
+        np.testing.assert_array_equal(scenario.w, [[30.0, 20.0]])
+        assert (scenario.alpha[0, 0], scenario.d_min[0], scenario.d_max[0]) == (1.5, 1.0, 350.0)
+        np.testing.assert_array_equal(scenario.cost.beta2, [0.6, 0.7])

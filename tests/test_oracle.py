@@ -24,7 +24,16 @@ from brpmarket import (
 from brpmarket import oracle
 from brpmarket.cli import demo_scenario_document, main
 from conftest import make_scenario, random_scenario, single_customer_scenario
+from references import reference_welfare_optimum
 from test_market import LOOP_SCENARIOS, bench_scenarios, straddle_cap_scenario
+
+
+def leaky_start_document():
+    """A valid one-cell scenario whose oracle start point overflows: beta 1e300 against
+    1/alpha = 1e10."""
+    return {"num_slots": 1, "customers": [{"id": 0, "w": 1e-300, "alpha": 1e-10,
+                                           "d_min": 0.0, "d_max": 1.0}],
+            "blocks": {"b": 1e-300}, "cost": {"beta1": 1e300, "beta2": 1e300}}
 
 
 def past_satiation_scenario():
@@ -171,6 +180,14 @@ class TestCentralizedSolver:
         assert np.geterr() == before
         assert sol.converged
         assert sol.allocation.x[0, 0] == pytest.approx(40.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_point_overflow_does_not_warn(self):
+        # 1 + 2*beta1*sum(1/alpha) overflows in the start point, inside the errstate
+        scenario = validate_scenario(leaky_start_document())
+        before = np.geterr()
+        solve_welfare_centralized(scenario)
+        assert np.geterr() == before
 
     def test_past_satiation_only_demand_is_unique(self):
         # each customer ties slots 0 and 1 past satiation at an effective price of
@@ -555,3 +572,63 @@ class TestExactMethodsAgree:
         np.testing.assert_allclose(sol.allocation.x.sum(axis=0), demand, rtol=0,
                                    atol=1e-12 * float(demand.max()))
         assert sol.welfare == pytest.approx(optimum.welfare, rel=1e-12)
+
+
+@st.composite
+def kkt_instances(draw):
+    """N*T <= 3 markets over the welfare optimum's regimes: beta1 = beta2 or below it,
+    per slot; per-slot b; slack, binding floors and caps; d_min == d_max; and floors near
+    the total satiation with slot costs far apart, which put a cell past its satiation."""
+    n, t = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]))
+    beta1 = [draw(st.floats(0.01, 1.0)) for _ in range(t)]
+    beta2 = [b * draw(st.sampled_from([1.0, 1.0, 1.5, 3.0])) for b in beta1]
+    customers = []
+    for i in range(n):
+        w = [draw(st.floats(1.0, 100.0)) for _ in range(t)]
+        alpha = draw(st.sampled_from([0.5, 1.0, 1.7]))
+        sat, f = sum(w) / alpha, draw(st.floats(0.05, 0.95))
+        band = draw(st.sampled_from(["slack", "floor", "cap", "pinned", "past"]))
+        d_min, d_max = {"slack": (0.0, 10 * sat), "floor": (f * sat, 10 * sat),
+                        "cap": (0.0, f * sat), "pinned": (f * sat, f * sat),
+                        "past": (sat * (0.9 + 0.1 * f), sat)}[band]
+        customers.append({"id": i, "w": w, "alpha": alpha, "d_min": d_min, "d_max": d_max})
+    peak = [sum(c["w"][s] / c["alpha"] for c in customers) for s in range(t)]
+    b = [draw(st.floats(0.1, 0.9)) * p / n for p in peak]
+    return make_scenario(t, customers, b=b, beta1=beta1, beta2=beta2)
+
+
+# the off-boundary w = (10, 90) demo and a floor that is optimal past satiation
+W10_90 = make_scenario(1, [{"id": 0, "w": 10.0, "alpha": 1.0, "d_max": 1000.0},
+                           {"id": 1, "w": 90.0, "alpha": 1.0, "d_max": 1000.0}],
+                       b=25.0, beta1=0.5, beta2=0.6)
+FLOOR_PAST_SATIATION = make_scenario(2, [{"id": 0, "w": [10.0, 10.0], "alpha": 1.0,
+                                          "d_min": 19.0, "d_max": 19.0}],
+                                     b=1000.0, beta1=[0.01, 1.0], beta2=[0.01, 1.0])
+
+
+class TestBatchedWelfareOptimum:
+    """The stacked KKT systems give the per-piece loop's answer, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(kkt_instances())
+    @example(validate_scenario(demo_scenario_document()))
+    @example(W10_90)
+    @example(FLOOR_PAST_SATIATION)
+    @example(make_scenario(3, [{"id": 0, "w": [3.0, 2.5, 2.0], "alpha": 1.0, "d_min": 0.5,
+                                "d_max": 3.0}], b=[1.0, 0.5, 2.0], beta1=[0.25, 0.1, 0.5],
+                           beta2=[0.3, 0.1, 1.5]))  # the cap binds; one slot has beta1 = beta2
+    @example(make_scenario(3, [{"id": 0, "w": [10.0, 10.0, 10.0], "alpha": 1.0, "d_min": 29.0,
+                                "d_max": 29.0}], b=[1.0, 5.0, 30.0], beta1=[0.01, 1.0, 1.0],
+                           beta2=[0.02, 1.0, 3.0]))  # pinned, with a cell past satiation
+    def test_bit_identical_to_the_per_piece_loop(self, scenario):
+        batched, looped = welfare_optimum(scenario), reference_welfare_optimum(scenario)
+        assert batched.allocation.x.tobytes() == looped.allocation.x.tobytes()
+        assert np.float64(batched.welfare).tobytes() == np.float64(looped.welfare).tobytes()
+        assert batched.boundary_degenerate == looped.boundary_degenerate
+
+    def test_examples_reach_their_regimes(self):
+        # the pinned cases: the demo on bN, w = (10, 90) off it, and a cell past satiation
+        assert welfare_optimum(validate_scenario(demo_scenario_document())).boundary_degenerate
+        assert welfare_optimum(W10_90).allocation.x.tolist() == [[0.0], [45.0]]
+        x = welfare_optimum(FLOOR_PAST_SATIATION).allocation.x
+        assert x[0, 0] > FLOOR_PAST_SATIATION.satiation[0, 0]
