@@ -29,7 +29,7 @@ def main() -> None:
         "cost": {"beta1": 0.5, "beta2": 0.6},
     })
 
-    report, trace = run_market(scenario, RunConfig(gamma=0.1, tol=1e-9))
+    report, _ = run_market(scenario, RunConfig(gamma=0.1, tol=1e-9))
     print(f"converged in {report.iterations} iterations, "
           f"welfare {report.welfare:.4f}")
     print("prices p_l:", np.round(report.prices.p_l, 4))

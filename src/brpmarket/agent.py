@@ -1,6 +1,6 @@
 """The customers' price response on the whole (N, T) allocation: the
-projected-gradient step, the batched daily-band projection, net utility,
-and the equilibrium (KKT) certificate, all through one lifted projection of
+projected-gradient step, the batched daily-band projection and the
+equilibrium (KKT) certificate, all through one lifted projection of
 each slot's first block ``y = min(x, b)`` and excess ``z' = max(x - b, 0)``."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .model import Allocation, PriceSchedule, Scenario, utility_gradient, utility_value
+from .model import Allocation, PriceSchedule, Scenario, utility_gradient
 
 _NEWTON_STEPS = 4  # evaluations from a warm shift before a row falls back to the sort
 _NEWTON_RTOL = 2.0 ** -46  # a row settles when |sum - bound| <= this * |bound|
@@ -100,15 +100,6 @@ def step_profile(x: np.ndarray, prices: PriceSchedule, gamma: float,
     if not np.isfinite(new_x).all():
         raise FloatingPointError("the projected step must be finite")
     return new_x
-
-
-def net_utility(x: np.ndarray, prices: PriceSchedule, scenario: Scenario) -> np.ndarray:
-    """Each customer's utility minus block payments, shape (N,):
-    ``sum_t U(x) - p_l*min(x, b) - p_u*max(x - b, 0)``."""
-    b = scenario.blocks.b
-    util = utility_value(x, scenario.w, scenario.alpha)
-    payment = prices.p_l * np.minimum(x, b) + prices.p_u * np.maximum(x - b, 0.0)
-    return np.sum(util - payment, axis=1)
 
 
 def _onto_blocks(a: np.ndarray, c: np.ndarray, b, d_min, d_max, warm=None):

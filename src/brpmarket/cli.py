@@ -24,8 +24,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .market import (DivergenceError, RunConfig, _TraceCsv, default_step_size, run_market,
-                     social_welfare)
+from .market import DivergenceError, RunConfig, default_step_size, run_market, write_trace
 from .model import Allocation, ScenarioError, load_scenario
 from .oracle import compare_equilibrium, solve_welfare_centralized, welfare_optimum
 
@@ -78,17 +77,13 @@ def _gamma(args, scenario) -> float:
 
 
 def _run_traced(scenario, config, path: Path):
-    """``run_market`` with its trace streamed to ``path`` as it runs; a run that diverges
-    leaves neither that file nor any directory made for it."""
+    """:func:`write_trace` to ``path``; a run that diverges leaves neither that file nor
+    any directory made for it."""
     made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write = _TraceCsv(fh, scenario.blocks.b)
-            return run_market(scenario, config, lambda k, x, prices, change, _: write(
-                k, x, prices, social_welfare(Allocation(x), scenario), change))
+        return write_trace(scenario, config, path)
     except DivergenceError:
-        path.unlink()
         for directory in made:  # deepest first
             directory.rmdir()
         raise

@@ -9,6 +9,7 @@ constraints stay enforced throughout.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,62 +54,28 @@ class RunConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One market iterate: allocation, prices, welfare, allocation change."""
-
-    allocation: Allocation
-    prices: PriceSchedule
-    welfare: float
-    max_change: float
-
-
 @dataclass
 class IterationTrace:
     """The read-only view of one :func:`run_market` call: its scenario, its ``RunConfig``
-    up to the stopping iteration and the scenario fingerprint, not its iterates.
-
-    The first read (``records``, ``trace[k]``, iteration) replays the run, one more market
-    solve, and keeps the records; :meth:`to_csv` streams the replay of an unread trace and
-    keeps none.  A replay of a scenario changed since its run raises ``ValueError``."""
+    up to the stopping iteration and the scenario fingerprint, not its iterates."""
 
     _scenario: Scenario
     _config: RunConfig
     _fingerprint: str
-    _records: list[IterationRecord] | None = None
 
     def __len__(self) -> int:
         return self._config.max_iter + 1
 
-    def __getitem__(self, idx) -> IterationRecord:
-        return self.records[idx]
-
-    @property
-    def records(self) -> list[IterationRecord]:
-        if self._records is None:
-            self._records = list(self._replay())
-        return self._records
-
-    def _replay(self):
-        """The run's records, one at a time, each welfare from :func:`social_welfare`."""
-        if (scenario := self._scenario).fingerprint() != self._fingerprint:
-            raise ValueError("the scenario changed after its run; its trace cannot be replayed")
-        return (IterationRecord(Allocation(x), prices,
-                                social_welfare(Allocation(x), scenario), max_change)
-                for _, x, prices, max_change, _ in _iterates(scenario, self._config))
-
     def to_csv(self, path) -> None:
-        """Write the run's ``trace.csv`` with :class:`_TraceCsv`: the replay of an unread
-        trace, streamed and not kept, or the kept records of a read one."""
-        records = self._replay() if self._records is None else self._records
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write = _TraceCsv(fh, self._scenario.blocks.b)
-            for k, rec in enumerate(records):
-                write(k, rec.allocation.x, rec.prices, rec.welfare, rec.max_change)
+        """Write the run's ``trace.csv`` with :func:`write_trace`, one more market solve; a
+        scenario changed since the run raises ``ValueError`` and writes nothing."""
+        if self._scenario.fingerprint() != self._fingerprint:
+            raise ValueError("the scenario changed after its run; its trace cannot be written")
+        write_trace(self._scenario, self._config, path)
 
 
 class _TraceCsv:
-    """The one ``trace.csv`` writer, fed one iterate at a time by ``to_csv`` or a
+    """The one ``trace.csv`` writer, fed one iterate at a time by :func:`write_trace`'s
     ``run_market`` observer.  Fixed bytes: a comment line ending in LF, then the header and
     a row per (iteration, slot, customer), slot-major, ending in CRLF as ``csv.writer`` ends
     them; each float is its ``repr``.  An iterate is its number and one join of five pieces
@@ -125,7 +92,7 @@ class _TraceCsv:
 
     def __call__(self, k, x, prices, welfare, max_change) -> None:
         xt, b, seps, end = x.T, self._b, self._seps, f",{welfare!r},{max_change!r}\r\n{k}"
-        if (pieces := self._pieces) is None:  # not before a replay starts: that raised peak RSS
+        if (pieces := self._pieces) is None:  # not before the run starts: that raised peak RSS
             pieces = self._pieces = [""] * (5 * xt.size)
             pieces[::5] = [f",{s},{c}," for s in range(len(b)) for c in range(xt.shape[1])]
         bits, index = np.unique(xt.view(np.int64), return_inverse=True)
@@ -323,9 +290,9 @@ def run_market(scenario: Scenario, config: RunConfig, observe=lambda *iterate: N
 
     Returns ``(EquilibriumReport, IterationTrace)``.  The run holds one iterate at a time
     and computes only the stopping iterate's :func:`social_welfare`; its trace holds the
-    run, not its iterates, and replays them when read.  ``observe`` sees each tuple of
-    :func:`_iterates` once, when that iterate has passed the divergence checks: the CLI
-    streams ``trace.csv`` so.  From iterate 1 on, a non-finite ``p_u`` or welfare raises
+    run, not its iterates.  ``observe`` sees each tuple of :func:`_iterates` once, when
+    that iterate has passed the divergence checks: :func:`write_trace` streams
+    ``trace.csv`` so.  From iterate 1 on, a non-finite ``p_u`` or welfare raises
     :class:`DivergenceError`.  The welfare is finite, and not computed for that check,
     while ``(N*T + 1)*(max w*max D + (max alpha/2 + max beta2)*max D**2) < 1e300`` and
     ``max w < 1e150`` at slot demand D: each cell lies in ``[0, D]``, so ``|U| <= w*D +
@@ -364,3 +331,17 @@ def run_market(scenario: Scenario, config: RunConfig, observe=lambda *iterate: N
         scenario_fingerprint=fingerprint,
     )
     return report, IterationTrace(scenario, replace(config, max_iter=k), fingerprint)
+
+
+def write_trace(scenario: Scenario, config: RunConfig, path):
+    """:func:`run_market` with its ``trace.csv`` streamed to ``path`` by :class:`_TraceCsv`
+    as it runs, each row's welfare from :func:`social_welfare`: the one way that file is
+    written.  Returns the run's pair; a run that diverges leaves no file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write = _TraceCsv(fh, scenario.blocks.b)
+            return run_market(scenario, config, lambda k, x, prices, change, _: write(
+                k, x, prices, social_welfare(Allocation(x), scenario), change))
+    except DivergenceError:
+        os.remove(path)
+        raise

@@ -245,6 +245,8 @@ def validate_scenario(doc: dict) -> Scenario:
     raw_customers = doc.get("customers")
     if not isinstance(raw_customers, list) or not raw_customers:
         raise ScenarioError("customers: must be a non-empty list")
+    if len(raw_customers) * num_slots > np.iinfo(np.intp).max // 8:
+        raise ScenarioError("num_slots: too large for an array of N x num_slots floats")
 
     # every customer's fields stacked once; the first customer that fails a check, in
     # document order, is reported with the first check it fails, in the order below

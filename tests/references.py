@@ -1,14 +1,46 @@
-"""Per-item references for the batched code in ``brpmarket``: the per-piece loop of the
-exact welfare optimum and the per-entry scenario validator.  Tests assert that the batched
-functions give the references' bits and messages."""
+"""References for the tests.  Per-item references for the batched code in ``brpmarket``:
+the per-piece loop of the exact welfare optimum and the per-entry scenario validator, whose
+bits and messages the batched functions must give.  And what only tests read: a customer's
+net utility, and the iterates of a market run as the run produced them."""
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from brpmarket import oracle
-from brpmarket.model import BlockSchedule, CostParams, Scenario, ScenarioError
+from brpmarket.market import run_market, social_welfare
+from brpmarket.model import (Allocation, BlockSchedule, CostParams, PriceSchedule, Scenario,
+                             ScenarioError, utility_value)
+
+
+class Record(NamedTuple):
+    """One iterate of a market run: as the run's observer saw it, and its welfare."""
+
+    k: int
+    x: np.ndarray
+    prices: PriceSchedule
+    max_change: float
+    welfare: float
+
+
+def recorded_run(scenario, config):
+    """``(report, records)``: :func:`run_market` with an observer that keeps each iterate
+    the run produced, ``(k, x, prices, max_change)``, with its :func:`social_welfare`."""
+    records = []
+    report, _ = run_market(scenario, config, lambda k, x, prices, change, _: records.append(
+        Record(k, x, prices, change, social_welfare(Allocation(x), scenario))))
+    return report, records
+
+
+def net_utility(x, prices, scenario):
+    """Each customer's utility minus block payments, shape (N,):
+    ``sum_t U(x) - p_l*min(x, b) - p_u*max(x - b, 0)``."""
+    b = scenario.blocks.b
+    util = utility_value(x, scenario.w, scenario.alpha)
+    payment = prices.p_l * np.minimum(x, b) + prices.p_u * np.maximum(x - b, 0.0)
+    return np.sum(util - payment, axis=1)
 
 
 def reference_welfare_optimum(scenario):
@@ -111,6 +143,8 @@ def reference_validate_scenario(doc):
     raw_customers = doc.get("customers")
     if not isinstance(raw_customers, list) or not raw_customers:
         raise ScenarioError("customers: must be a non-empty list")
+    if len(raw_customers) * num_slots * 8 > np.iinfo(np.intp).max:
+        raise ScenarioError("num_slots: too large for an array of N x num_slots floats")
 
     rows, seen = [], set()
     for idx, entry in enumerate(raw_customers):

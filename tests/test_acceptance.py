@@ -25,6 +25,7 @@ from brpmarket import (
     welfare_optimum,
 )
 from conftest import make_scenario, random_scenario, single_customer_scenario
+from references import recorded_run
 
 BOUNDARY_MARGIN = 0.5  # aggregate-demand distance from bN to count as clean
 NUM_RANDOM_SCENARIOS = 20
@@ -36,12 +37,13 @@ def _report(criterion: int, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def demo_runs(demo_scenario):
-    """Demo-scenario market runs keyed by step size, with wall times."""
+    """Demo-scenario market runs keyed by step size, with the iterates each run produced
+    and wall times."""
     runs = {}
     for gamma in (0.01, 0.1, 0.3):
         start = time.perf_counter()
-        report, trace = run_market(demo_scenario, RunConfig(gamma=gamma, tol=1e-6))
-        runs[gamma] = (report, trace, time.perf_counter() - start)
+        report, records = recorded_run(demo_scenario, RunConfig(gamma=gamma, tol=1e-6))
+        runs[gamma] = (report, records, time.perf_counter() - start)
     return runs
 
 
@@ -138,9 +140,9 @@ def test_criterion_2_second_block_price_ratio(demo_scenario, demo_runs):
     ratio = float(demo_scenario.cost.beta2[0] / demo_scenario.cost.beta1[0])
     worst = 0.0
     checked = 0
-    for _, trace, _ in demo_runs.values():
-        for rec in trace.records:
-            demand = rec.allocation.x.sum(axis=0)
+    for _, records, _ in demo_runs.values():
+        for rec in records:
+            demand = rec.x.sum(axis=0)
             positive = demand > 0
             if not np.any(positive):
                 continue

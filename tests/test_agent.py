@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from brpmarket import (
     Allocation,
     PriceSchedule,
-    net_utility,
     project_band,
     recover_multipliers,
     run_market,
@@ -20,6 +19,7 @@ from brpmarket import (
 )
 from brpmarket.agent import _onto_blocks, _StepKernel
 from conftest import make_scenario, single_customer_scenario
+from references import net_utility, recorded_run
 from test_market import nan_step_document
 
 
@@ -281,9 +281,9 @@ class TestStepProfileDescent:
     def test_never_decreases_net_utility_at_fixed_prices(self, demo_scenario):
         # follow the market trajectory; at each iterate a small-step update
         # must not lower any customer's net utility under the same prices
-        report, trace = run_market(demo_scenario, RunConfig(gamma=0.01))
-        for rec in trace.records[::10]:
-            x = rec.allocation.x
+        report, records = recorded_run(demo_scenario, RunConfig(gamma=0.01))
+        for rec in records[::10]:
+            x = rec.x
             before = net_utility(x, rec.prices, demo_scenario)
             after = net_utility(step_profile(x, rec.prices, 0.01, demo_scenario),
                                 rec.prices, demo_scenario)

@@ -57,6 +57,16 @@ class TestRunCommand:
             "error: customers[0].alpha: must be a number, got True"]
         assert not (tmp_path / "o").exists()
 
+    def test_num_slots_past_the_largest_array_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "slots.json"
+        doc = demo_scenario_document()
+        doc["num_slots"], doc["customers"] = 10**400, doc["customers"][:1]
+        bad.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: num_slots: ")
+        assert not (tmp_path / "o").exists()
+
     def test_max_iter_exhaustion_exits_2(self, demo_file, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--scenario", str(demo_file), "--gamma", "0.01",

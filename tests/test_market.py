@@ -32,6 +32,7 @@ from brpmarket import market as market_module
 from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT, _iterates
 from brpmarket.model import PriceSchedule
 from conftest import make_scenario, random_scenario, single_customer_scenario
+from references import recorded_run
 
 
 def welfare_overflow_document():
@@ -118,31 +119,31 @@ class TestRunMarket:
             [{"id": 0, "w": 50, "alpha": 1.0, "d_min": 10, "d_max": 30},
              {"id": 1, "w": 80, "alpha": 1.0, "d_min": 0, "d_max": 12}],
             b=60, beta1=0.3, beta2=0.4)
-        report, trace = run_market(scenario, RunConfig(gamma=0.1, tol=1e-8))
-        for rec in trace.records:
-            assert np.all(rec.allocation.x >= -1e-12)
+        report, records = recorded_run(scenario, RunConfig(gamma=0.1, tol=1e-8))
+        for rec in records:
+            assert np.all(rec.x >= -1e-12)
             for i, cust in enumerate(scenario.customers):
-                daily = rec.allocation.x[i].sum()
+                daily = rec.x[i].sum()
                 assert cust.d_min - 1e-9 <= daily <= cust.d_max + 1e-9
 
     def test_welfare_never_ends_below_start(self, demo_scenario):
         for gamma in (0.01, 0.1):
-            report, trace = run_market(demo_scenario, RunConfig(gamma=gamma))
-            assert trace[-1].welfare >= trace[0].welfare - 1e-9
+            report, records = recorded_run(demo_scenario, RunConfig(gamma=gamma))
+            assert records[-1].welfare >= records[0].welfare - 1e-9
 
     def test_second_block_pricier_at_every_iterate(self, demo_scenario):
-        _, trace = run_market(demo_scenario, RunConfig(gamma=0.1))
-        for rec in trace.records:
-            demand = rec.allocation.x.sum(axis=0)
+        _, records = recorded_run(demo_scenario, RunConfig(gamma=0.1))
+        for rec in records:
+            demand = rec.x.sum(axis=0)
             positive = demand > 0
             assert np.all(rec.prices.p_u[positive] > rec.prices.p_l[positive])
 
     def test_deterministic_bitwise(self, demo_scenario):
-        r1, t1 = run_market(demo_scenario, RunConfig(gamma=0.1))
-        r2, t2 = run_market(demo_scenario, RunConfig(gamma=0.1))
+        r1, t1 = recorded_run(demo_scenario, RunConfig(gamma=0.1))
+        r2, t2 = recorded_run(demo_scenario, RunConfig(gamma=0.1))
         assert len(t1) == len(t2)
-        for a, b in zip(t1.records, t2.records):
-            assert np.array_equal(a.allocation.x, b.allocation.x)
+        for a, b in zip(t1, t2):
+            assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.prices.p_l, b.prices.p_l)
             assert a.welfare == b.welfare
 
@@ -287,13 +288,13 @@ def wide_slack_scenario():
     })
 
 
-def _changes(trace):
+def _changes(records):
     """Max-norm allocation and price change of every iterate after the first,
-    recomputed from the trace."""
-    return [(float(np.max(np.abs(cur.allocation.x - prev.allocation.x))),
+    recomputed from the run's records."""
+    return [(float(np.max(np.abs(cur.x - prev.x))),
              max(float(np.max(np.abs(cur.prices.p_l - prev.prices.p_l))),
                  float(np.max(np.abs(cur.prices.p_u - prev.prices.p_u)))))
-            for prev, cur in zip(trace.records, trace.records[1:])]
+            for prev, cur in zip(records, records[1:])]
 
 
 class TestStopRule:
@@ -312,29 +313,29 @@ class TestStopRule:
             "one-customer": lambda: (single_customer_scenario(beta=1.0), 0.05),
         }[request.param]()
         gamma = gamma or default_step_size(scenario)
-        return run_market(scenario, RunConfig(gamma=gamma, tol=self.TOL))
+        return recorded_run(scenario, RunConfig(gamma=gamma, tol=self.TOL))
 
     def test_last_iterate_has_both_changes_below_tol(self, run):
-        report, trace = run
-        assert report.converged and len(trace) == report.iterations + 1
-        alloc_change, price_change = _changes(trace)[-1]
+        report, records = run
+        assert report.converged and len(records) == report.iterations + 1
+        alloc_change, price_change = _changes(records)[-1]
         assert alloc_change < self.TOL and price_change < self.TOL
 
     def test_earlier_iterates_have_a_change_of_at_least_tol(self, run):
-        _, trace = run
-        for alloc_change, price_change in _changes(trace)[:-1]:
+        _, records = run
+        for alloc_change, price_change in _changes(records)[:-1]:
             assert alloc_change >= self.TOL or price_change >= self.TOL
 
     def test_price_movement_alone_continues_the_run(self):
         scenario = single_customer_scenario(beta=1.0)
-        _, trace = run_market(scenario, RunConfig(gamma=0.05, tol=self.TOL))
+        _, records = recorded_run(scenario, RunConfig(gamma=0.05, tol=self.TOL))
         assert any(alloc_change < self.TOL <= price_change
-                   for alloc_change, price_change in _changes(trace)[:-1])
+                   for alloc_change, price_change in _changes(records)[:-1])
 
 
 class TestTraceCsv:
     def test_schema_and_round_trip(self, demo_scenario, tmp_path):
-        _, trace = run_market(demo_scenario, RunConfig(gamma=0.3))
+        report, trace = run_market(demo_scenario, RunConfig(gamma=0.3))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().splitlines()
@@ -349,7 +350,7 @@ class TestTraceCsv:
         k = len(trace) - 1
         assert int(last["iter"]) == k
         cust = int(last["customer"])
-        assert float(last["x"]) == trace[k].allocation.x[cust, int(last["slot"])]
+        assert float(last["x"]) == report.allocation.x[cust, int(last["slot"])]
 
     def test_byte_identical_across_runs(self, demo_scenario, tmp_path):
         _, t1 = run_market(demo_scenario, RunConfig(gamma=0.3))
@@ -360,19 +361,21 @@ class TestTraceCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def reference_trace_csv(trace, path):
-    """The csv.writer loop ``to_csv`` replaced, kept as the byte reference.
-    Each cell's y and z are derived one at a time from x and the run's b of its slot."""
+def reference_trace_csv(scenario, config, path):
+    """The csv.writer loop ``to_csv`` replaced, kept as the byte reference, over the
+    records of :func:`recorded_run`.  Each cell's y and z are derived one at a time from x
+    and the scenario's b of its slot."""
+    _, records = recorded_run(scenario, config)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_COMMENT + "\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for k, rec in enumerate(trace.records):
-            n, t = rec.allocation.x.shape
+        for k, rec in enumerate(records):
+            n, t = rec.x.shape
             for slot in range(t):
-                b = np.float64(trace._scenario.blocks.b[slot])
+                b = np.float64(scenario.blocks.b[slot])
                 for cust in range(n):
-                    x = np.float64(rec.allocation.x[cust, slot])
+                    x = np.float64(rec.x[cust, slot])
                     writer.writerow([
                         k, slot, cust,
                         repr(float(x)),
@@ -505,48 +508,46 @@ class TestLoopMatchesReference:
         scenario = LOOP_SCENARIOS[name]()
         config = RunConfig(gamma=0.3 if name == "demo" else default_step_size(scenario),
                            tol=1e-8, max_iter=400)
-        _, trace = run_market(scenario, config)
+        _, records = recorded_run(scenario, config)
         expected = reference_market(scenario, config)
-        assert len(trace) == len(expected) > 2
-        for k, (rec, (x, p_l, p_u, welfare, change)) in enumerate(zip(trace.records, expected)):
+        assert len(records) == len(expected) > 2
+        for k, (rec, (x, p_l, p_u, welfare, change)) in enumerate(zip(records, expected)):
             if name in BINDING:
                 scale = max(1.0, float(np.abs(x).max()))
-                assert_close(rec.allocation.x, x, scale)
+                assert_close(rec.x, x, scale)
                 assert_close(rec.max_change, change, scale)
                 assert_close(rec.prices.p_l, p_l, float(np.abs(p_l).max()))
                 assert_close(rec.prices.p_u, p_u, float(np.abs(p_u).max()))
                 assert_close(rec.welfare, welfare, abs(welfare))
                 continue
-            assert same_bits(rec.allocation.x, x)
+            assert same_bits(rec.x, x)
             assert same_bits(rec.prices.p_l, p_l) and same_bits(rec.prices.p_u, p_u)
             assert same_bits(rec.welfare, welfare) and same_bits(rec.max_change, change)
             if k:
-                before = trace.records[k - 1]
+                before = records[k - 1]
                 assert same_bits(x, clip_then_project_step(
-                    before.allocation.x, before.prices, config.gamma, scenario))
+                    before.x, before.prices, config.gamma, scenario))
 
     @pytest.mark.parametrize("name", LOOP_SCENARIOS)
     def test_records_price_and_welfare_their_own_x(self, name):
         # the loop's unchecked price kernel, to the bit
         scenario = LOOP_SCENARIOS[name]()
-        _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
-                                                  tol=1e-8, max_iter=400))
-        for rec in trace.records:
-            expected = block_prices(rec.allocation.x.sum(axis=0), scenario.cost)
+        _, records = recorded_run(scenario, RunConfig(gamma=default_step_size(scenario),
+                                                      tol=1e-8, max_iter=400))
+        for rec in records:
+            expected = block_prices(rec.x.sum(axis=0), scenario.cost)
             assert same_bits(rec.prices.p_l, expected.p_l)
             assert same_bits(rec.prices.p_u, expected.p_u)
-            assert same_bits(rec.welfare, social_welfare(rec.allocation, scenario))
-        sated = sum(int(np.count_nonzero(rec.allocation.x >= scenario.satiation))
-                    for rec in trace.records)
+            assert same_bits(rec.welfare, social_welfare(Allocation(rec.x), scenario))
+        sated = sum(int(np.count_nonzero(rec.x >= scenario.satiation)) for rec in records)
         assert (sated > 0) == (name == "satiated-floor")
 
     @pytest.mark.parametrize("name", LOOP_SCENARIOS)
     def test_records_own_their_arrays(self, name):
         scenario = LOOP_SCENARIOS[name]()
-        _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
-                                                  max_iter=60))
-        arrays = [a for rec in trace.records
-                  for a in (rec.allocation.x, rec.prices.p_l, rec.prices.p_u)]
+        _, records = recorded_run(scenario, RunConfig(gamma=default_step_size(scenario),
+                                                      max_iter=60))
+        arrays = [a for rec in records for a in (rec.x, rec.prices.p_l, rec.prices.p_u)]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
@@ -606,40 +607,24 @@ def welfare_calls(monkeypatch):
     return calls
 
 
-WELFARE_READERS = {
-    "index": lambda trace, path: [trace[k].welfare for k in range(len(trace))],
-    "records": lambda trace, path: [rec.welfare for rec in trace.records],
-    "iteration": lambda trace, path: [rec.welfare for rec in trace],
-    "csv": _welfare_from_csv,
-}
-
-
-class TestWelfareOnRead:
-    """run_market computes the stopping iterate's welfare; its trace fills every
-    other record's welfare when it is first read, bit-equal to social_welfare."""
+class TestWelfare:
+    """run_market computes the stopping iterate's welfare alone; its trace.csv writes every
+    iterate's, bit-equal to social_welfare."""
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_every_reader_sees_social_welfare(self, trace_dir, seed):
+    def test_trace_csv_writes_social_welfare(self, trace_dir, seed):
         scenario = random_scenario(np.random.default_rng(seed))
         config = RunConfig(gamma=default_step_size(scenario), max_iter=300)
-        for name, read in WELFARE_READERS.items():
-            report, trace = run_market(scenario, config)
-            welfare = read(trace, trace_dir / "welfare.csv")
-            assert len(welfare) == len(trace), name
-            for value, rec in zip(welfare, trace.records):
-                assert same_bits(value, social_welfare(rec.allocation, scenario)), name
-            assert same_bits(report.welfare, trace[-1].welfare)
+        report, trace = run_market(scenario, config)
+        welfare = _welfare_from_csv(trace, trace_dir / "welfare.csv")
+        _, records = recorded_run(scenario, config)
+        assert len(welfare) == len(trace) == len(records)
+        for value, rec in zip(welfare, records):
+            assert same_bits(value, social_welfare(Allocation(rec.x), scenario))
+        assert same_bits(report.welfare, welfare[-1])
 
-    def test_first_read_replays_once(self, demo_scenario, welfare_calls, tmp_path):
-        _, trace = run_market(demo_scenario, RunConfig(gamma=0.1))
-        assert len(welfare_calls) == 1
-        trace[3]
-        assert len(welfare_calls) == 1 + len(trace)
-        trace[-3:-1], trace.records, list(trace), trace.to_csv(tmp_path / "trace.csv")
-        assert len(welfare_calls) == 1 + len(trace)
-
-    def test_unread_trace_evaluates_welfare_once(self, welfare_calls):
+    def test_run_evaluates_welfare_once(self, welfare_calls):
         scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
         report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
         assert report.converged and len(trace) == 36
@@ -657,62 +642,30 @@ def eager_records(scenario, config, last):
             return records
 
 
-class TestReplay:
-    """run_market holds no iterate history: its trace replays the run when read,
-    to the bit, and refuses a scenario changed since the run."""
+class TestRecordedRun:
+    """run_market holds one iterate at a time; the records its observer keeps are the
+    iterates of ``_iterates``, to the bit, up to the run's report."""
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_replay_matches_eager_loop(self, trace_dir, seed):
+    def test_records_match_eager_loop(self, seed):
         scenario = random_scenario(np.random.default_rng(seed))
         config = RunConfig(gamma=default_step_size(scenario), max_iter=300)
         before = np.geterr()
-        report, trace = run_market(scenario, config)
-        trace.to_csv(trace_dir / "unread.csv")
+        report, records = recorded_run(scenario, config)
+        assert np.geterr() == before
         expected = eager_records(scenario, config, report.iterations)
-        assert len(trace) == len(expected) == report.iterations + 1
-        for rec, (x, p_l, p_u, welfare, change) in zip(trace.records, expected):
-            assert same_bits(rec.allocation.x, x) and same_bits(rec.max_change, change)
+        assert len(records) == len(expected) == report.iterations + 1
+        for k, (rec, (x, p_l, p_u, welfare, change)) in enumerate(zip(records, expected)):
+            assert rec.k == k
+            assert same_bits(rec.x, x) and same_bits(rec.max_change, change)
             assert same_bits(rec.prices.p_l, p_l) and same_bits(rec.prices.p_u, p_u)
             assert same_bits(rec.welfare, welfare)
-        assert np.geterr() == before
-        last = trace[-1]
-        assert same_bits(report.allocation.x, last.allocation.x)
+        last = records[-1]
+        assert same_bits(report.allocation.x, last.x)
         assert same_bits(report.prices.p_l, last.prices.p_l)
         assert same_bits(report.prices.p_u, last.prices.p_u)
         assert same_bits(report.welfare, last.welfare)
-        trace.to_csv(trace_dir / "read.csv")
-        assert (trace_dir / "unread.csv").read_bytes() == (trace_dir / "read.csv").read_bytes()
-
-        _, trace = run_market(scenario, config)
-        trace[min(3, len(trace) - 1)]
-        assert np.geterr() == before
-
-        calls, float_reprs = [], market_module._float_reprs
-
-        def failing(values):  # once per iterate: fails after iterate 0 is written
-            calls.append(1)
-            if len(calls) == 2:
-                raise RuntimeError("write failed")
-            return float_reprs(values)
-
-        _, trace = run_market(scenario, config)
-        assert len(trace) >= 2
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(market_module, "_float_reprs", failing)
-            with pytest.raises(RuntimeError, match="write failed"):
-                trace.to_csv(trace_dir / "failed.csv")
-        assert np.geterr() == before
-
-    def test_changed_scenario_is_not_replayed(self, tmp_path):
-        scenario = validate_scenario(cli.demo_scenario_document())
-        _, trace = run_market(scenario, RunConfig(gamma=0.1))
-        scenario.w[0, 0] = 70.0
-        for read in (lambda: trace.records, lambda: trace[-1], lambda: list(trace),
-                     lambda: trace.to_csv(tmp_path / "trace.csv")):
-            with pytest.raises(ValueError, match="scenario changed"):
-                read()
-        assert not (tmp_path / "trace.csv").exists()
 
     def test_run_holds_constant_iterates(self):
         # the peak of a converged run exceeds a two-iterate run's, which holds the
@@ -731,6 +684,57 @@ class TestReplay:
                 tracemalloc.stop()
         assert report.converged and report.iterations == 35
         assert peaks[1] - peaks[0] < 10 * scenario.w.nbytes
+
+
+class TestOneWriter:
+    """``write_trace`` is the one writer of trace.csv, for the CLI and ``to_csv`` alike: a
+    run that diverges, or a scenario changed since its run, leaves no file."""
+
+    def test_divergence_leaves_no_file(self, tmp_path):
+        before = np.geterr()
+        with pytest.raises(DivergenceError) as err:
+            market_module.write_trace(validate_scenario(overflow_document()),
+                                      RunConfig(gamma=1e307), tmp_path / "trace.csv")
+        assert err.value.iteration == 1
+        assert np.geterr() == before
+        assert list(tmp_path.iterdir()) == []
+
+    def test_changed_scenario_writes_nothing(self, tmp_path):
+        scenario = validate_scenario(cli.demo_scenario_document())
+        _, trace = run_market(scenario, RunConfig(gamma=0.1))
+        scenario.w[0, 0] = 70.0
+        with pytest.raises(ValueError, match="scenario changed"):
+            trace.to_csv(tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_to_csv_runs_the_market_once(self, demo_scenario, tmp_path, monkeypatch):
+        _, trace = run_market(demo_scenario, RunConfig(gamma=0.1))
+        solves, iterates = [], market_module._iterates
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return iterates(*args, **kwargs)
+
+        monkeypatch.setattr(market_module, "_iterates", counting)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert len(solves) == 1
+
+    def test_failed_write_restores_errstate(self, tmp_path):
+        scenario = validate_scenario(cli.demo_scenario_document())
+        _, trace = run_market(scenario, RunConfig(gamma=0.1))
+        before, calls, float_reprs = np.geterr(), [], market_module._float_reprs
+
+        def failing(values):  # once per iterate: fails after iterate 0 is written
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("write failed")
+            return float_reprs(values)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(market_module, "_float_reprs", failing)
+            with pytest.raises(RuntimeError, match="write failed"):
+                trace.to_csv(tmp_path / "failed.csv")
+        assert np.geterr() == before
 
 
 def eager_outcome(scenario, config):
@@ -881,11 +885,11 @@ class TestLargeBlockThreshold:
 class TestTraceCsvGolden:
     def test_run_trace_matches_reference_writer(self, tmp_path):
         scenario = validate_scenario(straddling_document())
-        report, trace = run_market(scenario, RunConfig(gamma=0.3))
+        report, trace = run_market(scenario, config := RunConfig(gamma=0.3))
         x, b = report.allocation.x, scenario.blocks.b
         assert np.all(np.any(x < b, axis=0)) and np.all(np.any(x > b, axis=0))
         trace.to_csv(tmp_path / "fast.csv")
-        reference_trace_csv(trace, tmp_path / "reference.csv")
+        reference_trace_csv(scenario, config, tmp_path / "reference.csv")
         data = (tmp_path / "fast.csv").read_bytes()
         assert data == (tmp_path / "reference.csv").read_bytes()
         comment, header, first = data.split(b"\n")[:3]
@@ -900,34 +904,33 @@ class TestTraceCsvGolden:
                          "--gammas", "0.1,0.3", "--out", str(out)]) == 0
         scenario = validate_scenario(straddling_document())
         for gamma in (0.1, 0.3):
-            _, trace = run_market(scenario, RunConfig(gamma=gamma))
-            reference_trace_csv(trace, tmp_path / "reference.csv")
+            reference_trace_csv(scenario, RunConfig(gamma=gamma), tmp_path / "reference.csv")
             assert ((out / f"trace_gamma_{gamma}.csv").read_bytes()
                     == (tmp_path / "reference.csv").read_bytes())
 
     def test_wide_slack_run_matches_reference_writer(self, tmp_path):
         scenario = wide_slack_scenario()
-        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        report, trace = run_market(scenario, config := RunConfig(gamma=default_step_size(scenario)))
         x = report.allocation.x
         assert report.converged and np.any(x == 0.0) and np.any(x > 25.0)
         trace.to_csv(tmp_path / "fast.csv")
-        reference_trace_csv(trace, tmp_path / "reference.csv")
+        reference_trace_csv(scenario, config, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize("side", ["cap", "floor"])
     def test_binding_band_run_matches_reference_writer(self, side, tmp_path):
         # every customer's daily band binds, and cells sit at b
         scenario = validate_scenario(bench_scenarios().band_document([1, 0], 50, 24, side))
-        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
+        report, trace = run_market(scenario, config := RunConfig(gamma=default_step_size(scenario)))
         x, bound = report.allocation.x, scenario.d_max if side == "cap" else scenario.d_min
         assert report.converged and np.allclose(x.sum(axis=1), bound)
         assert np.any(x == scenario.blocks.b)
         trace.to_csv(tmp_path / "fast.csv")
-        reference_trace_csv(trace, tmp_path / "reference.csv")
+        reference_trace_csv(scenario, config, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_writer_peak_memory(self, tmp_path):
-        # the tracemalloc peak of writing the benchmark's report trace, replay included:
+        # the tracemalloc peak of writing the benchmark's report trace, its run included:
         # 1,262 KB with one repr per distinct bit pattern; pieces joined as bytes, whose
         # join holds a buffer view per piece, reach 2.5 MB
         scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
@@ -953,9 +956,9 @@ def scenario_document(scenario) -> dict:
             "cost": {"beta1": scenario.cost.beta1.tolist(), "beta2": scenario.cost.beta2.tolist()}}
 
 
-def trace_edges(scenario, trace) -> set:
-    """The edges of the writer that a run's trace reaches."""
-    xs = [rec.allocation.x for rec in trace.records]
+def trace_edges(scenario, records) -> set:
+    """The edges of the writer that a run's iterates reach."""
+    xs = [rec.x for rec in records]
     daily = xs[-1].sum(axis=1)
     return {name for name, reached in [
         ("cap", np.any(np.abs(daily - scenario.d_max) <= 1e-9)),
@@ -967,7 +970,7 @@ def trace_edges(scenario, trace) -> set:
 
 class TestStreamedTrace:
     """``brpmarket run`` streams trace.csv from its one market run: the bytes that
-    ``reference_trace_csv`` writes from the records of a replay of that run."""
+    ``to_csv`` writes, and that ``reference_trace_csv`` writes from the run's records."""
 
     # random_scenario seeds whose runs reach the writer's edges, as the last test checks
     EDGES = {69: {"cap", "at b", "at 0", "N = 1"}, 1: {"floor", "at b", "at 0"},
@@ -985,18 +988,21 @@ class TestStreamedTrace:
         path, out = trace_dir / "scenario.json", trace_dir / "run"
         path.write_text(json.dumps(document))
         code = cli.main(["run", "--scenario", str(path), "--max-iter", "300", "--out", str(out)])
-        report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
-                                                       max_iter=300))
+        config = RunConfig(gamma=default_step_size(scenario), max_iter=300)
+        report, trace = run_market(scenario, config)
         assert code == (0 if report.converged else 2)
-        reference_trace_csv(trace, trace_dir / "reference.csv")
-        assert (out / "trace.csv").read_bytes() == (trace_dir / "reference.csv").read_bytes()
+        trace.to_csv(trace_dir / "to_csv.csv")
+        reference_trace_csv(scenario, config, trace_dir / "reference.csv")
+        data = (out / "trace.csv").read_bytes()
+        assert data == (trace_dir / "to_csv.csv").read_bytes()
+        assert data == (trace_dir / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize("seed", sorted(EDGES))
     def test_examples_reach_their_edges(self, seed):
         scenario = random_scenario(np.random.default_rng(seed))
-        _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario),
-                                                  max_iter=300))
-        assert self.EDGES[seed] <= trace_edges(scenario, trace)
+        _, records = recorded_run(scenario, RunConfig(gamma=default_step_size(scenario),
+                                                      max_iter=300))
+        assert self.EDGES[seed] <= trace_edges(scenario, records)
 
 
 class TestTraceCsvEdges:

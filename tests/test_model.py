@@ -234,6 +234,17 @@ class TestValidateScenario:
         assert scenario.num_slots == expected
         assert scenario.blocks.b.shape == (expected,)
 
+    @pytest.mark.parametrize("num_slots, customers", [(10**400, 1), (2**60, 1), (2**59, 2)],
+                             ids=["1e400", "2**60", "2**59-by-2"])
+    def test_num_slots_past_the_largest_array_rejected(self, num_slots, customers):
+        # N*T floats of 8 bytes past numpy's largest array, which none of these could be
+        # allocated as either; numpy's own error is a bare ValueError
+        doc = self.base_doc()
+        doc["num_slots"], doc["customers"] = num_slots, doc["customers"][:customers]
+        with pytest.raises(ScenarioError, match=r"^num_slots: too large"):
+            validate_scenario(doc)
+        assert outcome(validate_scenario, doc) == outcome(reference_validate_scenario, doc)
+
     @pytest.mark.parametrize("text, message", [
         ("[]", "scenario document must be a JSON object"),
         ("{}", "num_slots: field is required"),

@@ -15,6 +15,6 @@ def test_dataclass_type_hints_resolve():
     classes = [getattr(brpmarket, name) for name in brpmarket.__all__]
     dataclass_types = [cls for cls in classes
                        if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
-    assert len(dataclass_types) == 12
+    assert len(dataclass_types) == 11
     for cls in dataclass_types:
         assert typing.get_type_hints(cls)
