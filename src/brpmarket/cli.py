@@ -54,9 +54,14 @@ def _summary(report) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
+def _write_json(path: Path | None, payload: dict) -> str:
+    """``payload``'s strict JSON text, NaN and inf as null; written to ``path`` if given."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return text
 
 
 def _fail(code: int, problem) -> int:
@@ -101,9 +106,7 @@ def cmd_run(args) -> int:
         report, _ = _run_traced(scenario, config, out / "trace.csv")
     except DivergenceError as exc:
         return _fail(EXIT_NOT_CONVERGED, exc)
-    summary = _summary(report)
-    _write_json(out / "summary.json", summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_write_json(out / "summary.json", _summary(report)), end="")
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
@@ -178,7 +181,10 @@ def cmd_verify(args) -> int:
     all_pass = comparison.passed
 
     if scenario.num_customers * scenario.num_slots <= 3:
-        optimum = welfare_optimum(scenario)
+        try:
+            optimum = welfare_optimum(scenario)
+        except ValueError as exc:
+            return _fail(EXIT_ORACLE_FAILED, exc)
         # past satiation the maximizer is not unique: compared by welfare alone
         optimum_cmp = compare_equilibrium(report, optimum, tol_demand=math.inf)
         payload["optimum"] = optimum_cmp.as_dict()
@@ -193,11 +199,8 @@ def cmd_verify(args) -> int:
         print("notice: N*T > 3, welfare optimum skipped", file=sys.stderr)
 
     payload["pass"] = all_pass
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "comparison.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    path = Path(args.out) / "comparison.json" if args.out else None
+    print(_write_json(path, payload), end="")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 

@@ -75,7 +75,7 @@ class IterationTrace:
 
 
 class _TraceCsv:
-    """The one ``trace.csv`` writer, fed one iterate at a time by :func:`write_trace`'s
+    """The one ``trace.csv`` writer, fed one iterate at a time as :func:`write_trace`'s
     ``run_market`` observer.  Fixed bytes: a comment line ending in LF, then the header and
     a row per (iteration, slot, customer), slot-major, ending in CRLF as ``csv.writer`` ends
     them; each float is its ``repr``.  An iterate is its number and one join of five pieces
@@ -90,7 +90,7 @@ class _TraceCsv:
         self._fh, self._b, self._pieces = fh, b[:, None], None
         self._seps = np.array([[",", f",{v!r},"] for v in b.tolist()], dtype=object)
 
-    def __call__(self, k, x, prices, welfare, max_change) -> None:
+    def __call__(self, k, x, prices, max_change, welfare) -> None:
         xt, b, seps, end = x.T, self._b, self._seps, f",{welfare!r},{max_change!r}\r\n{k}"
         if (pieces := self._pieces) is None:  # not before the run starts: that raised peak RSS
             pieces = self._pieces = [""] * (5 * xt.size)
@@ -258,41 +258,16 @@ def default_step_size(scenario: Scenario) -> float:
     return 2.0 / (float(scenario.alpha.min()) + lam_hi)  # Python floats overflow unwarned
 
 
-def _iterates(scenario: Scenario, config: RunConfig):
-    """The market iteration from ``x = d_min/T``: ``(k, x, prices, max_change,
-    demand)`` for iterate 0 (change nan) and each step to ``config.max_iter``, priced at
-    its slot ``demand = x.sum(0)``.  Raises :class:`DivergenceError` at a non-finite
-    step.  Loop over it in a ``for`` statement, whose break or raise drops the
-    generator, ending its numpy errstate, at once."""
-    x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # iterates are checked
-        kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
-        kernel.split(x)
-        prices = _prices(kernel.demand, *kernel.two_beta)
-        yield 0, x, prices, math.nan, kernel.demand
-        for k in range(1, config.max_iter + 1):
-            try:
-                new_x = kernel.step(x, prices)
-            except FloatingPointError:
-                raise DivergenceError(k) from None
-            # x is finite, so the change is finite iff the new iterate is
-            max_change = kernel.max_change(new_x, x)
-            if not math.isfinite(max_change):
-                raise DivergenceError(k)
-            x = new_x
-            kernel.split(x)
-            prices = _prices(kernel.demand, *kernel.two_beta)
-            yield k, x, prices, max_change, kernel.demand
+def run_market(scenario: Scenario, config: RunConfig, observe=None):
+    """Iterate the distributed price/demand loop to equilibrium: from ``x = d_min/T``,
+    every customer steps against the block prices at the slot demand ``x.sum(0)`` until x
+    and the prices move by less than ``tol``, or to ``max_iter``.
 
-
-def run_market(scenario: Scenario, config: RunConfig, observe=lambda *iterate: None):
-    """Iterate the distributed price/demand loop to equilibrium.
-
-    Returns ``(EquilibriumReport, IterationTrace)``.  The run holds one iterate at a time
-    and computes only the stopping iterate's :func:`social_welfare`; its trace holds the
-    run, not its iterates.  ``observe`` sees each tuple of :func:`_iterates` once, when
-    that iterate has passed the divergence checks: :func:`write_trace` streams
-    ``trace.csv`` so.  From iterate 1 on, a non-finite ``p_u`` or welfare raises
+    Returns ``(EquilibriumReport, IterationTrace)``, the trace a view of the run, not of
+    its iterates.  ``observe(k, x, prices, max_change, welfare)`` sees each iterate once it
+    has passed the divergence checks (change nan at k = 0) with its :func:`social_welfare`,
+    as :func:`write_trace` does; an unobserved run computes the stopping iterate's alone.
+    A non-finite step, and from iterate 1 on a non-finite ``p_u`` or welfare, raises
     :class:`DivergenceError`.  The welfare is finite, and not computed for that check,
     while ``(N*T + 1)*(max w*max D + (max alpha/2 + max beta2)*max D**2) < 1e300`` and
     ``max w < 1e150`` at slot demand D: each cell lies in ``[0, D]``, so ``|U| <= w*D +
@@ -301,24 +276,40 @@ def run_market(scenario: Scenario, config: RunConfig, observe=lambda *iterate: N
     """
     cells, w_max = scenario.w.size + 1, float(scenario.w.max())
     quad = 0.5 * float(scenario.alpha.max()) + float(scenario.cost.beta2.max())
-    for k, x, prices, max_change, demand in _iterates(scenario, config):
-        # max_change is nan at k = 0, so no earlier prices are read there
-        converged = (max_change < config.tol
-                     and float(np.abs(prices.p_l - last.p_l).max()) < config.tol
-                     and float(np.abs(prices.p_u - last.p_u).max()) < config.tol)
-        d, welfare = float(demand.max()), None
-        if (converged or k == config.max_iter
-                or k and not (w_max < 1e150 and cells * (w_max * d + quad * d * d) < 1e300)):
-            welfare = social_welfare(Allocation(x), scenario)
-        # iterate 0 is left to the first step; a finite p_u has a finite p_l, as
-        # demand >= 0 and the validated beta1 <= beta2
-        if k and not (math.isfinite(prices.p_u.max())
-                      and (welfare is None or math.isfinite(welfare))):
-            raise DivergenceError(k)
-        observe(k, x, prices, max_change, demand)
-        if converged:
-            break
-        last = prices
+    x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
+    max_change = math.nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # iterates are checked
+        kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
+        for k in range(config.max_iter + 1):
+            if k:
+                try:
+                    new_x = kernel.step(x, prices)
+                except FloatingPointError:
+                    raise DivergenceError(k) from None
+                # x is finite, so the change is finite iff the new iterate is
+                max_change = kernel.max_change(new_x, x)
+                if not math.isfinite(max_change):
+                    raise DivergenceError(k)
+                x, last = new_x, prices
+            kernel.split(x)
+            prices = _prices(kernel.demand, *kernel.two_beta)
+            # max_change is nan at k = 0, so no earlier prices are read there
+            converged = (max_change < config.tol
+                         and float(np.abs(prices.p_l - last.p_l).max()) < config.tol
+                         and float(np.abs(prices.p_u - last.p_u).max()) < config.tol)
+            d, welfare = float(kernel.demand.max()), None
+            if (observe is not None or converged or k == config.max_iter
+                    or k and not (w_max < 1e150 and cells * (w_max * d + quad * d * d) < 1e300)):
+                welfare = social_welfare(Allocation(x), scenario)
+            # iterate 0 is left to the first step; a finite p_u has a finite p_l, as
+            # demand >= 0 and the validated beta1 <= beta2
+            if k and not (math.isfinite(prices.p_u.max())
+                          and (welfare is None or math.isfinite(welfare))):
+                raise DivergenceError(k)
+            if observe is not None:
+                observe(k, x, prices, max_change, welfare)
+            if converged:
+                break
 
     allocation, fingerprint = Allocation(x), scenario.fingerprint()
     report = EquilibriumReport(
@@ -335,13 +326,11 @@ def run_market(scenario: Scenario, config: RunConfig, observe=lambda *iterate: N
 
 def write_trace(scenario: Scenario, config: RunConfig, path):
     """:func:`run_market` with its ``trace.csv`` streamed to ``path`` by :class:`_TraceCsv`
-    as it runs, each row's welfare from :func:`social_welfare`: the one way that file is
-    written.  Returns the run's pair; a run that diverges leaves no file."""
+    as it runs, each row's welfare the run's own: the one way that file is written.
+    Returns the run's pair; a run that diverges leaves no file."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            write = _TraceCsv(fh, scenario.blocks.b)
-            return run_market(scenario, config, lambda k, x, prices, change, _: write(
-                k, x, prices, social_welfare(Allocation(x), scenario), change))
+            return run_market(scenario, config, _TraceCsv(fh, scenario.blocks.b))
     except DivergenceError:
         os.remove(path)
         raise

@@ -75,8 +75,9 @@ def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
     by semismooth Newton (Qi & Sun, Math. Programming 1993) with backtracking on ``max|F|``,
     from the demand of unclipped first blocks.  F is piecewise affine, so the steps end at
     its root up to rounding; ``converged`` means that ``max|F|``, or the Newton step, is at
-    most ``1e-12 * max D`` within ``_NEWTON_STEPS``, and each pinned row's share fits its
-    cells.  Past satiation only D is unique.
+    most ``1e-12 * max D`` within ``_NEWTON_STEPS``, each pinned row's share fits its
+    cells, each row's sum lies in its daily band to ``1e-12`` of that sum plus its
+    satiation energy, and the welfare is finite.  Past satiation only D is unique.
     Uses no market or step code; reports :func:`agent.worst_kkt_residual` of its x at the
     prices of its settled D, to which x is the best response (at steep prices, those of
     ``x.sum(0)`` differ by rounding), and of an unsettled x at those of ``x.sum(0)``."""
@@ -99,10 +100,12 @@ def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
             demand, st = step, trial
         else:
             settled = np.abs(st.F).max() <= 1e-12 * demand.max()
-    x, total = st.answer, st.answer.sum(axis=0)
-    converged = bool(settled and st.fits)
-    welfare = float(utility_value(x, s.w, s.alpha).sum()
-                    - cost_value(total, s.blocks.b * s.num_customers, s.cost).sum())
+        x, total, rows = st.answer, st.answer.sum(axis=0), st.answer.sum(axis=1)
+        welfare = float(utility_value(x, s.w, s.alpha).sum()
+                        - cost_value(total, s.blocks.b * s.num_customers, s.cost).sum())
+        slack = 1e-12 * (rows + s.satiation.sum(axis=1))  # rounding of x, or of (w - p)/alpha
+    converged = bool(settled and st.fits and np.isfinite(welfare)
+                     and np.all((rows >= s.d_min - slack) & (rows <= s.d_max + slack)))
     residual = worst_kkt_residual(s, Allocation(x), block_prices(demand if settled else total,
                                                                  s.cost))
     return _solution(s, x, welfare, "slot-demand-newton", converged, float(residual))
@@ -151,7 +154,7 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     cost jumps up past ``bN``, the best over all pieces is the maximum; past satiation
     the maximizer need not be unique.  All systems are stacked, in one elimination each for
     the determinants, solves and refinements; the first best in (cell piece, cost piece,
-    set) order wins, and a piece with a NaN score is passed over."""
+    set) order wins, a piece with a NaN score is passed over; ``ValueError`` if none is kept."""
     n, t, nt = scenario.num_customers, scenario.num_slots, scenario.w.size
     if nt > 3:
         raise ValueError("welfare optimum limited to N*T <= 3 variables")
@@ -192,8 +195,9 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     kkt = _kkt((hess / scale[:, None, None])[piece],
                np.take_along_axis(side, sets, 1)[..., None] * rows[sets], sets == 0)
     rhs = np.hstack([lin[q] / scale[piece, None], np.take_along_axis(r, sets, 1)])
-    z = _gauss_jordan(kkt, rhs)[0]
-    x = (z + _gauss_jordan(kkt, rhs - np.einsum("cij,cj->ci", kkt, z))[0])[:, :nt]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN x is not kept below
+        z = _gauss_jordan(kkt, rhs)[0]
+        x = (z + _gauss_jordan(kkt, rhs - np.einsum("cij,cj->ci", kkt, z))[0])[:, :nt]
     tol = 1e-9 * (nt * np.abs(x).max(axis=1, keepdims=True) + np.abs(r))
     kept = np.all((np.einsum("ci,ri->cr", x, rows) * side - r <= tol) | ~held[q], axis=1)
     x, piece, q = x[kept], piece[kept], q[kept]
@@ -202,6 +206,8 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     value = (np.einsum("ci,ci->c", x, lin[q]) + flat[q]
              - 0.5 * np.einsum("ci,cij,cj->c", x, hess[piece], x))
     value[np.isin(piece, piece[np.isnan(value)])] = -np.inf
+    if not value.size:
+        raise ValueError("no KKT solution of the welfare's pieces lies in its piece")
     return _solution(scenario, np.maximum(x[best := np.argmax(value)], 0.0).reshape(n, t),
                      float(value[best]), "piecewise-exact")
 
@@ -214,8 +220,9 @@ def compare_equilibrium(distributed: EquilibriumReport, oracle: OracleSolution,
     if distributed.scenario_fingerprint != oracle.scenario_fingerprint:
         raise ValueError("scenario mismatch between distributed run and oracle")
     x, x_oracle = distributed.allocation.x, oracle.allocation.x
-    allocation_gap = float(np.max(np.abs(x - x_oracle)))
-    demand_gap = float(np.max(np.abs(x.sum(axis=0) - x_oracle.sum(axis=0))))
+    with np.errstate(over="ignore"):  # a shifted x may sum past the float range: gap inf
+        allocation_gap = float(np.max(np.abs(x - x_oracle)))
+        demand_gap = float(np.max(np.abs(x.sum(axis=0) - x_oracle.sum(axis=0))))
     welfare_gap = abs(distributed.welfare - oracle.welfare)
     return ComparisonReport(
         allocation_gap=allocation_gap,

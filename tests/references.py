@@ -10,8 +10,8 @@ from typing import NamedTuple
 import numpy as np
 
 from brpmarket import oracle
-from brpmarket.market import run_market, social_welfare
-from brpmarket.model import (Allocation, BlockSchedule, CostParams, PriceSchedule, Scenario,
+from brpmarket.market import run_market
+from brpmarket.model import (BlockSchedule, CostParams, PriceSchedule, Scenario,
                              ScenarioError, utility_value)
 
 
@@ -27,10 +27,9 @@ class Record(NamedTuple):
 
 def recorded_run(scenario, config):
     """``(report, records)``: :func:`run_market` with an observer that keeps each iterate
-    the run produced, ``(k, x, prices, max_change)``, with its :func:`social_welfare`."""
+    the run produced, ``(k, x, prices, max_change, welfare)``, as the run passed it."""
     records = []
-    report, _ = run_market(scenario, config, lambda k, x, prices, change, _: records.append(
-        Record(k, x, prices, change, social_welfare(Allocation(x), scenario))))
+    report, _ = run_market(scenario, config, lambda *iterate: records.append(Record(*iterate)))
     return report, records
 
 

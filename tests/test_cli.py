@@ -11,7 +11,7 @@ from brpmarket import cli, market, oracle
 from brpmarket.cli import demo_scenario_document, main
 from brpmarket.oracle import solve_welfare_centralized
 from test_market import nan_step_document, welfare_overflow_document
-from test_oracle import leaky_start_document
+from test_oracle import SATED_BAND_DOCUMENT, TINY_BAND_DOCUMENT, leaky_start_document
 
 
 @pytest.fixture()
@@ -22,11 +22,12 @@ def demo_file(tmp_path):
 
 
 class TestRunCommand:
-    def test_demo_scenario_converges(self, demo_file, tmp_path):
+    def test_demo_scenario_converges(self, demo_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["run", "--scenario", str(demo_file), "--gamma", "0.1",
                      "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().out == (out / "summary.json").read_text()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert summary["final_prices"]["p_u"][0] > summary["final_prices"]["p_l"][0]
@@ -231,13 +232,13 @@ class TestOneSolvePerJob:
         (["demo"], 1),
     ], ids=["run", "sweep", "demo"])
     def test_one_market_iteration_per_job(self, argv, jobs, demo_file, tmp_path, monkeypatch):
-        solves, iterates = [], market._iterates
+        solves, kernel = [], market._StepKernel
 
         def counting(*args, **kwargs):
             solves.append(1)
-            return iterates(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(market, "_iterates", counting)
+        monkeypatch.setattr(market, "_StepKernel", counting)
         scenario = [] if argv[0] == "demo" else ["--scenario", str(demo_file)]
         assert main([*argv, *scenario, "--out", str(tmp_path / "out")]) == 0
         assert len(solves) == jobs
@@ -267,6 +268,45 @@ class TestVerifyCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
             "error: the centralized oracle could not certify an equilibrium")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_miss_exits_3_with_one_line(self, tmp_path, capsys):
+        # the centralized answer misses a daily band: nothing is compared or written
+        scen = tmp_path / "band.json"
+        scen.write_text(json.dumps(SATED_BAND_DOCUMENT))
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(scen), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: the centralized oracle could not certify an equilibrium")
+        assert not (out / "comparison.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_optimum_not_found_exits_3_with_one_line(self, tmp_path, capsys):
+        # the exact optimum finds no KKT solution in its piece against a band of 4.8e-57
+        scen = tmp_path / "band.json"
+        scen.write_text(json.dumps(TINY_BAND_DOCUMENT))
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(scen), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no KKT solution")
+        assert not (out / "comparison.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_gap_is_null(self, demo_file, tmp_path, capsys):
+        # a shift of 1e308 sums past the float range: stdout and the file carry the
+        # same strict JSON, the infinite demand gap as null
+        out = tmp_path / "verify"
+        assert main(["verify", "--scenario", str(demo_file), "--inject-perturbation", "1e308",
+                     "--out", str(out)]) == 4
+        text = capsys.readouterr().out
+        assert text == (out / "comparison.json").read_text()
+        payload = json.loads(text)
+        assert payload["demand_gap"] is None and payload["allocation_gap"] == 1e308
 
     def test_demo_optimum_section(self, demo_file, tmp_path):
         # the exact optimum (10, 40), welfare 2100, against the market's run

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from brpmarket import (
 )
 from brpmarket import cli
 from brpmarket import market as market_module
-from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT, _iterates
+from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT
 from brpmarket.model import PriceSchedule
 from conftest import make_scenario, random_scenario, single_customer_scenario
 from references import recorded_run
@@ -608,8 +609,8 @@ def welfare_calls(monkeypatch):
 
 
 class TestWelfare:
-    """run_market computes the stopping iterate's welfare alone; its trace.csv writes every
-    iterate's, bit-equal to social_welfare."""
+    """An unobserved run_market computes the stopping iterate's welfare alone; write_trace
+    computes every iterate's once and writes it, bit-equal to social_welfare."""
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -630,21 +631,25 @@ class TestWelfare:
         assert report.converged and len(trace) == 36
         assert len(welfare_calls) == 1
 
+    def test_trace_evaluates_welfare_once_an_iterate(self, demo_scenario, tmp_path,
+                                                     welfare_calls):
+        report, trace = market_module.write_trace(demo_scenario, RunConfig(gamma=0.1),
+                                                  tmp_path / "trace.csv")
+        assert report.converged and len(trace) == 128
+        assert len(welfare_calls) == len(trace)
 
-def eager_records(scenario, config, last):
-    """``(x, p_l, p_u, welfare, max_change)`` of iterates 0 to ``last`` of ``_iterates``,
-    each held at once, with ``social_welfare``."""
-    records = []
-    for k, x, prices, change, _ in _iterates(scenario, config):
-        records.append((x, prices.p_l, prices.p_u,
-                        social_welfare(Allocation(x), scenario), change))
-        if k == last:
-            return records
+
+def assert_reports_iterate(report, rec):
+    assert same_bits(report.allocation.x, rec.x)
+    assert same_bits(report.prices.p_l, rec.prices.p_l)
+    assert same_bits(report.prices.p_u, rec.prices.p_u)
+    assert same_bits(report.welfare, rec.welfare)
 
 
 class TestRecordedRun:
     """run_market holds one iterate at a time; the records its observer keeps are the
-    iterates of ``_iterates``, to the bit, up to the run's report."""
+    iterates the run produced, to the bit: each is the report of the run stopped there,
+    and observing a run does not change it."""
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -654,18 +659,15 @@ class TestRecordedRun:
         before = np.geterr()
         report, records = recorded_run(scenario, config)
         assert np.geterr() == before
-        expected = eager_records(scenario, config, report.iterations)
-        assert len(records) == len(expected) == report.iterations + 1
-        for k, (rec, (x, p_l, p_u, welfare, change)) in enumerate(zip(records, expected)):
-            assert rec.k == k
-            assert same_bits(rec.x, x) and same_bits(rec.max_change, change)
-            assert same_bits(rec.prices.p_l, p_l) and same_bits(rec.prices.p_u, p_u)
-            assert same_bits(rec.welfare, welfare)
-        last = records[-1]
-        assert same_bits(report.allocation.x, last.x)
-        assert same_bits(report.prices.p_l, last.prices.p_l)
-        assert same_bits(report.prices.p_u, last.prices.p_u)
-        assert same_bits(report.welfare, last.welfare)
+        assert [rec.k for rec in records] == list(range(report.iterations + 1))
+        assert math.isnan(records[0].max_change)
+        for rec in records:
+            assert same_bits(rec.welfare, social_welfare(Allocation(rec.x), scenario))
+        assert_reports_iterate(report, records[-1])
+        assert_reports_iterate(run_market(scenario, config)[0], records[-1])
+        for k in {1, report.iterations // 2} - {0, report.iterations}:
+            assert_reports_iterate(run_market(scenario, replace(config, max_iter=k))[0],
+                                   records[k])
 
     def test_run_holds_constant_iterates(self):
         # the peak of a converged run exceeds a two-iterate run's, which holds the
@@ -709,13 +711,13 @@ class TestOneWriter:
 
     def test_to_csv_runs_the_market_once(self, demo_scenario, tmp_path, monkeypatch):
         _, trace = run_market(demo_scenario, RunConfig(gamma=0.1))
-        solves, iterates = [], market_module._iterates
+        solves, kernel = [], market_module._StepKernel
 
         def counting(*args, **kwargs):
             solves.append(1)
-            return iterates(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(market_module, "_iterates", counting)
+        monkeypatch.setattr(market_module, "_StepKernel", counting)
         trace.to_csv(tmp_path / "trace.csv")
         assert len(solves) == 1
 
@@ -737,23 +739,14 @@ class TestOneWriter:
         assert np.geterr() == before
 
 
-def eager_outcome(scenario, config):
-    """``("diverged", k)`` at the first k >= 1 whose p_u or welfare is not finite, each
-    iterate's welfare computed at once, as run_market checked it before welfare was
-    filled on read; else ``("ended", k)`` at run_market's stop rule or cap."""
+def observed_outcome(scenario, config):
+    """``("diverged", k)`` or ``("ended", k)`` of an observed run_market, which computes
+    and checks every iterate's welfare."""
     try:
-        for k, x, prices, change, _ in _iterates(scenario, config):
-            if k and not (math.isfinite(prices.p_u.max())
-                          and math.isfinite(social_welfare(Allocation(x), scenario))):
-                return "diverged", k
-            if (change < config.tol
-                    and float(np.abs(prices.p_l - last.p_l).max()) < config.tol
-                    and float(np.abs(prices.p_u - last.p_u).max()) < config.tol):
-                break
-            last = prices
+        report, _ = run_market(scenario, config, lambda *iterate: None)
     except DivergenceError as err:
         return "diverged", err.iteration
-    return "ended", k
+    return "ended", report.iterations
 
 
 def one_customer_document(w, alpha, d_max):
@@ -796,8 +789,8 @@ PARITY_DOCUMENTS = {
 
 
 class TestDivergenceParity:
-    """run_market diverges at the iterate, and only where, the eager check of every
-    iterate's welfare did, whether or not the welfare bound holds."""
+    """An unobserved run_market diverges at the iterate, and only where, an observed run,
+    which checks every iterate's welfare, does, whether or not the welfare bound holds."""
 
     @pytest.mark.parametrize("gamma", [None, 1e8, 1e307], ids=["default", "1e8", "1e307"])
     @pytest.mark.parametrize("name", PARITY_DOCUMENTS)
@@ -805,7 +798,7 @@ class TestDivergenceParity:
         scenario = validate_scenario(PARITY_DOCUMENTS[name]())
         config = RunConfig(gamma=gamma or default_step_size(scenario), max_iter=40)
         before = np.geterr()
-        expected = eager_outcome(scenario, config)
+        expected = observed_outcome(scenario, config)
         assert np.geterr() == before
         try:
             report, _ = run_market(scenario, config)
@@ -824,7 +817,7 @@ class TestDivergenceParity:
         report, _ = run_market(scenario, config)
         assert np.geterr() == before
         assert len(welfare_calls) == report.iterations
-        assert report.converged and ("ended", report.iterations) == eager_outcome(
+        assert report.converged and ("ended", report.iterations) == observed_outcome(
             scenario, config)
         assert math.isfinite(report.welfare)
         assert same_bits(report.welfare, social_welfare(report.allocation, scenario))
@@ -1131,7 +1124,7 @@ def writer_cell_texts(x, b):
     an iterate of x, (customer, slot), against the per-slot b; every row has ten fields."""
     fh, (n, t) = io.StringIO(), x.shape
     market_module._TraceCsv(fh, b)(7, x, PriceSchedule(p_l=np.ones(t), p_u=np.ones(t)),
-                                   0.5, math.nan)
+                                   math.nan, 0.5)
     rows = [row.split(",") for row in fh.getvalue().split("\r\n")[1:-1]]
     assert [row[:3] + row[6:] for row in rows] == [
         ["7", str(s), str(c), "1.0", "1.0", "0.5", "nan"] for s in range(t) for c in range(n)]

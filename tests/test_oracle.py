@@ -36,6 +36,40 @@ def leaky_start_document():
             "blocks": {"b": 1e-300}, "cost": {"beta1": 1e300, "beta2": 1e300}}
 
 
+# a valid document whose centralized answer misses a daily band: a cell sated at 1.8e216
+# against a band of 0.0038, with a NaN welfare
+SATED_BAND_DOCUMENT = {"num_slots": 1, "customers": [
+    {"id": 0, "w": [3.757451077176146e+132], "alpha": 2.061386113681037e-84,
+     "d_min": 0.003843126316573706, "d_max": 0.003843126316573706},
+    {"id": 1, "w": [2.0576306131394956e+272], "alpha": 0.0018161593959060808,
+     "d_min": 0.0, "d_max": 0.0}],
+    "blocks": {"b": 4.931420384868967e-133},
+    "cost": {"beta1": 0.03980239823311917, "beta2": 0.03980239823311917}}
+# a daily band of 4.8e-57 against cells of 0.018: the centralized answer x = 0 meets it up
+# to the cells' rounding, but no KKT solution of welfare_optimum lies in its piece
+TINY_BAND_DOCUMENT = {"num_slots": 2, "customers": [
+    {"id": 0, "w": [0.00010266701928604815, 1.4870923614019635e-41],
+     "alpha": 0.00576272454226331, "d_min": 4.789422554372975e-57,
+     "d_max": 4.789422554372975e-57}],
+    "blocks": {"b": 1.5601244071247415e+148},
+    "cost": {"beta1": 1.2502122634151467e-05, "beta2": 125021.22634151467}}
+# valid documents whose stacked KKT solves in welfare_optimum divide by zero
+SINGULAR_SOLVE_DOCUMENTS = {
+    "zero-band": {"num_slots": 2, "customers": [
+        {"id": 0, "w": [1.0520864589657167e+115, 8.619127767372706],
+         "alpha": 8.516086130746756e+289, "d_min": 0.0, "d_max": 0.0}],
+        "blocks": {"b": 57958.8831696738},
+        "cost": {"beta1": 4.4167385827403e-286, "beta2": 4.4167385827402996e-276}},
+    "tiny-b": {"num_slots": 1, "customers": [
+        {"id": 0, "w": [36556.24677570517], "alpha": 0.00011139848927106689, "d_min": 0.0,
+         "d_max": 2070.9549280654437},
+        {"id": 1, "w": [0.0009994060387842059], "alpha": 3.4058807787041803e-106,
+         "d_min": 0.0, "d_max": 9.315494447195465e+188}],
+        "blocks": {"b": 1.5776169925225597e-97},
+        "cost": {"beta1": 1.0650979968016252, "beta2": 1.0650979968016252}},
+}
+
+
 def past_satiation_scenario():
     """Two customers whose floor of 110 lies past the satiation (10) of slots 0 and 1:
     each ties those two slots at an effective price of 0, so only D is unique."""
@@ -56,6 +90,16 @@ def certified_scenarios():
     # the market loop's reference scenarios: slack, straddling bN, binding, satiated floors
     cases.update((f"loop-{name}", LOOP_SCENARIOS[name]) for name in LOOP_SCENARIOS
                  if name != "demo")
+    # satiation 1.4e8 times a fixed daily energy: the rows meet their bands only up to
+    # the rounding of (w - p)/alpha, 1.4e-11 here, 4e-9 of the band
+    cases["rounded-bands"] = lambda: make_scenario(4, [
+        {"id": 0, "w": [906.6242239217812, 2971.290502841627, 3229.0952465930686,
+                        2435.821197263017], "alpha": 8.279159394670351,
+         "d_min": 0.001761331668073649, "d_max": 0.001761331668073649},
+        {"id": 1, "w": [3286.9267723942253, 2977.9848645855272, 870.8912749634748,
+                        3085.658754678806], "alpha": 0.013625181657841056,
+         "d_min": 0.003522663336147298, "d_max": 0.003522663336147298}],
+        b=23.874411690960788, beta1=0.001, beta2=0.002)
     return cases
 
 
@@ -158,6 +202,15 @@ class TestCentralizedSolver:
         path.write_text(json.dumps(doc))
         assert main(["verify", "--scenario", str(path)]) == 0
 
+    def test_band_miss_is_not_converged(self):
+        scenario = validate_scenario(SATED_BAND_DOCUMENT)
+        before = np.geterr()
+        sol = solve_welfare_centralized(scenario)
+        assert np.geterr() == before
+        rows = sol.allocation.x.sum(axis=1)
+        assert not np.all((rows >= scenario.d_min) & (rows <= scenario.d_max))
+        assert not sol.converged
+
     def test_unsettled_solve_is_not_converged(self, demo_scenario, monkeypatch):
         # no fallback: an answer the Newton steps did not settle is reported as such
         monkeypatch.setattr(oracle, "_NEWTON_STEPS", 0)
@@ -245,6 +298,19 @@ class TestWelfareOptimum:
         sol = welfare_optimum(scenario)
         assert sol.allocation.x[0, 0] == pytest.approx(7.0, rel=1e-15)
         assert sol.method == "piecewise-exact" and sol.converged
+
+    @pytest.mark.parametrize("name", SINGULAR_SOLVE_DOCUMENTS)
+    def test_singular_solves_do_not_warn(self, name):
+        # RuntimeWarnings are errors here; a singular system's NaN solution is not kept
+        scenario = validate_scenario(SINGULAR_SOLVE_DOCUMENTS[name])
+        sol = welfare_optimum(scenario)
+        rows = sol.allocation.x.sum(axis=1)
+        assert np.isfinite(sol.welfare)
+        assert np.all((rows >= scenario.d_min) & (rows <= scenario.d_max))
+
+    def test_no_solution_in_its_piece_raises(self):
+        with pytest.raises(ValueError, match="no KKT solution"):
+            welfare_optimum(validate_scenario(TINY_BAND_DOCUMENT))
 
     def test_equal_betas_make_blocks_inert(self):
         from brpmarket import block_prices
