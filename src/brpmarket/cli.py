@@ -1,4 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: it parses options, calls the library and prints.  The rules
+live in the library: :func:`market.write_trace` makes a trace's directories and removes
+them with the file when the run diverges, and :func:`market.default_step_size` refuses a
+step bound past the float range.
 
 Subcommands: run (market to equilibrium), sweep (step-size study), verify (oracle
 certification), and demo, which is run on the packaged two-customer scenario
@@ -21,11 +24,10 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .market import DivergenceError, RunConfig, default_step_size, run_market, write_trace
-from .model import Allocation, ScenarioError, load_scenario
+from .model import ScenarioError, load_scenario
 from .oracle import compare_equilibrium, solve_welfare_centralized, welfare_optimum
 
 EXIT_OK = 0
@@ -72,26 +74,7 @@ def _fail(code: int, problem) -> int:
 
 def _gamma(args, scenario) -> float:
     """``--gamma``, or else the scenario's default step."""
-    if args.gamma is not None:
-        return args.gamma
-    gamma = default_step_size(scenario)
-    if gamma == 0.0:  # 2/inf
-        raise ValueError("the scenario's default step bound 2*(max alpha + max(beta1 + "
-                         "beta2)*N) overflows the float range; --gamma sets a step")
-    return gamma
-
-
-def _run_traced(scenario, config, path: Path):
-    """:func:`write_trace` to ``path``; a run that diverges leaves neither that file nor
-    any directory made for it."""
-    made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        return write_trace(scenario, config, path)
-    except DivergenceError:
-        for directory in made:  # deepest first
-            directory.rmdir()
-        raise
+    return default_step_size(scenario) if args.gamma is None else args.gamma
 
 
 def cmd_run(args) -> int:
@@ -103,7 +86,7 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     try:
-        report, _ = _run_traced(scenario, config, out / "trace.csv")
+        report, _ = write_trace(scenario, config, out / "trace.csv")
     except DivergenceError as exc:
         return _fail(EXIT_NOT_CONVERGED, exc)
     print(_write_json(out / "summary.json", _summary(report)), end="")
@@ -133,7 +116,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for gamma, config in zip(args.gammas, configs):
         try:
-            report, _ = _run_traced(scenario, config, out / f"trace_gamma_{gamma}.csv")
+            report, _ = write_trace(scenario, config, out / f"trace_gamma_{gamma}.csv")
             rows.append((gamma, report.iterations, report.converged, report.welfare))
         except DivergenceError as exc:
             rows.append((gamma, exc.iteration, False, math.nan))
@@ -150,9 +133,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not math.isfinite(args.inject_perturbation):
-        return _fail(EXIT_BAD_INPUT, "--inject-perturbation must be finite, "
-                     f"got {args.inject_perturbation!r}")
     try:
         scenario = load_scenario(args.scenario)
         config = RunConfig(gamma=_gamma(args, scenario), tol=1e-10, max_iter=args.max_iter)
@@ -167,11 +147,6 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_NOT_CONVERGED,
                      f"market run did not converge in {report.iterations} iterations")
     centralized = solve_welfare_centralized(scenario)
-
-    if args.inject_perturbation:
-        report = replace(report, allocation=Allocation(
-            report.allocation.x + args.inject_perturbation))
-
     if not centralized.converged:
         return _fail(EXIT_ORACLE_FAILED, "the centralized oracle could not certify an "
                      f"equilibrium (residual {centralized.stationarity_residual!r})")
@@ -244,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[scenario, gamma],
                             help="certify the equilibrium against oracles")
     verify.add_argument("--max-iter", type=int, default=200000)
-    verify.add_argument("--inject-perturbation", type=float, default=0.0,
-                        help="shift the converged allocation (negative control)")
     verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 

@@ -9,8 +9,8 @@ constraints stay enforced throughout.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -251,11 +251,15 @@ def default_step_size(scenario: Scenario) -> float:
     Optimization", 1987, ch. 1).  That is proven only on such pieces.  A binding daily
     band, a switch between pieces, and ``beta1 != beta2``, where the map is not
     monotone, are covered only by measurement: the step converges on the tests' random
-    scenarios to the point the smaller steps reach.
+    scenarios to the point the smaller steps reach.  A bound past the float range, whose
+    step would be ``2/inf = 0``, raises ``ValueError``.
     """
     beta = max(map(float.__add__, scenario.cost.beta1.tolist(), scenario.cost.beta2.tolist()))
     lam_hi = 2.0 * (float(scenario.alpha.max()) + beta * scenario.num_customers)
-    return 2.0 / (float(scenario.alpha.min()) + lam_hi)  # Python floats overflow unwarned
+    if gamma := 2.0 / (float(scenario.alpha.min()) + lam_hi):  # Python floats overflow unwarned
+        return gamma
+    raise ValueError("the scenario's default step bound 2*(max alpha + max(beta1 + beta2)*N) "
+                     "overflows the float range; --gamma sets a step")
 
 
 def run_market(scenario: Scenario, config: RunConfig, observe=None):
@@ -326,11 +330,16 @@ def run_market(scenario: Scenario, config: RunConfig, observe=None):
 
 def write_trace(scenario: Scenario, config: RunConfig, path):
     """:func:`run_market` with its ``trace.csv`` streamed to ``path`` by :class:`_TraceCsv`
-    as it runs, each row's welfare the run's own: the one way that file is written.
-    Returns the run's pair; a run that diverges leaves no file."""
+    as it runs, each row's welfare the run's own: the one way that file is written, returning
+    the run's pair.  Makes path's missing directories; a diverging run removes them and the file."""
+    path = Path(path)
+    made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             return run_market(scenario, config, _TraceCsv(fh, scenario.blocks.b))
     except DivergenceError:
-        os.remove(path)
+        path.unlink()
+        for directory in made:  # deepest first
+            directory.rmdir()
         raise

@@ -9,7 +9,6 @@ compares either against a distributed run.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -56,9 +55,6 @@ class ComparisonReport:
         fields = asdict(self)
         fields["pass"] = fields.pop("passed")
         return fields
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
 
 def _solution(scenario: Scenario, x: np.ndarray, welfare: float, method: str,

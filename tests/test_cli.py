@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from brpmarket import cli, market, oracle
 from brpmarket.cli import demo_scenario_document, main
+from brpmarket.model import Allocation
 from brpmarket.oracle import solve_welfare_centralized
 from test_market import nan_step_document, welfare_overflow_document
 from test_oracle import SATED_BAND_DOCUMENT, TINY_BAND_DOCUMENT, leaky_start_document
@@ -19,6 +21,15 @@ def demo_file(tmp_path):
     path = tmp_path / "demo.json"
     path.write_text(json.dumps(demo_scenario_document()))
     return path
+
+
+def shift_the_oracle(monkeypatch, shift):
+    """A negative control: verify's centralized oracle answers its allocation plus
+    ``shift``, which verify must fail."""
+    def shifted(scenario):
+        solution = solve_welfare_centralized(scenario)
+        return replace(solution, allocation=Allocation(solution.allocation.x + shift))
+    monkeypatch.setattr(cli, "solve_welfare_centralized", shifted)
 
 
 class TestRunCommand:
@@ -297,12 +308,12 @@ class TestVerifyCommand:
         assert not (out / "comparison.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_gap_is_null(self, demo_file, tmp_path, capsys):
+    def test_non_finite_gap_is_null(self, demo_file, tmp_path, capsys, monkeypatch):
         # a shift of 1e308 sums past the float range: stdout and the file carry the
         # same strict JSON, the infinite demand gap as null
+        shift_the_oracle(monkeypatch, 1e308)
         out = tmp_path / "verify"
-        assert main(["verify", "--scenario", str(demo_file), "--inject-perturbation", "1e308",
-                     "--out", str(out)]) == 4
+        assert main(["verify", "--scenario", str(demo_file), "--out", str(out)]) == 4
         text = capsys.readouterr().out
         assert text == (out / "comparison.json").read_text()
         payload = json.loads(text)
@@ -412,17 +423,17 @@ class TestVerifyCommand:
         scen.write_text(json.dumps(doc))
         assert main(["verify", "--scenario", str(scen)]) == 0
 
-    def test_perturbation_injection_fails(self, demo_file, tmp_path):
-        code = main(["verify", "--scenario", str(demo_file),
-                     "--inject-perturbation", "0.5"])
-        assert code == 4
+    def test_perturbation_injection_fails(self, demo_file, monkeypatch):
+        shift_the_oracle(monkeypatch, 0.5)
+        assert main(["verify", "--scenario", str(demo_file)]) == 4
 
-    def test_large_negative_perturbation_fails(self, demo_file, tmp_path, capsys):
+    def test_large_negative_perturbation_fails(self, demo_file, tmp_path, capsys,
+                                               monkeypatch):
         # negative control: the shifted allocation is negative, and verify
         # still compares it and fails instead of raising
+        shift_the_oracle(monkeypatch, -50.0)
         out = tmp_path / "verify"
-        code = main(["verify", "--scenario", str(demo_file),
-                     "--inject-perturbation", "-50", "--out", str(out)])
+        code = main(["verify", "--scenario", str(demo_file), "--out", str(out)])
         assert code == 4
         assert json.loads(capsys.readouterr().out)["pass"] is False
         assert json.loads((out / "comparison.json").read_text())["pass"] is False
@@ -545,13 +556,6 @@ class TestBadOptionValues:
                              "+ max(beta1 + beta2)*N) overflows the float range; --gamma "
                              "sets a step")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_verify_non_finite_perturbation(self, value, demo_file, tmp_path, capsys):
-        out = tmp_path / "out"
-        self.assert_rejected(["verify", "--scenario", str(demo_file),
-                              f"--inject-perturbation={value}", "--out", str(out)],
-                             out, capsys, reason="--inject-perturbation must be finite")
-
 
 class TestUsageErrors:
     """A usage error exits 1, as a bad option value does, not 2, which means that the
@@ -569,6 +573,11 @@ class TestUsageErrors:
     def test_removed_option(self, demo_file, capsys):
         self.assert_usage_error(["verify", "--scenario", str(demo_file), "--grid-step", "0.01"],
                                 capsys, "unrecognized arguments: --grid-step 0.01")
+
+    def test_removed_perturbation_option(self, demo_file, capsys):
+        self.assert_usage_error(["verify", "--scenario", str(demo_file),
+                                 "--inject-perturbation", "0.5"], capsys,
+                                "unrecognized arguments: --inject-perturbation 0.5")
 
     def test_missing_required_option(self, tmp_path, capsys):
         self.assert_usage_error(["run", "--out", str(tmp_path / "o")], capsys,
@@ -660,12 +669,9 @@ class TestParsedOptions:
           "7", "--out", "o"],
          {"scenario": "s.json", "gammas": [0.2], "tol": 1e-8, "max_iter": 7, "out": "o"}),
         (["verify", "--scenario", "s.json"],
-         {"scenario": "s.json", "gamma": None, "max_iter": 200000, "inject_perturbation": 0.0,
-          "out": None}),
-        (["verify", "--scenario", "s.json", "--gamma", "0.5", "--max-iter", "7",
-          "--inject-perturbation", "-2", "--out", "o"],
-         {"scenario": "s.json", "gamma": 0.5, "max_iter": 7, "inject_perturbation": -2.0,
-          "out": "o"}),
+         {"scenario": "s.json", "gamma": None, "max_iter": 200000, "out": None}),
+        (["verify", "--scenario", "s.json", "--gamma", "0.5", "--max-iter", "7", "--out", "o"],
+         {"scenario": "s.json", "gamma": 0.5, "max_iter": 7, "out": "o"}),
         (["demo"],
          {"scenario": str(cli.DEMO_SCENARIO), "gamma": None, "tol": 1e-6, "max_iter": 50000,
           "out": "demo_out"}),

@@ -212,12 +212,11 @@ class TestDefaultStepSize:
         report, _ = run_market(demo_scenario, RunConfig(gamma=gamma))
         assert report.converged
 
-    def test_bound_past_the_float_range_gives_a_refused_step(self):
-        # beta1 + beta2 overflows to inf with no RuntimeWarning (an error in the tests)
-        scenario = single_customer_scenario(beta=1e308)
-        assert default_step_size(scenario) == 0.0
-        with pytest.raises(ValueError, match="gamma must be positive"):
-            RunConfig(gamma=default_step_size(scenario))
+    def test_bound_past_the_float_range_raises(self):
+        # beta1 + beta2 overflows to inf with no RuntimeWarning (an error in the tests), and
+        # the step 2/inf would be 0
+        with pytest.raises(ValueError, match="overflows the float range"):
+            default_step_size(single_customer_scenario(beta=1e308))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_contracts_every_linear_piece(self, seed):
@@ -689,8 +688,27 @@ class TestRecordedRun:
 
 
 class TestOneWriter:
-    """``write_trace`` is the one writer of trace.csv, for the CLI and ``to_csv`` alike: a
-    run that diverges, or a scenario changed since its run, leaves no file."""
+    """``write_trace`` is the one writer of trace.csv, for the CLI and ``to_csv`` alike: it
+    makes the file's missing directories; a run that diverges leaves neither the file nor
+    those directories, and a scenario changed since its run leaves no file."""
+
+    @pytest.mark.parametrize("writer", ["write_trace", "to_csv"])
+    def test_makes_missing_directories(self, writer, demo_scenario, tmp_path):
+        config = RunConfig(gamma=0.1)
+        _, trace = market_module.write_trace(demo_scenario, config, tmp_path / "trace.csv")
+        path = tmp_path / "a" / "b" / "trace.csv"
+        if writer == "to_csv":
+            trace.to_csv(path)
+        else:
+            market_module.write_trace(demo_scenario, config, path)
+        assert path.read_bytes() == (tmp_path / "trace.csv").read_bytes()
+
+    def test_divergence_removes_the_directories_it_made(self, tmp_path):
+        with pytest.raises(DivergenceError) as err:
+            market_module.write_trace(validate_scenario(overflow_document()),
+                                      RunConfig(gamma=1e307), tmp_path / "a" / "b" / "trace.csv")
+        assert err.value.iteration == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergence_leaves_no_file(self, tmp_path):
         before = np.geterr()
@@ -1117,6 +1135,27 @@ class TestFloatReprs:
         assert values[0] >= 1e-4 > values[0] / 2 and values[-1] < 1e16 <= values[-1] * 2
         assert market_module._shortest_digits(values)[2].all()
         assert market_module._float_reprs(values).tolist() == list(map(repr, values.tolist()))
+
+    # Values 1e-10 to 9e-10 from one of the four bounds that _shortest_digits tests with
+    # _MARGIN, found by a search over its own d100, d10, d1 and half_ulp W: d100 = W and
+    # d10 = W, an edge of v's rounding interval at a multiple of 100 (W > 5) or of 10 alone
+    # (W < 5), and d10 = 5 and d1 = 0.5, a tie between two multiples of 10 or two integers.
+    # Each edge value's neighbour one ulp below lies as close to the interval's other edge.
+    MARGIN_VALUES = {
+        "edge of 100": [0.06251348445079111, 0.0625134844507911, 0.007819623716791761],
+        "edge of 10": [1.000019876749212, 1.0000198767492119, 0.00012264061440297991],
+        "tie of 10": [1.0000244947093615, 0.00012339035212004945],
+        "tie of 1": [1.0000001877485793, 0.00012258603429120662],
+    }
+
+    @pytest.mark.parametrize("test", sorted(MARGIN_VALUES))
+    def test_values_at_a_margin_are_left_to_repr(self, test, monkeypatch):
+        values = np.array(self.MARGIN_VALUES[test])
+        assert not market_module._shortest_digits(values)[2].any()
+        assert market_module._float_reprs(values).tolist() == list(map(repr, values.tolist()))
+        # the margin alone sends them there: without it, each takes the array path
+        monkeypatch.setattr(market_module, "_MARGIN", 0.0)
+        assert market_module._shortest_digits(values)[2].all()
 
 
 def writer_cell_texts(x, b):

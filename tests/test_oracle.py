@@ -470,7 +470,7 @@ class TestCompareEquilibrium:
         assert cmp.passed
         assert cmp.allocation_gap < 1e-3
         assert cmp.welfare_gap < 1e-4
-        payload = json.loads(cmp.to_json())
+        payload = cmp.as_dict()
         assert set(payload) == {"allocation_gap", "demand_gap", "welfare_gap", "pass",
                                 "boundary_degenerate"}
 
