@@ -30,7 +30,7 @@ def main() -> None:
           f"worst equilibrium residual {report.worst_kkt_residual:.2e}")
 
     central = solve_welfare_centralized(scenario)
-    cmp = compare_equilibrium(report, central)
+    cmp = compare_equilibrium(scenario, report, central)
     print(f"vs centralized equilibrium: demand gap {cmp.demand_gap:.2e}, "
           f"welfare gap {cmp.welfare_gap:.2e}, pass={cmp.passed}")
 
@@ -38,7 +38,7 @@ def main() -> None:
     print(f"exact welfare optimum {optimum.welfare!r} at "
           f"x = {optimum.allocation.x.ravel()}; efficiency gap "
           f"{optimum.welfare - report.welfare:.6f}")
-    if optimum.boundary_degenerate:
+    if compare_equilibrium(scenario, report, optimum).boundary_degenerate:
         print("note: the welfare optimum sits on the cost-segment "
               "boundary D = b*N, where marginal-cost pricing is undefined; "
               "the equilibrium welfare is a lower bound on it")

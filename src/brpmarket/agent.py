@@ -44,11 +44,11 @@ class _StepKernel:
         self.scenario, self.gamma = scenario, gamma
         self.low, self.high, self.grad, self.raw = (np.empty(scenario.w.shape) for _ in range(4))
         self.flat, self.sated = np.empty(scenario.w.shape, dtype=bool), None
-        (n, t), b = scenario.w.shape, scenario.blocks.b  # tiled: one shape is the fastest
+        (n, t), b = scenario.w.shape, scenario.b  # tiled: one shape is the fastest
         upper = np.concatenate([b, np.full(t, np.inf)])
         self.shift, self.upper, self.sides = np.zeros(n), np.tile(upper, (n, 1)), None
         self.ones, self.clipped = np.ones(2 * t), np.empty((n, 2 * t))
-        self.two_beta = 2.0 * scenario.cost.beta1, 2.0 * scenario.cost.beta2
+        self.two_beta = 2.0 * scenario.beta1, 2.0 * scenario.beta2
         self.b, self.alpha = np.tile(b, (n, 1)), np.repeat(scenario.alpha, t, axis=1)
 
     def split(self, x: np.ndarray) -> None:
@@ -191,7 +191,7 @@ def _sorted_rows(a, c, b, target, cap):
 def _natural_map(scenario: Scenario, alloc: Allocation, prices: PriceSchedule):
     """``P(x + U'(x))`` and its band shifts, ``P`` the lifted projection of the pair
     ``(x + U' - p_l, x + U' - b - p_u)``: :func:`_onto_blocks` at step 1, started cold."""
-    x, b = alloc.x, scenario.blocks.b
+    x, b = alloc.x, scenario.b
     ahead = x + utility_gradient(x, scenario.w, scenario.alpha)
     return _onto_blocks(ahead - prices.p_l, ahead - b - prices.p_u, b,
                         scenario.d_min, scenario.d_max)

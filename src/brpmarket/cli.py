@@ -149,9 +149,9 @@ def cmd_verify(args) -> int:
     centralized = solve_welfare_centralized(scenario)
     if not centralized.converged:
         return _fail(EXIT_ORACLE_FAILED, "the centralized oracle could not certify an "
-                     f"equilibrium (residual {centralized.stationarity_residual!r})")
+                     f"equilibrium (residual {centralized.worst_kkt_residual!r})")
 
-    comparison = compare_equilibrium(report, centralized)
+    comparison = compare_equilibrium(scenario, report, centralized)
     payload = comparison.as_dict()
     all_pass = comparison.passed
 
@@ -161,9 +161,9 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             return _fail(EXIT_ORACLE_FAILED, exc)
         # past satiation the maximizer is not unique: compared by welfare alone
-        optimum_cmp = compare_equilibrium(report, optimum, tol_demand=math.inf)
+        optimum_cmp = compare_equilibrium(scenario, report, optimum, tol_demand=math.inf)
         payload["optimum"] = optimum_cmp.as_dict()
-        if optimum.boundary_degenerate:
+        if optimum_cmp.boundary_degenerate:
             # Welfare argmax sits on the cost-segment boundary where the
             # marginal-cost pricing rule is undefined; informational only.
             print("notice: welfare optimum is boundary-degenerate; "

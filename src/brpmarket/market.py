@@ -16,7 +16,7 @@ import numpy as np
 
 # step_profile is unused here; the benchmark's tracer wraps it in this namespace
 from .agent import _StepKernel, step_profile, worst_kkt_residual  # noqa: F401
-from .model import Allocation, PriceSchedule, Scenario, cost_value, utility_value
+from .model import Allocation, EquilibriumReport, Scenario, cost_value, utility_value
 from .pricing import _prices
 
 TRACE_COMMENT = (
@@ -213,26 +213,13 @@ def _render(n, q, x, fast) -> np.ndarray:
     return texts
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
-    """Outcome of a market run."""
-
-    converged: bool
-    iterations: int
-    allocation: Allocation
-    prices: PriceSchedule
-    welfare: float
-    worst_kkt_residual: float
-    scenario_fingerprint: str
-
-
 def social_welfare(alloc: Allocation, scenario: Scenario) -> float:
     """Total customer utility minus total production cost at the slot demand
     ``x.sum(0)``: the one welfare function, of a run's report and of its trace."""
     x = np.asarray(alloc.x, dtype=float)
     utility = float(utility_value(x, scenario.w, scenario.alpha).sum())
-    return utility - float(cost_value(x.sum(axis=0), scenario.blocks.b * scenario.num_customers,
-                                      scenario.cost).sum())
+    return utility - float(cost_value(x.sum(axis=0), scenario.b * scenario.num_customers,
+                                      scenario.beta1, scenario.beta2).sum())
 
 
 def default_step_size(scenario: Scenario) -> float:
@@ -251,15 +238,19 @@ def default_step_size(scenario: Scenario) -> float:
     Optimization", 1987, ch. 1).  That is proven only on such pieces.  A binding daily
     band, a switch between pieces, and ``beta1 != beta2``, where the map is not
     monotone, are covered only by measurement: the step converges on the tests' random
-    scenarios to the point the smaller steps reach.  A bound past the float range, whose
-    step would be ``2/inf = 0``, raises ``ValueError``.
+    scenarios to the point the smaller steps reach.  A step that is not finite and
+    positive raises ``ValueError``: a bound past the float range, whose step would be
+    ``2/inf = 0``, or a subnormal one, whose step would be inf.
     """
-    beta = max(map(float.__add__, scenario.cost.beta1.tolist(), scenario.cost.beta2.tolist()))
+    beta = max(map(float.__add__, scenario.beta1.tolist(), scenario.beta2.tolist()))
     lam_hi = 2.0 * (float(scenario.alpha.max()) + beta * scenario.num_customers)
-    if gamma := 2.0 / (float(scenario.alpha.min()) + lam_hi):  # Python floats overflow unwarned
+    gamma = 2.0 / (float(scenario.alpha.min()) + lam_hi)  # Python floats overflow unwarned
+    if 0.0 < gamma < math.inf:
         return gamma
-    raise ValueError("the scenario's default step bound 2*(max alpha + max(beta1 + beta2)*N) "
-                     "overflows the float range; --gamma sets a step")
+    what = ("step bound 2*(max alpha + max(beta1 + beta2)*N)" if gamma == 0.0
+            else "step 2/(min alpha + 2*max alpha + 2*max(beta1 + beta2)*N)")
+    raise ValueError(f"the scenario's default {what} overflows the float range; "
+                     "--gamma sets a step")
 
 
 def run_market(scenario: Scenario, config: RunConfig, observe=None):
@@ -279,7 +270,7 @@ def run_market(scenario: Scenario, config: RunConfig, observe=None):
     cost is at most ``beta2*D**2``.  Past the bound it is computed at once.
     """
     cells, w_max = scenario.w.size + 1, float(scenario.w.max())
-    quad = 0.5 * float(scenario.alpha.max()) + float(scenario.cost.beta2.max())
+    quad = 0.5 * float(scenario.alpha.max()) + float(scenario.beta2.max())
     x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
     max_change = math.nan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # iterates are checked
@@ -337,7 +328,7 @@ def write_trace(scenario: Scenario, config: RunConfig, path):
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            return run_market(scenario, config, _TraceCsv(fh, scenario.blocks.b))
+            return run_market(scenario, config, _TraceCsv(fh, scenario.b))
     except DivergenceError:
         path.unlink()
         for directory in made:  # deepest first

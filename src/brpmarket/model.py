@@ -99,21 +99,6 @@ class Customer:
 
 
 @dataclass(frozen=True)
-class BlockSchedule:
-    """Per-slot consumption threshold separating the two price blocks."""
-
-    b: np.ndarray       # block threshold per slot (kWh)
-
-
-@dataclass(frozen=True)
-class CostParams:
-    """Two-segment quadratic production cost coefficients (per slot)."""
-
-    beta1: np.ndarray   # first-segment coefficient (currency/kWh^2)
-    beta2: np.ndarray   # second-segment coefficient (currency/kWh^2)
-
-
-@dataclass(frozen=True)
 class PriceSchedule:
     """Per-slot prices for the first and second block."""
 
@@ -128,6 +113,9 @@ class Scenario:
     The customers are stored once, as stacked arrays: ``ids``, ``d_min`` and
     ``d_max`` (N,), ``w`` (N, T) and ``alpha`` (N, 1), which broadcasts over
     slots.  ``customers`` derives one :class:`Customer` per row from them.
+    The slots' facts are (T,) arrays: the block threshold ``b`` (kWh) and the
+    cost coefficients ``beta1`` and ``beta2`` (currency/kWh^2) below and above
+    the aggregate threshold ``b*N``.
     """
 
     ids: np.ndarray
@@ -135,8 +123,9 @@ class Scenario:
     alpha: np.ndarray
     d_min: np.ndarray
     d_max: np.ndarray
-    blocks: BlockSchedule
-    cost: CostParams
+    b: np.ndarray
+    beta1: np.ndarray
+    beta2: np.ndarray
 
     @property
     def num_customers(self) -> int:
@@ -167,7 +156,7 @@ class Scenario:
         # one row per customer (id, alpha, d_min, d_max, w); digests depend on it
         h.update(np.column_stack([self.ids.astype(float), self.alpha, self.d_min,
                                   self.d_max, self.w]).tobytes())
-        for per_slot in (self.blocks.b, self.cost.beta1, self.cost.beta2):
+        for per_slot in (self.b, self.beta1, self.beta2):
             h.update(np.asarray(per_slot, dtype=float).tobytes())
         return h.hexdigest()
 
@@ -178,6 +167,22 @@ class Allocation:
     ``max(x - b, 0)`` is derived where it is read, never stored."""
 
     x: np.ndarray       # consumption, shape (N, T)
+
+
+@dataclass(frozen=True)
+class EquilibriumReport:
+    """A solver's answer for one scenario: the market run's stopping iterate, the
+    centralized equilibrium or the welfare maximum, with its block prices, its welfare,
+    its KKT certificate at those prices and the fingerprint of the scenario it answers.
+    ``iterations`` counts the market's iterations or the oracle's Newton steps."""
+
+    converged: bool
+    iterations: int
+    allocation: Allocation
+    prices: PriceSchedule
+    welfare: float
+    worst_kkt_residual: float
+    scenario_fingerprint: str
 
 
 def _nonnegative(values, name: str) -> np.ndarray:
@@ -216,7 +221,7 @@ def utility_gradient(x, w, alpha):
     return float(grad) if grad.ndim == 0 else grad
 
 
-def cost_value(demand, block_total, cost: CostParams):
+def cost_value(demand, block_total, beta1, beta2):
     """Supplier cost of serving aggregate demand at one or more slots.
 
     ``beta1 * D**2`` while demand is at or below the aggregate block
@@ -224,7 +229,7 @@ def cost_value(demand, block_total, cost: CostParams):
     cost itself jumps at the threshold whenever beta1 != beta2.
     """
     demand = _nonnegative(demand, "demand")
-    val = np.where(demand <= block_total, cost.beta1, cost.beta2) * demand * demand
+    val = np.where(demand <= block_total, beta1, beta2) * demand * demand
     return float(val) if val.ndim == 0 else val
 
 
@@ -301,7 +306,7 @@ def validate_scenario(doc: dict) -> Scenario:
                             f"beta2 < beta1 in slots {np.flatnonzero(beta2 < beta1).tolist()}")
 
     scenario = Scenario(ids=np.array(ids), w=w, alpha=alpha[:, None], d_min=d_min, d_max=d_max,
-                        blocks=BlockSchedule(b=b), cost=CostParams(beta1=beta1, beta2=beta2))
+                        b=b, beta1=beta1, beta2=beta2)
     with np.errstate(over="ignore"):  # an overflow is rejected just below
         satiation, total_satiation = scenario.satiation, scenario.satiation.sum(axis=1)
     overflowed = ~np.isfinite(satiation).all(axis=1)

@@ -3,42 +3,26 @@
 Solves for the equilibrium slot demand by semismooth Newton on the customers' exact
 best responses (:mod:`brpmarket.response`), finds the exact welfare maximum of tiny
 instances (N*T <= 3) from the KKT systems of the welfare's concave quadratic pieces, and
-compares either against a distributed run.
+compares either against a distributed run.  Each answers, as the market does, with an
+:class:`~brpmarket.model.EquilibriumReport`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 # step_profile is unused here; the benchmark's tracer wraps it in this namespace
 from .agent import step_profile, worst_kkt_residual  # noqa: F401
-from .model import Allocation, Scenario, cost_value, utility_value
+from .model import Allocation, EquilibriumReport, Scenario, cost_value, utility_value
 from .pricing import block_prices
 from .response import _excess, _jacobian
-
-if TYPE_CHECKING:
-    from .market import EquilibriumReport
 
 BOUNDARY_TOL = 1e-6
 WELFARE_TOL = 1e-4  # the welfare gap below which a comparison passes
 _NEWTON_STEPS = 50  # a solve that has not settled by then is reported unconverged
-
-
-@dataclass(frozen=True)
-class OracleSolution:
-    """An oracle method's answer: an equilibrium, or the welfare maximum."""
-
-    allocation: Allocation
-    welfare: float
-    method: str  # "slot-demand-newton" | "piecewise-exact"
-    converged: bool
-    boundary_degenerate: bool
-    stationarity_residual: float | None
-    scenario_fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -57,16 +41,7 @@ class ComparisonReport:
         return fields
 
 
-def _solution(scenario: Scenario, x: np.ndarray, welfare: float, method: str,
-              converged: bool = True, residual: float | None = None) -> OracleSolution:
-    """An oracle's answer x, boundary-degenerate where a slot's demand is within
-    ``BOUNDARY_TOL`` of ``bN``."""
-    gaps = np.abs(x.sum(axis=0) - scenario.blocks.b * scenario.num_customers)
-    return OracleSolution(Allocation(x), welfare, method, converged,
-                          bool(np.any(gaps < BOUNDARY_TOL)), residual, scenario.fingerprint())
-
-
-def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
+def solve_welfare_centralized(scenario: Scenario) -> EquilibriumReport:
     """The equilibrium as the root of ``F(D) = D - sum_i BR_i(p(D))`` in the T slot demands,
     by semismooth Newton (Qi & Sun, Math. Programming 1993) with backtracking on ``max|F|``,
     from the demand of unclipped first blocks.  F is piecewise affine, so the steps end at
@@ -74,14 +49,15 @@ def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
     most ``1e-12 * max D`` within ``_NEWTON_STEPS``, each pinned row's share fits its
     cells, each row's sum lies in its daily band to ``1e-12`` of that sum plus its
     satiation energy, and the welfare is finite.  Past satiation only D is unique.
-    Uses no market or step code; reports :func:`agent.worst_kkt_residual` of its x at the
-    prices of its settled D, to which x is the best response (at steep prices, those of
-    ``x.sum(0)`` differ by rounding), and of an unsettled x at those of ``x.sum(0)``."""
+    Uses no market or step code.  Its answer's ``iterations`` are the Newton steps taken,
+    its ``prices`` those of its settled D, to which x is the best response (at steep prices,
+    those of ``x.sum(0)`` differ by rounding), or of an unsettled x's ``x.sum(0)``, and its
+    ``worst_kkt_residual`` is :func:`agent.worst_kkt_residual` of x at those prices."""
     s = scenario
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        demand = (s.w / s.alpha).sum(axis=0) / (1.0 + 2.0 * s.cost.beta1 * (1.0 / s.alpha).sum())
+        demand = (s.w / s.alpha).sum(axis=0) / (1.0 + 2.0 * s.beta1 * (1.0 / s.alpha).sum())
         st = _excess(s, demand)
-        for _ in range(_NEWTON_STEPS):
+        for steps in range(_NEWTON_STEPS):
             # F, or the change in D that it asks for (F at rounding where prices are steep)
             if settled := (size := np.abs(st.F).max()) <= 1e-12 * demand.max():
                 break
@@ -95,16 +71,17 @@ def solve_welfare_centralized(scenario: Scenario) -> OracleSolution:
                 shrink /= 2.0
             demand, st = step, trial
         else:
-            settled = np.abs(st.F).max() <= 1e-12 * demand.max()
+            steps, settled = _NEWTON_STEPS, np.abs(st.F).max() <= 1e-12 * demand.max()
         x, total, rows = st.answer, st.answer.sum(axis=0), st.answer.sum(axis=1)
         welfare = float(utility_value(x, s.w, s.alpha).sum()
-                        - cost_value(total, s.blocks.b * s.num_customers, s.cost).sum())
+                        - cost_value(total, s.b * s.num_customers, s.beta1, s.beta2).sum())
         slack = 1e-12 * (rows + s.satiation.sum(axis=1))  # rounding of x, or of (w - p)/alpha
     converged = bool(settled and st.fits and np.isfinite(welfare)
                      and np.all((rows >= s.d_min - slack) & (rows <= s.d_max + slack)))
-    residual = worst_kkt_residual(s, Allocation(x), block_prices(demand if settled else total,
-                                                                 s.cost))
-    return _solution(s, x, welfare, "slot-demand-newton", converged, float(residual))
+    allocation = Allocation(x)
+    prices = block_prices(demand if settled else total, s.beta1, s.beta2)
+    return EquilibriumReport(converged, steps, allocation, prices, welfare,
+                             float(worst_kkt_residual(s, allocation, prices)), s.fingerprint())
 
 
 def _gauss_jordan(a, b):
@@ -133,7 +110,7 @@ def _kkt(h, gs, pad):
     return kkt
 
 
-def welfare_optimum(scenario: Scenario) -> OracleSolution:
+def welfare_optimum(scenario: Scenario) -> EquilibriumReport:
     """The exact social-welfare maximum of a tiny instance (N*T <= 3).
 
     The welfare is a concave quadratic on each piece that fixes, per slot, ``D <= bN``
@@ -150,7 +127,9 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     cost jumps up past ``bN``, the best over all pieces is the maximum; past satiation
     the maximizer need not be unique.  All systems are stacked, in one elimination each for
     the determinants, solves and refinements; the first best in (cell piece, cost piece,
-    set) order wins, a piece with a NaN score is passed over; ``ValueError`` if none is kept."""
+    set) order wins, a piece with a NaN score is passed over; ``ValueError`` if none is kept.
+    Its answer is converged after no iterations, with the prices and KKT certificate of
+    its own D."""
     n, t, nt = scenario.num_customers, scenario.num_slots, scenario.w.size
     if nt > 3:
         raise ValueError("welfare optimum limited to N*T <= 3 variables")
@@ -165,7 +144,7 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     # the slots' piece bounds, which each cost piece signs; that changes no rank
     rows = np.vstack([0.0 * eye[:1], -eye, eye, -eye, daily, -daily, slots])
     bounds = np.concatenate([np.zeros(1 + nt), sat, -sat, scenario.d_max, -scenario.d_min,
-                             scenario.blocks.b * n])
+                             scenario.b * n])
     quads = np.array(list(itertools.product((True, False), repeat=nt)))
     highs = np.array(list(itertools.product((False, True), repeat=t)))
     held = np.ones((len(quads), len(rows)), bool)  # each cell piece's rows
@@ -185,7 +164,7 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     q, sets, high = q[j], sets[j], highs[piece % len(highs)]
     r = (side := np.hstack([np.ones((len(j), len(rows) - t)), np.where(high, -1.0, 1.0)])) * bounds
     hess = (eye * np.where(quads, alpha, 0.0)[:, None, None] + 2.0 * np.einsum(
-        "si,hs,sj->hij", slots, np.where(highs, scenario.cost.beta2, scenario.cost.beta1),
+        "si,hs,sj->hij", slots, np.where(highs, scenario.beta2, scenario.beta1),
         slots)).reshape(-1, nt, nt)
     scale, lin = hess.max(axis=(1, 2)), np.where(quads, w, 0.0)  # H/scale, lin/scale: same x
     kkt = _kkt((hess / scale[:, None, None])[piece],
@@ -204,26 +183,34 @@ def welfare_optimum(scenario: Scenario) -> OracleSolution:
     value[np.isin(piece, piece[np.isnan(value)])] = -np.inf
     if not value.size:
         raise ValueError("no KKT solution of the welfare's pieces lies in its piece")
-    return _solution(scenario, np.maximum(x[best := np.argmax(value)], 0.0).reshape(n, t),
-                     float(value[best]), "piecewise-exact")
+    allocation = Allocation(np.maximum(x[best := np.argmax(value)], 0.0).reshape(n, t))
+    prices = block_prices(allocation.x.sum(axis=0), scenario.beta1, scenario.beta2)
+    return EquilibriumReport(True, 0, allocation, prices, float(value[best]),
+                             float(worst_kkt_residual(scenario, allocation, prices)),
+                             scenario.fingerprint())
 
 
-def compare_equilibrium(distributed: EquilibriumReport, oracle: OracleSolution,
-                        tol_demand: float = 1e-3) -> ComparisonReport:
-    """Measure the distributed-vs-oracle allocation, slot-demand and welfare gaps; pass
-    on demand and welfare, which every equilibrium shares where x is not unique:
-    ``demand_gap < tol_demand`` and ``welfare_gap < WELFARE_TOL``."""
-    if distributed.scenario_fingerprint != oracle.scenario_fingerprint:
-        raise ValueError("scenario mismatch between distributed run and oracle")
-    x, x_oracle = distributed.allocation.x, oracle.allocation.x
+def compare_equilibrium(scenario: Scenario, report: EquilibriumReport,
+                        reference: EquilibriumReport, tol_demand: float = 1e-3) -> ComparisonReport:
+    """Measure the allocation, slot-demand and welfare gaps between two answers for
+    ``scenario``, a distributed run's ``report`` and an oracle's ``reference``; pass on
+    demand and welfare, which every equilibrium shares where x is not unique:
+    ``demand_gap < tol_demand`` and ``welfare_gap < WELFARE_TOL``.  The reference is
+    ``boundary_degenerate`` where a slot's demand lies within ``BOUNDARY_TOL`` of ``bN``,
+    where the marginal-cost prices are undefined.  An answer for another scenario raises
+    ``ValueError``."""
+    if not report.scenario_fingerprint == reference.scenario_fingerprint == scenario.fingerprint():
+        raise ValueError("scenario mismatch between the scenario and an answer for it")
+    x, x_ref = report.allocation.x, reference.allocation.x
     with np.errstate(over="ignore"):  # a shifted x may sum past the float range: gap inf
-        allocation_gap = float(np.max(np.abs(x - x_oracle)))
-        demand_gap = float(np.max(np.abs(x.sum(axis=0) - x_oracle.sum(axis=0))))
-    welfare_gap = abs(distributed.welfare - oracle.welfare)
+        allocation_gap = float(np.max(np.abs(x - x_ref)))
+        demand_gap = float(np.max(np.abs(x.sum(axis=0) - x_ref.sum(axis=0))))
+        bn_gap = np.abs(x_ref.sum(axis=0) - scenario.b * scenario.num_customers)
+    welfare_gap = abs(report.welfare - reference.welfare)
     return ComparisonReport(
         allocation_gap=allocation_gap,
         demand_gap=demand_gap,
         welfare_gap=welfare_gap,
         passed=demand_gap < tol_demand and welfare_gap < WELFARE_TOL,
-        boundary_degenerate=oracle.boundary_degenerate,
+        boundary_degenerate=bool(np.any(bn_gap < BOUNDARY_TOL)),
     )

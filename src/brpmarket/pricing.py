@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import CostParams, PriceSchedule
+from .model import PriceSchedule
 
 
-def block_prices(demand, cost: CostParams) -> PriceSchedule:
+def block_prices(demand, beta1, beta2) -> PriceSchedule:
     """Marginal-cost prices for both blocks, evaluated at per-slot total demand.
 
     The first-block price uses the first-segment cost coefficient and the
@@ -15,8 +15,8 @@ def block_prices(demand, cost: CostParams) -> PriceSchedule:
     total demand D: ``p_l = 2*beta1*D``, ``p_u = 2*beta2*D``.  Consequently
     ``p_u/p_l == beta2/beta1`` whenever D > 0.
     """
-    return _prices(np.asarray(demand, dtype=float), 2.0 * np.asarray(cost.beta1, dtype=float),
-                   2.0 * np.asarray(cost.beta2, dtype=float))
+    return _prices(np.asarray(demand, dtype=float), 2.0 * np.asarray(beta1, dtype=float),
+                   2.0 * np.asarray(beta2, dtype=float))
 
 
 def _prices(demand, two_beta1, two_beta2) -> PriceSchedule:

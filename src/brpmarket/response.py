@@ -22,8 +22,8 @@ def _respond(s: Scenario, demand: np.ndarray) -> SimpleNamespace:
     on a jump ``pin``s lam there; the row's flat cells of that block stand at the stretch's
     start, sharing the floor's ``rest`` up to their ``room``.  A ``free`` cell's price
     slope is ``g = 2*beta/alpha``."""
-    (n, t), w, alpha, b = s.w.shape, s.w, s.alpha, s.blocks.b
-    v = np.stack([2.0 * s.cost.beta1, 2.0 * s.cost.beta2])
+    (n, t), w, alpha, b = s.w.shape, s.w, s.alpha, s.b
+    v = np.stack([2.0 * s.beta1, 2.0 * s.beta2])
     (p_l, p_u), lam, pin = v * demand, np.zeros(n), np.full(n, -1)
     total = (np.clip((w - p_l) / alpha, 0.0, b) + np.maximum((w - p_u) / alpha - b, 0.0)).sum(1)
     if (moves := (total < s.d_min) | (total > s.d_max)).any():

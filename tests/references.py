@@ -11,8 +11,7 @@ import numpy as np
 
 from brpmarket import oracle
 from brpmarket.market import run_market
-from brpmarket.model import (BlockSchedule, CostParams, PriceSchedule, Scenario,
-                             ScenarioError, utility_value)
+from brpmarket.model import PriceSchedule, Scenario, ScenarioError, utility_value
 
 
 class Record(NamedTuple):
@@ -36,15 +35,16 @@ def recorded_run(scenario, config):
 def net_utility(x, prices, scenario):
     """Each customer's utility minus block payments, shape (N,):
     ``sum_t U(x) - p_l*min(x, b) - p_u*max(x - b, 0)``."""
-    b = scenario.blocks.b
+    b = scenario.b
     util = utility_value(x, scenario.w, scenario.alpha)
     payment = prices.p_l * np.minimum(x, b) + prices.p_u * np.maximum(x - b, 0.0)
     return np.sum(util - payment, axis=1)
 
 
 def reference_welfare_optimum(scenario):
-    """:func:`oracle.welfare_optimum`, one cell piece and one cost piece at a time: the
-    best piece's first maximum, a later piece winning only with a larger value."""
+    """:func:`oracle.welfare_optimum`'s ``(x, welfare)``, one cell piece and one cost piece
+    at a time: the best piece's first maximum, a later piece winning only with a larger
+    value."""
     n, t = scenario.num_customers, scenario.num_slots
     nt = n * t
     if nt > 3:
@@ -65,7 +65,7 @@ def reference_welfare_optimum(scenario):
         rows = np.vstack([0.0 * eye[:1], -eye[quad], eye[quad], -eye[~quad], daily, -daily,
                           slots])
         bounds = np.concatenate([np.zeros(1 + quad.sum()), sat[quad], -sat[~quad],
-                                 scenario.d_max, -scenario.d_min, scenario.blocks.b * n])
+                                 scenario.d_max, -scenario.d_min, scenario.b * n])
         sets = np.array([s + (0,) * (nt - k) for k in range(nt + 1)
                          for s in itertools.combinations(range(1, len(rows)), k)])
         pattern = np.diag(quad * 1.0) + np.einsum("si,sj->ij", slots, slots)
@@ -76,7 +76,7 @@ def reference_welfare_optimum(scenario):
         for high in map(np.array, itertools.product((False, True), repeat=t)):
             side = np.concatenate([np.ones(len(rows) - t), np.where(high, -1.0, 1.0)])
             g, r = side[:, None] * rows, side * bounds
-            beta = np.where(high, scenario.cost.beta2, scenario.cost.beta1)
+            beta = np.where(high, scenario.beta2, scenario.beta1)
             hess = (np.diag(np.where(quad, alpha, 0.0))
                     + 2.0 * np.einsum("si,s,sj->ij", slots, beta, slots))
             scale = hess.max()  # the system of H/scale, lin/scale has the same x
@@ -91,8 +91,7 @@ def reference_welfare_optimum(scenario):
             if value.size and value.max() > best:
                 best, best_x = float(value.max()), x[np.argmax(value)]
 
-    return oracle._solution(scenario, np.maximum(best_x, 0.0).reshape(n, t), best,
-                            "piecewise-exact")
+    return np.maximum(best_x, 0.0).reshape(n, t), best
 
 
 def _is_bool(value):
@@ -204,7 +203,7 @@ def reference_validate_scenario(doc):
     ids, ws, alphas, d_mins, d_maxs = zip(*rows)
     scenario = Scenario(ids=np.array(ids), w=np.stack(ws), alpha=np.array(alphas)[:, None],
                         d_min=np.array(d_mins), d_max=np.array(d_maxs),
-                        blocks=BlockSchedule(b=b), cost=CostParams(beta1=beta1, beta2=beta2))
+                        b=b, beta1=beta1, beta2=beta2)
     with np.errstate(over="ignore"):
         satiation = scenario.satiation
         total_satiation = satiation.sum(axis=1)

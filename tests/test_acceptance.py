@@ -71,11 +71,12 @@ def certified_random_cases():
         # or not the oracle can certify this draw
         assert report.worst_kkt_residual < 1e-6 * float(scenario.w.max())
         central = solve_welfare_centralized(scenario)
-        block_total = scenario.blocks.b * scenario.num_customers
+        block_total = scenario.b * scenario.num_customers
         demand = report.allocation.x.sum(axis=0)
         near_boundary = bool(np.any(np.abs(demand - block_total)
                                     < BOUNDARY_MARGIN))
-        if near_boundary or central.boundary_degenerate or not central.converged:
+        if (near_boundary or not central.converged
+                or compare_equilibrium(scenario, report, central).boundary_degenerate):
             continue
         cases.append((scenario, report, central))
     return cases
@@ -137,7 +138,7 @@ def test_criterion_1_iterations_fall_as_step_size_grows(demo_runs):
 
 
 def test_criterion_2_second_block_price_ratio(demo_scenario, demo_runs):
-    ratio = float(demo_scenario.cost.beta2[0] / demo_scenario.cost.beta1[0])
+    ratio = float(demo_scenario.beta2[0] / demo_scenario.beta1[0])
     worst = 0.0
     checked = 0
     for _, records, _ in demo_runs.values():
@@ -160,9 +161,9 @@ def test_criterion_3_distributed_matches_centralized(demo_scenario,
                                                      certified_random_cases):
     report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-9))
     central = solve_welfare_centralized(demo_scenario)
-    comparisons = [compare_equilibrium(report, central)]
-    for _, dist, cent in certified_random_cases:
-        comparisons.append(compare_equilibrium(dist, cent))
+    comparisons = [compare_equilibrium(demo_scenario, report, central)]
+    for scenario, dist, cent in certified_random_cases:
+        comparisons.append(compare_equilibrium(scenario, dist, cent))
     worst_alloc = max(c.allocation_gap for c in comparisons)
     worst_welf = max(c.welfare_gap for c in comparisons)
     assert all(c.passed for c in comparisons)
@@ -183,7 +184,7 @@ def test_criterion_4_centralized_matches_welfare_optimum():
         central = solve_welfare_centralized(scenario)
         assert central.converged
         optimum = welfare_optimum(scenario)
-        assert not optimum.boundary_degenerate
+        assert not compare_equilibrium(scenario, central, optimum).boundary_degenerate
         gap = float(np.max(np.abs(central.allocation.x - optimum.allocation.x)))
         assert gap <= 1e-6, f"gap {gap} on {scenario.fingerprint()}"
         assert central.welfare == pytest.approx(optimum.welfare, rel=1e-12, abs=0.0)
@@ -199,7 +200,7 @@ def test_criterion_5_exact_methods_agree():
     # the welfare optimum's KKT enumeration, which share no code, find the same D
     worst_demand = worst_welf = 0.0
     smooth = [s for s in _small_instances()
-              if np.all(s.cost.beta1 == s.cost.beta2)]
+              if np.all(s.beta1 == s.beta2)]
     for scenario in smooth:
         central = solve_welfare_centralized(scenario)
         optimum = welfare_optimum(scenario)
@@ -220,7 +221,7 @@ def test_criterion_6_equilibrium_residuals(demo_scenario, certified_random_cases
     residuals = [demo_report.worst_kkt_residual]
     for _, dist, cent in certified_random_cases:
         residuals.append(dist.worst_kkt_residual)
-        residuals.append(cent.stationarity_residual)
+        residuals.append(cent.worst_kkt_residual)
     worst = max(residuals)
     assert worst < 1e-5, f"worst residual {worst}"
     _report(6, f"worst equilibrium residual {worst:.2e} (< 1e-5) across "

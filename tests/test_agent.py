@@ -293,12 +293,11 @@ class TestStepProfileDescent:
 class TestConvergedPointConditions:
     def test_segment_correct_marginal_prices(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
-        blk = demo_scenario.blocks
         for i, cust in enumerate(demo_scenario.customers):
             x = report.allocation.x[i]
             grad = utility_gradient(x, cust.w, cust.alpha)
             for t in range(demo_scenario.num_slots):
-                b = blk.b[t]
+                b = demo_scenario.b[t]
                 p_l, p_u = report.prices.p_l[t], report.prices.p_u[t]
                 if 0 < x[t] < b:
                     assert abs(grad[t] - p_l) < 1e-4

@@ -12,7 +12,7 @@ from brpmarket import cli, market, oracle
 from brpmarket.cli import demo_scenario_document, main
 from brpmarket.model import Allocation
 from brpmarket.oracle import solve_welfare_centralized
-from test_market import nan_step_document, welfare_overflow_document
+from test_market import SUBNORMAL_BOUND_DOCUMENT, nan_step_document, welfare_overflow_document
 from test_oracle import SATED_BAND_DOCUMENT, TINY_BAND_DOCUMENT, leaky_start_document
 
 
@@ -510,6 +510,7 @@ class TestBadOptionValues:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {reason}")
         assert not out.exists()
+        return lines[0]
 
     def test_demo_negative_gamma(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -555,6 +556,17 @@ class TestBadOptionValues:
                              capsys, reason="the scenario's default step bound 2*(max alpha "
                              "+ max(beta1 + beta2)*N) overflows the float range; --gamma "
                              "sets a step")
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_default_step_subnormal_bound(self, command, tmp_path, capsys):
+        # 2 over a subnormal bound is inf: the error names the default step, which
+        # --gamma replaces, and not "got inf" for a --gamma the user never set
+        scen = tmp_path / "subnormal.json"
+        scen.write_text(json.dumps(SUBNORMAL_BOUND_DOCUMENT))
+        out = tmp_path / "out"
+        line = self.assert_rejected([command, "--scenario", str(scen), "--out", str(out)],
+                                    out, capsys, reason="the scenario's default step 2/(min alpha")
+        assert "--gamma sets a step" in line and "got inf" not in line
 
 
 class TestUsageErrors:

@@ -45,6 +45,12 @@ def welfare_overflow_document():
             "blocks": {"b": 25.0}, "cost": {"beta1": 0.5, "beta2": 0.6}}
 
 
+# a valid document whose default step bound is subnormal, so that 2 over it is inf
+SUBNORMAL_BOUND_DOCUMENT = {"num_slots": 1, "customers": [
+    {"id": 0, "w": 1e-320, "alpha": 1e-320, "d_min": 0.0, "d_max": 1.0}],
+    "blocks": {"b": 1.0}, "cost": {"beta1": 1e-320, "beta2": 1e-320}}
+
+
 def overflow_document():
     """The demo with daily caps of 1e308, whose first step overflows at gamma 1e307."""
     doc = cli.demo_scenario_document()
@@ -218,6 +224,13 @@ class TestDefaultStepSize:
         with pytest.raises(ValueError, match="overflows the float range"):
             default_step_size(single_customer_scenario(beta=1e308))
 
+    def test_subnormal_bound_raises(self):
+        # alpha and beta 1e-320: the bound is subnormal and 2 over it is inf, which
+        # RunConfig would refuse as a gamma the user never set
+        scenario = validate_scenario(SUBNORMAL_BOUND_DOCUMENT)
+        with pytest.raises(ValueError, match=r"default step 2/\(min alpha .* --gamma sets a step"):
+            default_step_size(scenario)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_contracts_every_linear_piece(self, seed):
         # on a piece, a step moves a slot's free loads by -gamma*(K x - r), K =
@@ -257,7 +270,7 @@ class TestDefaultStepSize:
         # as the reference's slower contraction stops it up to about 1.5e-9 off
         scenario = random_scenario(np.random.default_rng(seed))
         reference = 0.5 / (scenario.alpha.max()
-                           + 2 * scenario.cost.beta2.max() * scenario.num_customers)
+                           + 2 * scenario.beta2.max() * scenario.num_customers)
         runs = [run_market(scenario, RunConfig(gamma=gamma, tol=1e-10))[0]
                 for gamma in (default_step_size(scenario), reference)]
         assert all(report.converged for report in runs)
@@ -373,7 +386,7 @@ def reference_trace_csv(scenario, config, path):
         for k, rec in enumerate(records):
             n, t = rec.x.shape
             for slot in range(t):
-                b = np.float64(scenario.blocks.b[slot])
+                b = np.float64(scenario.b[slot])
                 for cust in range(n):
                     x = np.float64(rec.x[cust, slot])
                     writer.writerow([
@@ -443,13 +456,13 @@ def reference_market(scenario, config):
     (x, p_l, p_u, welfare, max_change) that run_market should record."""
     t = scenario.num_slots
     x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
-    prices = block_prices(x.sum(axis=0), scenario.cost)
+    prices = block_prices(x.sum(axis=0), scenario.beta1, scenario.beta2)
     records = [(x, prices.p_l, prices.p_u,
                 social_welfare(Allocation(x), scenario), float("nan"))]
     for _ in range(config.max_iter):
         new_x = step_profile(x, prices, config.gamma, scenario)
         change = float(np.max(np.abs(new_x - x)))
-        new_prices = block_prices(new_x.sum(axis=0), scenario.cost)
+        new_prices = block_prices(new_x.sum(axis=0), scenario.beta1, scenario.beta2)
         records.append((new_x, new_prices.p_l, new_prices.p_u,
                         social_welfare(Allocation(new_x), scenario), change))
         done = (change < config.tol
@@ -476,7 +489,7 @@ def clip_then_project_step(x, prices, gamma, scenario):
     """The step before the lifted projection: y and z' clipped to their block
     bounds, then ``y + z'`` projected onto the daily band.  Written out for
     slack bands only, where that projection only clips at 0."""
-    b = scenario.blocks.b
+    b = scenario.b
     grad = np.where(x < scenario.satiation, scenario.w - scenario.alpha * x, 0.0)
     y = np.minimum(np.minimum(x, b) + gamma * (grad - prices.p_l), b)
     z = np.maximum(np.maximum(x - b, 0.0) + gamma * (grad - prices.p_u), 0.0)
@@ -535,7 +548,7 @@ class TestLoopMatchesReference:
         _, records = recorded_run(scenario, RunConfig(gamma=default_step_size(scenario),
                                                       tol=1e-8, max_iter=400))
         for rec in records:
-            expected = block_prices(rec.x.sum(axis=0), scenario.cost)
+            expected = block_prices(rec.x.sum(axis=0), scenario.beta1, scenario.beta2)
             assert same_bits(rec.prices.p_l, expected.p_l)
             assert same_bits(rec.prices.p_u, expected.p_u)
             assert same_bits(rec.welfare, social_welfare(Allocation(rec.x), scenario))
@@ -897,7 +910,7 @@ class TestTraceCsvGolden:
     def test_run_trace_matches_reference_writer(self, tmp_path):
         scenario = validate_scenario(straddling_document())
         report, trace = run_market(scenario, config := RunConfig(gamma=0.3))
-        x, b = report.allocation.x, scenario.blocks.b
+        x, b = report.allocation.x, scenario.b
         assert np.all(np.any(x < b, axis=0)) and np.all(np.any(x > b, axis=0))
         trace.to_csv(tmp_path / "fast.csv")
         reference_trace_csv(scenario, config, tmp_path / "reference.csv")
@@ -935,7 +948,7 @@ class TestTraceCsvGolden:
         report, trace = run_market(scenario, config := RunConfig(gamma=default_step_size(scenario)))
         x, bound = report.allocation.x, scenario.d_max if side == "cap" else scenario.d_min
         assert report.converged and np.allclose(x.sum(axis=1), bound)
-        assert np.any(x == scenario.blocks.b)
+        assert np.any(x == scenario.b)
         trace.to_csv(tmp_path / "fast.csv")
         reference_trace_csv(scenario, config, tmp_path / "reference.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -963,8 +976,8 @@ def scenario_document(scenario) -> dict:
                               scenario.ids.tolist(), scenario.w.tolist(),
                               scenario.alpha[:, 0].tolist(), scenario.d_min.tolist(),
                               scenario.d_max.tolist())],
-            "blocks": {"b": scenario.blocks.b.tolist()},
-            "cost": {"beta1": scenario.cost.beta1.tolist(), "beta2": scenario.cost.beta2.tolist()}}
+            "blocks": {"b": scenario.b.tolist()},
+            "cost": {"beta1": scenario.beta1.tolist(), "beta2": scenario.beta2.tolist()}}
 
 
 def trace_edges(scenario, records) -> set:
@@ -974,7 +987,7 @@ def trace_edges(scenario, records) -> set:
     return {name for name, reached in [
         ("cap", np.any(np.abs(daily - scenario.d_max) <= 1e-9)),
         ("floor", np.any((scenario.d_min > 0) & (np.abs(daily - scenario.d_min) <= 1e-9))),
-        ("at b", any(np.any(x == scenario.blocks.b) for x in xs)),
+        ("at b", any(np.any(x == scenario.b) for x in xs)),
         ("at 0", any(np.any(x == 0.0) for x in xs)),
         ("N = 1", scenario.num_customers == 1), ("T = 1", scenario.num_slots == 1)] if reached}
 
@@ -1063,7 +1076,7 @@ class TestTraceSplit:
         assert len(rows) == len(trace) * 3 * 2
         for row in rows:
             x, y, z = float(row["x"]), float(row["y"]), float(row["z"])
-            b = float(scenario.blocks.b[int(row["slot"])])
+            b = float(scenario.b[int(row["slot"])])
             assert y == min(x, b) and z == max(x, b) and y + (z - b) == x
 
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brpmarket import (
-    CostParams,
     ScenarioError,
     cost_value,
     load_scenario,
@@ -116,36 +115,36 @@ class TestUtilityGradient:
 
 class TestCostValue:
     def test_zero_demand_zero_cost(self):
-        assert cost_value(0.0, 50.0, CostParams(0.5, 0.6)) == 0.0
+        assert cost_value(0.0, 50.0, 0.5, 0.6) == 0.0
 
     def test_first_segment(self):
-        assert cost_value(40.0, 50.0, CostParams(0.5, 0.6)) == pytest.approx(800.0)
+        assert cost_value(40.0, 50.0, 0.5, 0.6) == pytest.approx(800.0)
 
     def test_second_segment(self):
         # direct evaluation: 0.6 * 58.8**2
-        assert cost_value(58.8, 50.0, CostParams(0.5, 0.6)) == pytest.approx(2074.464)
+        assert cost_value(58.8, 50.0, 0.5, 0.6) == pytest.approx(2074.464)
 
     def test_boundary_uses_first_segment(self):
-        assert cost_value(50.0, 50.0, CostParams(0.5, 0.6)) == pytest.approx(1250.0)
+        assert cost_value(50.0, 50.0, 0.5, 0.6) == pytest.approx(1250.0)
 
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
-            cost_value(-1.0, 50.0, CostParams(0.5, 0.6))
+            cost_value(-1.0, 50.0, 0.5, 0.6)
 
     def test_nan_demand_rejected(self):
         with pytest.raises(ValueError, match="demand must be nonnegative"):
-            cost_value([10.0, np.nan], 50.0, CostParams(0.5, 0.6))
+            cost_value([10.0, np.nan], 50.0, 0.5, 0.6)
 
     def test_nondecreasing_per_segment_and_jump(self):
-        cost = CostParams(0.5, 0.6)
+        cost = (0.5, 0.6)
         bn = 50.0
         grid1 = np.linspace(0, bn, 200)
         grid2 = np.linspace(bn + 1e-9, 3 * bn, 200)
-        v1 = cost_value(grid1, bn, cost)
-        v2 = cost_value(grid2, bn, cost)
+        v1 = cost_value(grid1, bn, *cost)
+        v2 = cost_value(grid2, bn, *cost)
         assert np.all(np.diff(v1) >= 0)
         assert np.all(np.diff(v2) >= 0)
-        jump = (cost_value(bn + 1e-12, bn, cost) - cost_value(bn, bn, cost))
+        jump = (cost_value(bn + 1e-12, bn, *cost) - cost_value(bn, bn, *cost))
         assert jump == pytest.approx((0.6 - 0.5) * bn**2, rel=1e-6)
 
 
@@ -166,14 +165,14 @@ class TestValidateScenario:
         scenario = validate_scenario(sc)
         assert scenario.num_customers == 2
         assert scenario.num_slots == 1
-        np.testing.assert_array_equal(scenario.blocks.b, [25.0])
+        np.testing.assert_array_equal(scenario.b, [25.0])
         np.testing.assert_array_equal(scenario.customers[0].w, [100.0])
 
     def test_scalar_broadcast_to_slots(self):
         doc = self.base_doc()
         doc["num_slots"] = 3
         scenario = validate_scenario(doc)
-        np.testing.assert_array_equal(scenario.cost.beta1, [0.5] * 3)
+        np.testing.assert_array_equal(scenario.beta1, [0.5] * 3)
         np.testing.assert_array_equal(scenario.customers[1].w, [100.0] * 3)
 
     def test_per_slot_arrays_accepted(self):
@@ -232,7 +231,7 @@ class TestValidateScenario:
         doc["num_slots"] = value
         scenario = validate_scenario(doc)
         assert scenario.num_slots == expected
-        assert scenario.blocks.b.shape == (expected,)
+        assert scenario.b.shape == (expected,)
 
     @pytest.mark.parametrize("num_slots, customers", [(10**400, 1), (2**60, 1), (2**59, 2)],
                              ids=["1e400", "2**60", "2**59-by-2"])
@@ -487,13 +486,13 @@ class TestValidateScenarioProperties:
         n, t = len(doc["customers"]), doc["num_slots"]
         assert scenario.w.shape == (n, t)
         for arr in (scenario.w, scenario.alpha, scenario.d_min, scenario.d_max,
-                    scenario.blocks.b, scenario.cost.beta1, scenario.cost.beta2):
+                    scenario.b, scenario.beta1, scenario.beta2):
             assert np.all(np.isfinite(arr))
-        for per_slot in (scenario.blocks.b, scenario.cost.beta1, scenario.cost.beta2):
+        for per_slot in (scenario.b, scenario.beta1, scenario.beta2):
             assert per_slot.shape == (t,)
         assert np.all(np.isfinite(scenario.w / scenario.alpha))
         assert np.all(scenario.d_min <= scenario.d_max)
-        assert np.all(scenario.cost.beta2 >= scenario.cost.beta1)
+        assert np.all(scenario.beta2 >= scenario.beta1)
 
 
 # faults for the stacked validator: bad types, NaN and inf, huge ints, booleans, and
@@ -548,7 +547,7 @@ def outcome(validate, doc):
     except ScenarioError as err:
         return str(err)
     return [(a.dtype, a.shape, a.tobytes()) for a in (
-        s.ids, s.w, s.alpha, s.d_min, s.d_max, s.blocks.b, s.cost.beta1, s.cost.beta2)]
+        s.ids, s.w, s.alpha, s.d_min, s.d_max, s.b, s.beta1, s.beta2)]
 
 
 class TestStackedValidation:
@@ -614,4 +613,4 @@ class TestStackedValidation:
         scenario = validate_scenario(doc)
         np.testing.assert_array_equal(scenario.w, [[30.0, 20.0]])
         assert (scenario.alpha[0, 0], scenario.d_min[0], scenario.d_max[0]) == (1.5, 1.0, 350.0)
-        np.testing.assert_array_equal(scenario.cost.beta2, [0.6, 0.7])
+        np.testing.assert_array_equal(scenario.beta2, [0.6, 0.7])

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brpmarket import (
-    CostParams,
     RunConfig,
     block_prices,
     compare_equilibrium,
@@ -20,6 +19,7 @@ from brpmarket import (
     utility_value,
     validate_scenario,
     welfare_optimum,
+    worst_kkt_residual,
 )
 from brpmarket import oracle
 from brpmarket.cli import demo_scenario_document, main
@@ -130,7 +130,6 @@ class TestCentralizedSolver:
         scenario = single_customer_scenario()  # w=40, alpha=1, beta=1
         sol = solve_welfare_centralized(scenario)
         assert sol.converged
-        assert sol.method == "slot-demand-newton"
         assert sol.allocation.x[0, 0] == pytest.approx(40.0 / 3.0, rel=1e-15)
         assert sol.welfare == pytest.approx(2400.0 / 9.0, rel=1e-14)
         optimum = welfare_optimum(scenario)
@@ -174,7 +173,7 @@ class TestCentralizedSolver:
             [{"id": 0, "w": 80, "alpha": 1.0, "d_min": 50, "d_max": 50}],
             b=50, beta1=0.5, beta2=0.6)
         sol = solve_welfare_centralized(scenario)
-        assert sol.converged and sol.boundary_degenerate
+        assert sol.converged and compare_equilibrium(scenario, sol, sol).boundary_degenerate
 
     @pytest.mark.parametrize("name", CERTIFIED)
     def test_certified_in_few_newton_steps(self, name, newton_steps):
@@ -183,12 +182,14 @@ class TestCentralizedSolver:
         sol = solve_welfare_centralized(scenario)
         assert np.geterr() == before
         assert sol.converged and len(newton_steps) <= 10
-        assert sol.stationarity_residual <= 1e-12 * float(scenario.w.max())
+        # a Jacobian per step, and one more where the step it asks for is below the stop
+        assert sol.iterations <= len(newton_steps) <= sol.iterations + 1
+        assert sol.worst_kkt_residual <= 1e-12 * float(scenario.w.max())
         report = market_equilibrium(scenario)
         demand = report.allocation.x.sum(axis=0)
         assert np.max(np.abs(sol.allocation.x.sum(axis=0) - demand)) <= 1e-8 * demand.max()
         # the market stops at tol 1e-10; the oracle's welfare is the exact one's
-        assert compare_equilibrium(report, sol).welfare_gap <= 1e-6
+        assert compare_equilibrium(scenario, report, sol).welfare_gap <= 1e-6
 
     def test_steep_prices_certified_at_own_demand(self, tmp_path):
         # beta 1e12: x sums to 2.7e-4 below D by cancellation, and the prices of x.sum(0)
@@ -197,7 +198,7 @@ class TestCentralizedSolver:
                "customers": [{"id": i, "w": [10, 20], "alpha": 1, "d_max": 100}
                              for i in range(3)]}
         sol = solve_welfare_centralized(validate_scenario(doc))
-        assert sol.converged and sol.stationarity_residual <= 1e-12 * 20
+        assert sol.converged and sol.worst_kkt_residual <= 1e-12 * 20
         path = tmp_path / "steep.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", "--scenario", str(path)]) == 0
@@ -217,7 +218,35 @@ class TestCentralizedSolver:
         before = np.geterr()
         sol = solve_welfare_centralized(demo_scenario)
         assert np.geterr() == before
-        assert not sol.converged and sol.method == "slot-demand-newton"
+        assert not sol.converged and sol.iterations == 0
+
+    @pytest.mark.parametrize("name, steps", [("demo", 1), ("slack-0", 2), ("band-cap", 3)])
+    def test_answer_counts_its_steps_and_prices_its_settled_demand(self, name, steps,
+                                                                     monkeypatch):
+        # the answer's D is the last one the solve evaluated F at; its prices are that D's,
+        # and its certificate is x's residual at them, bit for bit
+        scenario, demands, excess = CERTIFIED[name](), [], oracle._excess
+        monkeypatch.setattr(oracle, "_excess",
+                            lambda s, demand: demands.append(demand) or excess(s, demand))
+        sol = solve_welfare_centralized(scenario)
+        assert sol.converged and sol.iterations == steps
+        prices = block_prices(demands[-1], scenario.beta1, scenario.beta2)
+        assert sol.prices.p_l.tobytes() == prices.p_l.tobytes()
+        assert sol.prices.p_u.tobytes() == prices.p_u.tobytes()
+        assert sol.worst_kkt_residual == worst_kkt_residual(scenario, sol.allocation, prices)
+        assert sol.scenario_fingerprint == scenario.fingerprint()
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_steps_counted_when_the_loop_runs_out(self, cap, monkeypatch):
+        # the cap market settles in 3 steps: cut short, the answer counts the steps it
+        # took and is priced at x.sum(0)
+        monkeypatch.setattr(oracle, "_NEWTON_STEPS", cap)
+        scenario = CERTIFIED["band-cap"]()
+        sol = solve_welfare_centralized(scenario)
+        assert not sol.converged and sol.iterations == cap
+        prices = block_prices(sol.allocation.x.sum(axis=0), scenario.beta1, scenario.beta2)
+        assert sol.prices.p_l.tobytes() == prices.p_l.tobytes()
+        assert sol.worst_kkt_residual == worst_kkt_residual(scenario, sol.allocation, prices)
 
     @pytest.mark.parametrize("knob", [{"gamma": 0.1}, {"tol": 1e-6}, {"max_iter": 5},
                                       {"x0": np.zeros((2, 1))}],
@@ -252,12 +281,12 @@ class TestCentralizedSolver:
         demand = sol.allocation.x.sum(axis=0)
         np.testing.assert_allclose(demand, [450.0 / 7.0, 450.0 / 7.0, 640.0 / 7.0], rtol=1e-14)
         np.testing.assert_allclose(demand, report.allocation.x.sum(axis=0), rtol=1e-12)
-        prices = block_prices(demand, scenario.cost)
+        prices = block_prices(demand, scenario.beta1, scenario.beta2)
         np.testing.assert_allclose(prices.p_l, report.prices.p_l, rtol=1e-12)
         np.testing.assert_allclose(prices.p_u, report.prices.p_u, rtol=1e-12)
         assert sol.welfare == pytest.approx(report.welfare, rel=1e-12)
         assert sol.welfare == pytest.approx(-65600.0 / 7.0, rel=1e-14)
-        assert sol.stationarity_residual <= 1e-12 * float(scenario.w.max())
+        assert sol.worst_kkt_residual <= 1e-12 * float(scenario.w.max())
         assert np.all(sol.allocation.x.sum(axis=1) >= 110.0 - 1e-12)
 
     def test_scale_free_stop(self):
@@ -297,7 +326,7 @@ class TestWelfareOptimum:
         scenario = single_customer_scenario(d_min=7.0, d_max=7.0)
         sol = welfare_optimum(scenario)
         assert sol.allocation.x[0, 0] == pytest.approx(7.0, rel=1e-15)
-        assert sol.method == "piecewise-exact" and sol.converged
+        assert sol.converged and sol.iterations == 0
 
     @pytest.mark.parametrize("name", SINGULAR_SOLVE_DOCUMENTS)
     def test_singular_solves_do_not_warn(self, name):
@@ -316,8 +345,21 @@ class TestWelfareOptimum:
         from brpmarket import block_prices
         scenario = single_customer_scenario(beta=1.0)
         sol = welfare_optimum(scenario)
-        prices = block_prices(sol.allocation.x.sum(axis=0), scenario.cost)
+        prices = block_prices(sol.allocation.x.sum(axis=0), scenario.beta1, scenario.beta2)
         assert prices.p_l[0] == pytest.approx(prices.p_u[0])
+
+    def test_answer_is_priced_and_certified_at_its_own_demand(self, demo_scenario):
+        # on bN the optimum is no equilibrium: its certificate, at the prices of its own
+        # D, reads the price jump there
+        optimum = welfare_optimum(demo_scenario)
+        assert optimum.converged and optimum.iterations == 0
+        prices = block_prices(optimum.allocation.x.sum(axis=0), demo_scenario.beta1,
+                              demo_scenario.beta2)
+        assert optimum.prices.p_l.tobytes() == prices.p_l.tobytes()
+        assert optimum.prices.p_u.tobytes() == prices.p_u.tobytes()
+        assert optimum.worst_kkt_residual == worst_kkt_residual(
+            demo_scenario, optimum.allocation, prices) > 0
+        assert optimum.scenario_fingerprint == demo_scenario.fingerprint()
 
     def test_too_many_variables_rejected(self):
         scenario = make_scenario(
@@ -339,8 +381,8 @@ class TestWelfareOptimum:
         optimum = welfare_optimum(demo_scenario)
         assert optimum.allocation.x.tolist() == [[10.0], [40.0]]
         assert optimum.welfare == 2100.0
-        assert optimum.boundary_degenerate is True
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
+        assert compare_equilibrium(demo_scenario, report, optimum).boundary_degenerate is True
         assert optimum.welfare - report.welfare == pytest.approx(29.296875, abs=1e-7)
 
     def test_off_boundary_optimum_and_efficiency_gap(self):
@@ -352,8 +394,8 @@ class TestWelfareOptimum:
         optimum = welfare_optimum(scenario)
         assert optimum.allocation.x.tolist() == [[0.0], [45.0]]
         assert optimum.welfare == 2025.0
-        assert optimum.boundary_degenerate is False
         report, _ = run_market(scenario, RunConfig(gamma=0.1, tol=1e-10))
+        assert compare_equilibrium(scenario, report, optimum).boundary_degenerate is False
         assert optimum.welfare - report.welfare == pytest.approx(2025.0 / 121.0, abs=1e-7)
 
     def test_floor_past_satiation(self):
@@ -446,7 +488,7 @@ def test_matches_scipy_on_smooth_instances(scenario):
         x = np.maximum(v, 0.0).reshape(n, t)
         demand = x.sum(axis=0)
         return -(np.sum(utility_value(x, scenario.w, scenario.alpha))
-                 - np.sum(scenario.cost.beta1 * demand ** 2))
+                 - np.sum(scenario.beta1 * demand ** 2))
 
     start = np.repeat(np.maximum(scenario.d_min, 1.0) / t, t)
     result = optimize.minimize(
@@ -466,7 +508,7 @@ class TestCompareEquilibrium:
     def test_distributed_matches_centralized_on_demo(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
         sol = solve_welfare_centralized(demo_scenario)
-        cmp = compare_equilibrium(report, sol)
+        cmp = compare_equilibrium(demo_scenario, report, sol)
         assert cmp.passed
         assert cmp.allocation_gap < 1e-3
         assert cmp.welfare_gap < 1e-4
@@ -477,15 +519,9 @@ class TestCompareEquilibrium:
     def test_identical_inputs_zero_gaps(self, demo_scenario):
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1, tol=1e-10))
         sol = solve_welfare_centralized(demo_scenario)
-        self_cmp = compare_equilibrium(report, sol)
-        # comparing a run against itself via an oracle built from it
-        from brpmarket import OracleSolution
-        mirror = OracleSolution(
-            allocation=report.allocation, welfare=report.welfare,
-            method="piecewise-exact", converged=True, boundary_degenerate=False,
-            stationarity_residual=None,
-            scenario_fingerprint=report.scenario_fingerprint)
-        cmp = compare_equilibrium(report, mirror)
+        self_cmp = compare_equilibrium(demo_scenario, report, sol)
+        # a run compared against itself
+        cmp = compare_equilibrium(demo_scenario, report, report)
         assert cmp.allocation_gap == 0.0
         assert cmp.welfare_gap == 0.0
         assert self_cmp.passed
@@ -497,16 +533,20 @@ class TestCompareEquilibrium:
         sol = solve_welfare_centralized(demo_scenario)
         shifted = Allocation(report.allocation.x + 0.5)
         bad = replace(report, allocation=shifted)
-        cmp = compare_equilibrium(bad, sol)
+        cmp = compare_equilibrium(demo_scenario, bad, sol)
         assert not cmp.passed
         assert cmp.allocation_gap == pytest.approx(0.5, abs=1e-6)
 
-    def test_scenario_mismatch_rejected(self, demo_scenario):
+    @pytest.mark.parametrize("wrong", ["report", "reference", "both"])
+    def test_scenario_mismatch_rejected(self, demo_scenario, wrong):
+        # either answer, or both alike, for another scenario than the one compared on
         report, _ = run_market(demo_scenario, RunConfig(gamma=0.1))
-        other = single_customer_scenario()
-        sol = solve_welfare_centralized(other)
+        other = solve_welfare_centralized(single_customer_scenario())
+        answers = {"report": (other, report), "reference": (report, other),
+                   "both": (report, report)}[wrong]
+        scenario = single_customer_scenario() if wrong == "both" else demo_scenario
         with pytest.raises(ValueError, match="scenario mismatch"):
-            compare_equilibrium(report, sol)
+            compare_equilibrium(scenario, *answers)
 
 
 def naive_grid(scenario, grid_step):
@@ -522,7 +562,7 @@ def naive_grid(scenario, grid_step):
     variables = [(i, s) for i in range(n) for s in range(t)]
     axes = [np.arange(0.0, scenario.customers[i].satiation[s] + 0.5 * grid_step,
                       grid_step) for i, s in variables]
-    block_total = scenario.blocks.b * n
+    block_total = scenario.b * n
     best, best_point, ties, infeasible = -np.inf, None, 0, 0
     for point in itertools.product(*axes):
         feasible = True
@@ -538,8 +578,8 @@ def naive_grid(scenario, grid_step):
             welfare += utility_value(point[j], customer.w[s], customer.alpha)
         for s in range(t):
             demand = sum(point[j] for j, (_, cs) in enumerate(variables) if cs == s)
-            welfare -= cost_value(demand, block_total[s],
-                                  CostParams(scenario.cost.beta1[s], scenario.cost.beta2[s]))
+            welfare -= cost_value(demand, block_total[s], scenario.beta1[s],
+                                  scenario.beta2[s])
         if welfare > best:
             best, best_point, ties = welfare, point, 1
         elif welfare == best:
@@ -614,7 +654,7 @@ class TestWelfareOptimumProperties:
         scale = float(np.sum(scenario.w ** 2 / (2 * scenario.alpha)))  # largest utility
         assert optimum.welfare >= grid_welfare - 1e-12 * scale
         assert optimum.welfare >= report.welfare - 1e-12 * scale
-        if np.all(scenario.cost.beta1 == scenario.cost.beta2) and report.converged:
+        if np.all(scenario.beta1 == scenario.beta2) and report.converged:
             # a smooth convex cost: the equilibrium is efficient, to the run's tol
             assert optimum.welfare - report.welfare <= 1e-10 * scale
 
@@ -630,7 +670,7 @@ class TestExactMethodsAgree:
     def test_agrees_with_the_welfare_optimum_when_efficient(self, scenario):
         # beta1 = beta2: the equilibrium maximizes welfare, so the two exact methods,
         # which share no code, agree; past satiation in D and welfare only
-        scenario = replace(scenario, cost=CostParams(scenario.cost.beta1, scenario.cost.beta1))
+        scenario = replace(scenario, beta2=scenario.beta1)
         sol = solve_welfare_centralized(scenario)
         optimum = welfare_optimum(scenario)
         demand = optimum.allocation.x.sum(axis=0)
@@ -687,14 +727,16 @@ class TestBatchedWelfareOptimum:
                                 "d_max": 29.0}], b=[1.0, 5.0, 30.0], beta1=[0.01, 1.0, 1.0],
                            beta2=[0.02, 1.0, 3.0]))  # pinned, with a cell past satiation
     def test_bit_identical_to_the_per_piece_loop(self, scenario):
-        batched, looped = welfare_optimum(scenario), reference_welfare_optimum(scenario)
-        assert batched.allocation.x.tobytes() == looped.allocation.x.tobytes()
-        assert np.float64(batched.welfare).tobytes() == np.float64(looped.welfare).tobytes()
-        assert batched.boundary_degenerate == looped.boundary_degenerate
+        batched, (x, welfare) = welfare_optimum(scenario), reference_welfare_optimum(scenario)
+        assert batched.allocation.x.tobytes() == x.tobytes()
+        assert np.float64(batched.welfare).tobytes() == np.float64(welfare).tobytes()
+        on_bn = np.abs(x.sum(axis=0) - scenario.b * scenario.num_customers) < oracle.BOUNDARY_TOL
+        assert compare_equilibrium(scenario, batched, batched).boundary_degenerate == on_bn.any()
 
     def test_examples_reach_their_regimes(self):
         # the pinned cases: the demo on bN, w = (10, 90) off it, and a cell past satiation
-        assert welfare_optimum(validate_scenario(demo_scenario_document())).boundary_degenerate
+        demo = validate_scenario(demo_scenario_document())
+        assert compare_equilibrium(demo, *[welfare_optimum(demo)] * 2).boundary_degenerate
         assert welfare_optimum(W10_90).allocation.x.tolist() == [[0.0], [45.0]]
         x = welfare_optimum(FLOOR_PAST_SATIATION).allocation.x
         assert x[0, 0] > FLOOR_PAST_SATIATION.satiation[0, 0]

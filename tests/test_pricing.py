@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brpmarket import CostParams, block_prices
+from brpmarket import block_prices
 
 
 def demand(first, second):
@@ -13,12 +13,12 @@ def demand(first, second):
 
 class TestBlockPrices:
     def test_zero_demand_zero_prices(self):
-        prices = block_prices(demand([0.0], [0.0]), CostParams(0.5, 0.6))
+        prices = block_prices(demand([0.0], [0.0]), 0.5, 0.6)
         assert prices.p_l[0] == 0.0
         assert prices.p_u[0] == 0.0
 
     def test_marginal_of_quadratic(self):
-        prices = block_prices(demand([40.0], [0.0]), CostParams(0.5, 0.6))
+        prices = block_prices(demand([40.0], [0.0]), 0.5, 0.6)
         assert prices.p_l[0] == pytest.approx(40.0)
         assert prices.p_u[0] == pytest.approx(48.0)
 
@@ -29,17 +29,17 @@ class TestBlockPrices:
             b2 = rng.uniform(0.1, 2.0)
             d1 = rng.uniform(0.1, 100.0)
             d2 = rng.uniform(0.0, 50.0)
-            prices = block_prices(demand([d1], [d2]), CostParams(b1, b2))
+            prices = block_prices(demand([d1], [d2]), b1, b2)
             assert prices.p_u[0] / prices.p_l[0] == pytest.approx(b2 / b1, abs=1e-12)
 
     def test_second_block_pricier_when_beta2_larger(self):
-        prices = block_prices(demand([10.0], [5.0]), CostParams(0.5, 0.6))
+        prices = block_prices(demand([10.0], [5.0]), 0.5, 0.6)
         assert prices.p_u[0] > prices.p_l[0]
 
     def test_linear_in_demand(self):
-        cost = CostParams(0.5, 0.6)
-        p1 = block_prices(demand([12.0], [3.0]), cost)
-        p2 = block_prices(demand([24.0], [6.0]), cost)
+        cost = (0.5, 0.6)
+        p1 = block_prices(demand([12.0], [3.0]), *cost)
+        p2 = block_prices(demand([24.0], [6.0]), *cost)
         assert p2.p_l[0] == pytest.approx(2 * p1.p_l[0])
         assert p2.p_u[0] == pytest.approx(2 * p1.p_u[0])
 
@@ -52,8 +52,8 @@ class TestBlockPrices:
         # max is NaN if any entry is) makes p_l finite
         beta1 = max(beta2 * share, 5e-324)
         with np.errstate(over="ignore", invalid="ignore"):
-            prices = block_prices(demands, CostParams(np.full(len(demands), beta1),
-                                                      np.full(len(demands), beta2)))
+            prices = block_prices(demands, np.full(len(demands), beta1),
+                                  np.full(len(demands), beta2))
         if np.isfinite(prices.p_u.max()):
             assert np.isfinite(prices.p_l).all() and np.all(prices.p_l <= prices.p_u)
 
