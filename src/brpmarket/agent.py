@@ -43,11 +43,11 @@ class _StepKernel:
     def __init__(self, scenario: Scenario, gamma: float):
         self.scenario, self.gamma = scenario, gamma
         self.low, self.high, self.grad, self.raw = (np.empty(scenario.w.shape) for _ in range(4))
-        self.flat, self.sated = np.empty(scenario.w.shape, dtype=bool), None
+        self.flat, self.first, self.second = (np.empty(scenario.w.shape, bool) for _ in range(3))
         (n, t), b = scenario.w.shape, scenario.b  # tiled: one shape is the fastest
         upper = np.concatenate([b, np.full(t, np.inf)])
         self.shift, self.upper, self.sides = np.zeros(n), np.tile(upper, (n, 1)), None
-        self.ones, self.clipped = np.ones(2 * t), np.empty((n, 2 * t))
+        self.ones, self.clipped, self.sated = np.ones(2 * t), np.empty((n, 2 * t)), None
         self.two_beta = 2.0 * scenario.beta1, 2.0 * scenario.beta2
         self.b, self.alpha = np.tile(b, (n, 1)), np.repeat(scenario.alpha, t, axis=1)
 
@@ -57,6 +57,47 @@ class _StepKernel:
         flat = np.greater_equal(x, self.scenario.satiation, out=self.flat)
         self.sated = flat if flat.any() else None
         self.demand = x.sum(axis=0)
+
+    def pattern(self, x: np.ndarray) -> tuple:
+        """The face of the ``x`` that :meth:`split` last saw: its unsated cells in ``(0,
+        b)`` (``first``) and above b (``second``), the rest held, and its rows at their
+        cap or floor, by the sign of the ``shift`` that projected x; as bytes."""
+        first, second = self.first, self.second
+        np.logical_and(np.less(x, self.b, out=first), np.greater(self.low, 0.0, out=second),
+                       out=first)
+        np.greater(self.high, 0.0, out=second)
+        if self.sated is not None:
+            first[self.sated] = second[self.sated] = False
+        return (first.tobytes(), second.tobytes(), (self.shift > 0).tobytes(),
+                (self.shift < 0).tobytes())
+
+    def face(self, x: np.ndarray) -> np.ndarray:
+        """The point of the face :meth:`pattern` last saw where its conditions hold: free
+        cells at ``(w - c*D - lam)/alpha``, c their block's ``2*beta``, the rest at x, a
+        binding row's ``lam`` from its sum, and D from ``(I + diag(sum_i G_i) - sum_binding
+        f_i G_i^T/n_i) D = r``, ``f = 1/alpha`` on free cells, ``G = f*c``, ``n_i = sum_t
+        f_i``: a division where no row binds, else one T x T solve (NaN if singular), whose
+        first LAPACK call pages in about 0.4 MB.  In the paper's roles each customer reports
+        T + 1 numbers, its free cells' 1/alpha per slot and whether its band binds, with
+        what it takes on that face at price 0; the utility solves for D."""
+        s, free = self.scenario, self.first | self.second
+        c = np.where(self.second, self.two_beta[1], self.two_beta[0])
+        f = free / self.alpha
+        g, base, n = f * c, f * s.w + np.where(free, 0.0, x), f.sum(axis=1)
+        r, lam = base.sum(axis=0), np.zeros(len(x))
+        if (rows := np.flatnonzero((self.shift != 0) & (n > 0))).size:
+            fb, gb, nb = f[rows], g[rows], n[rows]
+            edge = np.where(self.shift[rows] > 0, s.d_max[rows], s.d_min[rows])
+            k = (base[rows].sum(axis=1) - edge) / nb
+            system = np.diag(1.0 + g.sum(axis=0)) - np.einsum("it,is->ts", fb / nb[:, None], gb)
+            try:  # column diagonally dominant, so singular only where its data is not finite
+                demand = np.linalg.solve(system, r - np.einsum("i,it->t", k, fb))
+            except np.linalg.LinAlgError:
+                demand = r * np.nan
+            lam[rows] = k - np.einsum("it,t->i", gb, demand) / nb
+        else:
+            demand = r / (1.0 + g.sum(axis=0))
+        return np.where(free, (s.w - c * demand - lam[:, None]) / s.alpha, x)
 
     def step(self, x: np.ndarray, prices: PriceSchedule) -> np.ndarray:
         """:func:`step_profile` of the ``x`` that :meth:`split` last saw; a new array."""

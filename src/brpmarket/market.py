@@ -38,8 +38,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Step size, tolerance and iteration cap of the market iteration; ``run_market`` stops
-    once allocation and prices both move by less than ``tol``."""
+    """Step size, tolerance and iteration cap of the market iteration; ``run_market``
+    converges on an iterate whose certificate is below ``tol``: the exact point of its face
+    or, failing that, one where allocation and prices both move by less than ``tol``."""
 
     gamma: float
     tol: float = 1e-6
@@ -255,8 +256,13 @@ def default_step_size(scenario: Scenario) -> float:
 
 def run_market(scenario: Scenario, config: RunConfig, observe=None):
     """Iterate the distributed price/demand loop to equilibrium: from ``x = d_min/T``,
-    every customer steps against the block prices at the slot demand ``x.sum(0)`` until x
-    and the prices move by less than ``tol``, or to ``max_iter``.
+    every customer steps against the block prices at the slot demand ``x.sum(0)``.  When an
+    iterate's face (:meth:`_StepKernel.pattern`) is the last one's, the run solves it once
+    and ends on its exact point, converged, if that is nonnegative with a certificate below
+    ``tol``.  Else it converges where x and the prices move by less than ``tol`` with a
+    certificate below ``tol``, or below ``2**-44`` of the largest w, x or p_u, what rounding
+    lets it resolve, where that is coarser; or it stops at ``max_iter``.  The report's
+    ``worst_kkt_residual`` is the one its stop computed.
 
     Returns ``(EquilibriumReport, IterationTrace)``, the trace a view of the run, not of
     its iterates.  ``observe(k, x, prices, max_change, welfare)`` sees each iterate once it
@@ -272,7 +278,7 @@ def run_market(scenario: Scenario, config: RunConfig, observe=None):
     cells, w_max = scenario.w.size + 1, float(scenario.w.max())
     quad = 0.5 * float(scenario.alpha.max()) + float(scenario.beta2.max())
     x = np.repeat(scenario.d_min[:, None] / scenario.num_slots, scenario.num_slots, axis=1)
-    max_change = math.nan
+    max_change, pattern, tried = math.nan, None, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # iterates are checked
         kernel = _StepKernel(scenario, config.gamma)  # 2*beta may overflow
         for k in range(config.max_iter + 1):
@@ -285,13 +291,27 @@ def run_market(scenario: Scenario, config: RunConfig, observe=None):
                 max_change = kernel.max_change(new_x, x)
                 if not math.isfinite(max_change):
                     raise DivergenceError(k)
-                x, last = new_x, prices
+                x, last, before = new_x, prices, x
             kernel.split(x)
-            prices = _prices(kernel.demand, *kernel.two_beta)
+            prices, certificate = _prices(kernel.demand, *kernel.two_beta), None
+            held, pattern = pattern, kernel.pattern(x)
+            if pattern == held != tried:  # a face held for one step: finish on it, once
+                tried, point = pattern, kernel.face(x)
+                if 0.0 <= point.min() and point.max() < math.inf:
+                    at = _prices(point.sum(axis=0), *kernel.two_beta)
+                    residual = worst_kkt_residual(scenario, Allocation(point), at)
+                    if residual < config.tol:
+                        x, prices, certificate = point, at, residual
+                        max_change = kernel.max_change(x, before)
             # max_change is nan at k = 0, so no earlier prices are read there
-            converged = (max_change < config.tol
-                         and float(np.abs(prices.p_l - last.p_l).max()) < config.tol
-                         and float(np.abs(prices.p_u - last.p_u).max()) < config.tol)
+            if (certificate is None and max_change < config.tol
+                    and float(np.abs(prices.p_l - last.p_l).max()) < config.tol
+                    and float(np.abs(prices.p_u - last.p_u).max()) < config.tol):
+                residual = worst_kkt_residual(scenario, Allocation(x), prices)
+                if residual < max(config.tol, 2.0**-44 * max(w_max, float(x.max()),
+                                                             float(prices.p_u.max()))):
+                    certificate = residual
+            converged = certificate is not None
             d, welfare = float(kernel.demand.max()), None
             if (observe is not None or converged or k == config.max_iter
                     or k and not (w_max < 1e150 and cells * (w_max * d + quad * d * d) < 1e300)):
@@ -313,7 +333,8 @@ def run_market(scenario: Scenario, config: RunConfig, observe=None):
         allocation=allocation,
         prices=prices,
         welfare=welfare,
-        worst_kkt_residual=worst_kkt_residual(scenario, allocation, prices),
+        worst_kkt_residual=(worst_kkt_residual(scenario, allocation, prices)
+                            if certificate is None else certificate),
         scenario_fingerprint=fingerprint,
     )
     return report, IterationTrace(scenario, replace(config, max_iter=k), fingerprint)

@@ -4,6 +4,9 @@ import pytest
 from brpmarket import Scenario, validate_scenario
 from brpmarket.cli import demo_scenario_document
 
+# the demo's exact equilibrium x, on which the market finishes at every step it converges at
+DEMO_EQUILIBRIUM = [[13.125], [33.75]]
+
 
 @pytest.fixture(scope="session")
 def demo_scenario() -> Scenario:

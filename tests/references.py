@@ -1,7 +1,8 @@
 """References for the tests.  Per-item references for the batched code in ``brpmarket``:
 the per-piece loop of the exact welfare optimum and the per-entry scenario validator, whose
 bits and messages the batched functions must give.  And what only tests read: a customer's
-net utility, and the iterates of a market run as the run produced them."""
+net utility, the iterates of a market run as the run produced them, and the plain market
+loop, with no exact finish, written out from public functions."""
 
 import itertools
 import math
@@ -9,7 +10,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from brpmarket import oracle
+from brpmarket import (Allocation, block_prices, oracle, social_welfare, step_profile,
+                       worst_kkt_residual)
 from brpmarket.market import run_market
 from brpmarket.model import PriceSchedule, Scenario, ScenarioError, utility_value
 
@@ -30,6 +32,31 @@ def recorded_run(scenario, config):
     records = []
     report, _ = run_market(scenario, config, lambda *iterate: records.append(Record(*iterate)))
     return report, records
+
+
+def reference_market(scenario, config):
+    """The plain distributed loop written out from public functions, every (x, p_l, p_u,
+    welfare, max_change) it produces: it steps until x and the prices move by less than
+    tol at an iterate whose certificate is below tol, with no exact finish on a face."""
+    t = scenario.num_slots
+    x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
+    prices = block_prices(x.sum(axis=0), scenario.beta1, scenario.beta2)
+    records = [(x, prices.p_l, prices.p_u,
+                social_welfare(Allocation(x), scenario), float("nan"))]
+    for _ in range(config.max_iter):
+        new_x = step_profile(x, prices, config.gamma, scenario)
+        change = float(np.max(np.abs(new_x - x)))
+        new_prices = block_prices(new_x.sum(axis=0), scenario.beta1, scenario.beta2)
+        records.append((new_x, new_prices.p_l, new_prices.p_u,
+                        social_welfare(Allocation(new_x), scenario), change))
+        done = (change < config.tol
+                and float(np.max(np.abs(new_prices.p_l - prices.p_l))) < config.tol
+                and float(np.max(np.abs(new_prices.p_u - prices.p_u))) < config.tol
+                and worst_kkt_residual(scenario, Allocation(new_x), new_prices) < config.tol)
+        x, prices = new_x, new_prices
+        if done:
+            break
+    return records
 
 
 def net_utility(x, prices, scenario):

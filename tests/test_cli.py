@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from brpmarket import cli, market, oracle
+from brpmarket import RunConfig, cli, load_scenario, market, oracle
 from brpmarket.cli import demo_scenario_document, main
 from brpmarket.model import Allocation
 from brpmarket.oracle import solve_welfare_centralized
+from conftest import DEMO_EQUILIBRIUM
+from references import reference_market
 from test_market import SUBNORMAL_BOUND_DOCUMENT, nan_step_document, welfare_overflow_document
 from test_oracle import SATED_BAND_DOCUMENT, TINY_BAND_DOCUMENT, leaky_start_document
 
@@ -188,17 +190,25 @@ class TestRunCommand:
 
 class TestSweepCommand:
     def test_iterations_decrease_with_gamma(self, demo_file, tmp_path):
+        # each step's run ends at the demo's exact equilibrium, in no more iterations
+        # than its plain loop, whose iterations fall strictly as the step grows
         out = tmp_path / "sweep"
         code = main(["sweep", "--scenario", str(demo_file),
                      "--gammas", "0.01,0.1,0.3", "--out", str(out)])
         assert code == 0
         rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert [r["gamma"] for r in rows] == ["0.01", "0.1", "0.3"]
-        iters = [int(r["iterations"]) for r in rows]
-        assert iters[0] > iters[1] > iters[2]
+        scenario = load_scenario(demo_file)
+        plain = [len(reference_market(scenario, RunConfig(gamma=float(r["gamma"])))) - 1
+                 for r in rows]
+        assert plain[0] > plain[1] > plain[2]
+        assert all(int(r["iterations"]) <= n for r, n in zip(rows, plain))
         assert all(r["converged"] == "True" for r in rows)
-        for g in ("0.01", "0.1", "0.3"):
-            assert (out / f"trace_gamma_{g}.csv").exists()
+        for r in rows:
+            trace = list(csv.DictReader((out / f"trace_gamma_{r['gamma']}.csv").read_text()
+                                        .splitlines()[1:]))
+            last = [row for row in trace if row["iter"] == r["iterations"]]
+            assert [[float(row["x"])] for row in last] == DEMO_EQUILIBRIUM
 
     def test_single_gamma_one_row(self, demo_file, tmp_path):
         out = tmp_path / "sweep"
@@ -324,9 +334,12 @@ class TestVerifyCommand:
         out = tmp_path / "verify"
         assert main(["verify", "--scenario", str(demo_file), "--out", str(out)]) == 0
         payload = json.loads((out / "comparison.json").read_text())
-        assert payload["optimum"] == {"allocation_gap": 6.250000000224212,
+        assert payload["optimum"] == {"allocation_gap": 6.25,
                                       "boundary_degenerate": True, "demand_gap": 3.125,
-                                      "pass": False, "welfare_gap": 29.296875002102297}
+                                      "pass": False, "welfare_gap": 29.296875}
+        # the market finishes at the centralized oracle's exact answer
+        assert payload["allocation_gap"] == payload["demand_gap"] == 0.0
+        assert payload["welfare_gap"] == 0.0
 
     def test_inefficient_equilibrium_fails(self, tmp_path):
         # w = (10, 90): the optimum (0, 45) lies off the segment boundary, and

@@ -27,13 +27,15 @@ from brpmarket import (
     utility_value,
     validate_scenario,
     welfare_optimum,
+    worst_kkt_residual,
 )
 from brpmarket import cli
+from brpmarket import agent as agent_module
 from brpmarket import market as market_module
 from brpmarket.market import TRACE_COLUMNS, TRACE_COMMENT
 from brpmarket.model import PriceSchedule
-from conftest import make_scenario, random_scenario, single_customer_scenario
-from references import recorded_run
+from conftest import DEMO_EQUILIBRIUM, make_scenario, random_scenario, single_customer_scenario
+from references import recorded_run, reference_market
 
 
 def welfare_overflow_document():
@@ -101,12 +103,16 @@ class TestRunMarket:
         assert abs(optimum.allocation.x[0, 0] - report.allocation.x[0, 0]) < 1e-6
 
     def test_step_size_ordering(self, demo_scenario):
-        iters = []
+        # the plain loop's iterations fall strictly as the step grows; the run finishes
+        # each at the exact equilibrium, in no more iterations than its plain loop
+        plain = []
         for gamma in (0.01, 0.1, 0.3):
-            report, _ = run_market(demo_scenario, RunConfig(gamma=gamma))
-            assert report.converged
-            iters.append(report.iterations)
-        assert iters[2] < iters[1] < iters[0]
+            config = RunConfig(gamma=gamma)
+            report, _ = run_market(demo_scenario, config)
+            plain.append(len(reference_market(demo_scenario, config)) - 1)
+            assert report.converged and report.iterations <= plain[-1]
+            assert report.allocation.x.tolist() == DEMO_EQUILIBRIUM
+        assert plain[2] < plain[1] < plain[0]
 
     def test_unprofitable_customer_consumes_nothing(self):
         # a forced-demand customer keeps prices above the small customer's
@@ -310,40 +316,133 @@ def _changes(records):
             for prev, cur in zip(records, records[1:])]
 
 
+def plain_run(scenario, config):
+    """:func:`recorded_run` with the exact finish turned off: each face point it solves has
+    a negative cell, so the run can stop only on the movement exit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(agent_module._StepKernel, "face", lambda self, x: np.full_like(x, -1.0))
+        return recorded_run(scenario, config)
+
+
+def finished_run(scenario, config):
+    """``(report, on_face)``: :func:`run_market`, and whether it ended on a point of its
+    exact finish, which the run reports as the finish made it."""
+    points, face = [], agent_module._StepKernel.face
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(agent_module._StepKernel, "face",
+                      lambda self, x: points.append(face(self, x)) or points[-1])
+        report, _ = run_market(scenario, config)
+    return report, any(report.allocation.x is point for point in points)
+
+
+def assert_exact(scenario, config, report):
+    """A run that ends on a face is exact: its slot demand is the exact solver's, and the
+    run's at a third of the step, to 1e-12 relative, and its certificate is below 1e-12 of
+    the price scale max w (no price exceeds it at an equilibrium)."""
+    demand = report.allocation.x.sum(axis=0)
+    for other in (solve_welfare_centralized(scenario),
+                  run_market(scenario, replace(config, gamma=config.gamma / 3))[0]):
+        assert other.converged
+        np.testing.assert_allclose(other.allocation.x.sum(axis=0), demand, rtol=0,
+                                   atol=1e-12 * np.abs(demand).max())
+    assert report.worst_kkt_residual < 1e-12 * float(scenario.w.max())
+
+
+def _certificates(scenario, records):
+    return [worst_kkt_residual(scenario, Allocation(rec.x), rec.prices) for rec in records]
+
+
 class TestStopRule:
-    """run_market stops at the first iterate whose allocation and prices both
-    moved by less than tol."""
+    """run_market stops at the first iterate that is either the certified point of a face
+    held for one step (the exact finish) or, with the finish off, one whose allocation and
+    prices both moved by less than tol and whose certificate is below tol (the movement
+    exit)."""
 
     TOL = 1e-6
 
-    @pytest.fixture(scope="class", params=["demo", "slack", "one-customer"])
+    @pytest.fixture(scope="class", params=[(name, stop) for stop in ("finish", "movement")
+                                           for name in ("demo", "slack", "one-customer")],
+                    ids="-".join)
     def run(self, request):
         # one customer with 2*beta > 1: its price moves by twice its
         # consumption, so prices alone keep the run going near the end
+        name, stop = request.param
         scenario, gamma = {
             "demo": lambda: (validate_scenario(cli.demo_scenario_document()), None),
             "slack": lambda: (wide_slack_scenario(), None),
             "one-customer": lambda: (single_customer_scenario(beta=1.0), 0.05),
-        }[request.param]()
-        gamma = gamma or default_step_size(scenario)
-        return recorded_run(scenario, RunConfig(gamma=gamma, tol=self.TOL))
+        }[name]()
+        config = RunConfig(gamma=gamma or default_step_size(scenario), tol=self.TOL)
+        report, records = (recorded_run if stop == "finish" else plain_run)(scenario, config)
+        return stop, scenario, config, report, records
 
-    def test_last_iterate_has_both_changes_below_tol(self, run):
-        report, records = run
+    def test_last_iterate_is_certified(self, run):
+        stop, scenario, config, report, records = run
         assert report.converged and len(records) == report.iterations + 1
-        alloc_change, price_change = _changes(records)[-1]
-        assert alloc_change < self.TOL and price_change < self.TOL
+        assert report.worst_kkt_residual == _certificates(scenario, records)[-1] < self.TOL
+        if stop == "movement":
+            alloc_change, price_change = _changes(records)[-1]
+            assert alloc_change < self.TOL and price_change < self.TOL
+        else:
+            assert report.iterations < len(reference_market(scenario, config)) - 1
+            assert_exact(scenario, config, report)
 
-    def test_earlier_iterates_have_a_change_of_at_least_tol(self, run):
-        _, records = run
-        for alloc_change, price_change in _changes(records)[:-1]:
-            assert alloc_change >= self.TOL or price_change >= self.TOL
+    def test_earlier_iterates_have_a_change_or_a_certificate_of_at_least_tol(self, run):
+        _, scenario, _, _, records = run
+        for (alloc_change, price_change), certificate in zip(
+                _changes(records)[:-1], _certificates(scenario, records[1:-1])):
+            assert max(alloc_change, price_change, certificate) >= self.TOL
+
+    @pytest.mark.parametrize("run", [("demo", "movement"), ("slack", "movement")],
+                             indirect=True, ids="-".join)
+    def test_movement_alone_does_not_stop_the_run(self, run):
+        # the movement rule fires before the certificate falls below tol; the run goes on
+        _, scenario, _, _, records = run
+        assert any(max(alloc_change, price_change) < self.TOL <= certificate
+                   for (alloc_change, price_change), certificate in zip(
+                       _changes(records)[:-1], _certificates(scenario, records[1:-1])))
 
     def test_price_movement_alone_continues_the_run(self):
         scenario = single_customer_scenario(beta=1.0)
-        _, records = recorded_run(scenario, RunConfig(gamma=0.05, tol=self.TOL))
+        _, records = plain_run(scenario, RunConfig(gamma=0.05, tol=self.TOL))
         assert any(alloc_change < self.TOL <= price_change
                    for alloc_change, price_change in _changes(records)[:-1])
+
+
+class TestExactFinish:
+    """A converged run's certificate is below tol, and a run that finishes on a face is
+    exact: on the tests' random scenarios and on the benchmark's markets."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_converged_implies_a_certificate_below_tol(self, seed):
+        scenario = random_scenario(np.random.default_rng(seed))
+        config = RunConfig(gamma=default_step_size(scenario))
+        report, _ = run_market(scenario, config)
+        assert not report.converged or report.worst_kkt_residual < config.tol
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_a_run_that_ends_on_a_face_is_exact(self, seed):
+        scenario = random_scenario(np.random.default_rng(seed))
+        config = RunConfig(gamma=default_step_size(scenario))
+        report, on_face = finished_run(scenario, config)
+        if on_face:
+            assert_exact(scenario, config, report)
+
+    @pytest.mark.parametrize("market, most", [("slack", 23), ("cap", 21), ("floor", 21)])
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_bench_markets_finish_exact(self, market, most, seed):
+        # at a third fewer iterations than the plain loop's 35 (slack) and 31-33 (bands)
+        generate = bench_scenarios()
+        for k in range(2):
+            doc = (generate.slack_document([seed, k], 250, 24) if market == "slack"
+                   else generate.band_document([seed, k], 50, 24, market))
+            scenario = validate_scenario(doc)
+            config = RunConfig(gamma=default_step_size(scenario))
+            report, on_face = finished_run(scenario, config)
+            assert on_face and report.converged and report.iterations <= most
+            assert_exact(scenario, config, report)
 
 
 class TestTraceCsv:
@@ -451,29 +550,6 @@ def satiated_floor_scenario():
     })
 
 
-def reference_market(scenario, config):
-    """The distributed loop written out from public functions: every
-    (x, p_l, p_u, welfare, max_change) that run_market should record."""
-    t = scenario.num_slots
-    x = np.repeat(scenario.d_min[:, None] / t, t, axis=1)
-    prices = block_prices(x.sum(axis=0), scenario.beta1, scenario.beta2)
-    records = [(x, prices.p_l, prices.p_u,
-                social_welfare(Allocation(x), scenario), float("nan"))]
-    for _ in range(config.max_iter):
-        new_x = step_profile(x, prices, config.gamma, scenario)
-        change = float(np.max(np.abs(new_x - x)))
-        new_prices = block_prices(new_x.sum(axis=0), scenario.beta1, scenario.beta2)
-        records.append((new_x, new_prices.p_l, new_prices.p_u,
-                        social_welfare(Allocation(new_x), scenario), change))
-        done = (change < config.tol
-                and float(np.max(np.abs(new_prices.p_l - prices.p_l))) < config.tol
-                and float(np.max(np.abs(new_prices.p_u - prices.p_u))) < config.tol)
-        x, prices = new_x, new_prices
-        if done:
-            break
-    return records
-
-
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -511,19 +587,22 @@ BINDING = {"binding-cap", "binding-floor", "satiated-floor"}
 
 
 class TestLoopMatchesReference:
-    """run_market takes the steps that
-    step_profile, block_prices and social_welfare take: to the bit on slack
-    bands, where every record is also the clip-then-project step's to the bit,
-    and to 1e-12 relative on binding ones."""
+    """Up to its exact finish, run_market takes the steps that step_profile, block_prices
+    and social_welfare take: to the bit on slack bands, where every record is also the
+    clip-then-project step's to the bit, and to 1e-12 relative on binding ones.  A run
+    that finishes on a face ends exact, before the plain loop stops."""
 
     @pytest.mark.parametrize("name", LOOP_SCENARIOS)
     def test_every_market_record(self, name):
         scenario = LOOP_SCENARIOS[name]()
         config = RunConfig(gamma=0.3 if name == "demo" else default_step_size(scenario),
                            tol=1e-8, max_iter=400)
-        _, records = recorded_run(scenario, config)
+        report, records = recorded_run(scenario, config)
         expected = reference_market(scenario, config)
-        assert len(records) == len(expected) > 2
+        assert 2 < len(records) <= len(expected)
+        if len(records) < len(expected):  # the run finished on a face: its last record is exact
+            assert_exact(scenario, config, report)
+            expected = expected[:len(records) - 1]
         for k, (rec, (x, p_l, p_u, welfare, change)) in enumerate(zip(records, expected)):
             if name in BINDING:
                 scale = max(1.0, float(np.abs(x).max()))
@@ -640,14 +719,14 @@ class TestWelfare:
     def test_run_evaluates_welfare_once(self, welfare_calls):
         scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
         report, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
-        assert report.converged and len(trace) == 36
+        assert report.converged and len(trace) == 18
         assert len(welfare_calls) == 1
 
     def test_trace_evaluates_welfare_once_an_iterate(self, demo_scenario, tmp_path,
                                                      welfare_calls):
         report, trace = market_module.write_trace(demo_scenario, RunConfig(gamma=0.1),
                                                   tmp_path / "trace.csv")
-        assert report.converged and len(trace) == 128
+        assert report.converged and len(trace) == 4
         assert len(welfare_calls) == len(trace)
 
 
@@ -683,8 +762,8 @@ class TestRecordedRun:
 
     def test_run_holds_constant_iterates(self):
         # the peak of a converged run exceeds a two-iterate run's, which holds the
-        # step kernel's fixed buffers, by less than 10 iterates; a run that kept its
-        # 36 iterates would exceed it by 36
+        # step kernel's fixed buffers, by less than 10 iterates, the exact finish's
+        # arrays included; a run that kept its 18 iterates would exceed it by 18
         scenario = validate_scenario(bench_scenarios().slack_document([1, 0], 100, 24))
         gamma = default_step_size(scenario)
         run_market(scenario, RunConfig(gamma=gamma))
@@ -696,7 +775,7 @@ class TestRecordedRun:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert report.converged and report.iterations == 35
+        assert report.converged and report.iterations == 17
         assert peaks[1] - peaks[0] < 10 * scenario.w.nbytes
 
 
@@ -1033,8 +1112,8 @@ class TestTraceCsvEdges:
     """The bytes of two runs, pinned."""
 
     # sha256 of trace.csv as the csv.writer loop writes it
-    DEMO_RUN_SHA256 = "356af9a0850d5781533c94e6719aa278f4d1463472a886e767f213a410be82a7"
-    WIDE_SLACK_SHA256 = "ea55a6c44fcf353b31ce021a7ec00b6bd9530bbc25bb5069a9c83d783cc7b4c1"
+    DEMO_RUN_SHA256 = "0795e07a6514fb6e615eb9e50091fc53c433f14ea0d15f28fa34043da862f3e8"
+    WIDE_SLACK_SHA256 = "380e815b42328367aa57c73c1ff8b221ec129e2333e73672f68efab13d928461"
 
     def test_demo_run_bytes_pinned(self, tmp_path):
         scenario_path = tmp_path / "demo.json"
@@ -1049,7 +1128,7 @@ class TestTraceCsvEdges:
         _, trace = run_market(scenario, RunConfig(gamma=default_step_size(scenario)))
         trace.to_csv(tmp_path / "trace.csv")
         data = (tmp_path / "trace.csv").read_bytes()
-        assert len(trace) == 36
+        assert len(trace) == 18
         assert hashlib.sha256(data).hexdigest() == self.WIDE_SLACK_SHA256
 
 
